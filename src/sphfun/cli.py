@@ -132,6 +132,19 @@ def lambda_values(args) -> list[complex]:
     raise UsageError("provide --lambda or --lambda-grid")
 
 
+def spectral_param(args, datum: rd.RootDatum,
+                   lam: complex) -> rd.SpectralParam:
+    """The higher-rank parameter: --lambda-vec, one re,im component per
+    rank, or else (lam, 0, ..., 0)."""
+    if not args.lambda_vec:
+        return rd.SpectralParam.of([lam] + [0j] * (datum.rank - 1))
+    vec = [parse_complex(p) for p in args.lambda_vec.split(";")]
+    if len(vec) != datum.rank:
+        raise UsageError(f"--lambda-vec has {len(vec)} components; the "
+                         f"datum has rank {datum.rank}")
+    return rd.SpectralParam.of(vec)
+
+
 def t_values(args) -> list[float]:
     if getattr(args, "t", None) is not None:
         return [args.t]
@@ -237,11 +250,8 @@ def cmd_c_eval(args) -> int:
         if space.datum.rank == 1:
             m, m2 = space.datum.mult_of(0)
             return cfun.c_alpha(lam, m, m2).value
-        vec = [lam] + [0j] * (space.datum.rank - 1)
-        if args.lambda_vec:
-            vec = [parse_complex(p) for p in args.lambda_vec.split(";")]
         return cfun.c_full(space.datum,
-                           rd.SpectralParam.of(vec)).value
+                           spectral_param(args, space.datum, lam)).value
 
     for lam in lambda_values(args):
         row, good = _c_value_row(lam, evaluate)
@@ -260,11 +270,8 @@ def cmd_csigma_eval(args) -> int:
         datum = space.datum
 
         def evaluate(lam: complex) -> complex:
-            vec = [lam] + [0j] * (datum.rank - 1)
-            if args.lambda_vec:
-                vec = [parse_complex(p) for p in args.lambda_vec.split(";")]
             return cfun.c_sigma(datum, word,
-                                rd.SpectralParam.of(vec)).value
+                                spectral_param(args, datum, lam)).value
     else:
         if space.rankone is None:
             raise UsageError("csigma-eval without --word needs a rank-one "
@@ -360,6 +367,9 @@ def cmd_simple_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.ktype and (args.suite not in vf.KTYPE_SUITES or not args.space):
+        raise UsageError("--ktype applies only to %s, with --space"
+                         % ", ".join(sorted(vf.KTYPE_SUITES)))
     spec = quad_spec(args)
     space = None
     ktype = None
@@ -399,14 +409,11 @@ def cmd_det_a(args) -> int:
     rows = []
     ok = True
     for lam in lambda_values(args):
-        vec = [lam] + [0j] * (space.datum.rank - 1)
-        if args.lambda_vec:
-            vec = [parse_complex(p) for p in args.lambda_vec.split(";")]
+        param = spectral_param(args, space.datum, lam)
         base = {"lambda_re": lam.real, "lambda_im": lam.imag,
                 "word": " ".join(str(x) for x in word.word)}
         try:
-            det = hr.det_A(space.datum, word, rd.SpectralParam.of(vec),
-                           table)
+            det = hr.det_A(space.datum, word, param, table)
             base.update(det_re=det.real, det_im=det.imag, error="")
         except (EVAL_ERRORS + (ValueError,)) as exc:
             base.update(det_re="", det_im="", error=str(exc))
@@ -513,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", help="restrict to one space (h2, hn:<n>; "
                    "rankone:<m>,<m2> for %s)"
                    % ", ".join(sorted(vf.RANK_ONE_SUITES)))
-    p.add_argument("--ktype", help="catalog K-type name")
+    p.add_argument("--ktype", help="catalog K-type name (%s, with --space)"
+                   % ", ".join(sorted(vf.KTYPE_SUITES)))
     p.add_argument("--catalog", help="K-type catalog JSON path")
     p.add_argument("--abs-tol", dest="abs_tol", type=float)
     p.add_argument("--rel-tol", dest="rel_tol", type=float)

@@ -265,7 +265,7 @@ def _phi_polar(n: int, mu: complex, u: float,
 # opposite-unipotent integrals
 
 def _log_nbar_radial(n: int, s: complex, extra_char: int):
-    """log of the integrand of \int_0^infty (1+r^2/4)^{-s} r^{n-2}
+    r"""log of the integrand of \int_0^infty (1+r^2/4)^{-s} r^{n-2}
     [cos(extra_char * atan(r/2))] dr after the substitution r = sinh u,
     as a vectorized function of u."""
     s = complex(s)
@@ -310,7 +310,7 @@ def _nbar_radial(n: int, s: complex, spec: QuadratureSpec,
 
 @lru_cache(maxsize=64)
 def nbar_normalization(n: int, spec: QuadratureSpec) -> complex:
-    """The measure constant \int (1+|v|^2/4)^{-2 rho} dv over the
+    r"""The measure constant \int (1+|v|^2/4)^{-2 rho} dv over the
     (n-1)-dimensional opposite-unipotent coordinate (radial part only;
     the angular factor cancels in every normalized ratio).  Shared by the
     c-function and second-coefficient oracles."""
@@ -320,7 +320,7 @@ def nbar_normalization(n: int, spec: QuadratureSpec) -> complex:
 
 def quad_c_Nbar(n: int, Lam: complex,
                 spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
-    """c-function of n-dimensional hyperbolic space as the normalized
+    r"""c-function of n-dimensional hyperbolic space as the normalized
     integral over the opposite unipotent group,
 
         \int (1 + |v|^2/4)^{-(i Lam + rho)} dv / (same at Lam = -i rho),
@@ -339,7 +339,7 @@ def quad_c_Nbar(n: int, Lam: complex,
 
 def quad_Csigma_sl2(char_n: int, Lam: complex,
                     spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
-    """Second-coefficient integral on the hyperbolic plane for the even
+    r"""Second-coefficient integral on the hyperbolic plane for the even
     circle character of weight char_n:
 
         \int e^{-(i Lam + rho)(H(nbar))} char(k(nbar)^{-1} m*) dnbar
@@ -366,7 +366,7 @@ def quad_Csigma_sl2(char_n: int, Lam: complex,
 
 def entry_function_sl2(char_n: int, Lam: complex, z: complex,
                        spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
-    """Fixed-vector matrix entry of the Eisenstein integral for the even
+    r"""Fixed-vector matrix entry of the Eisenstein integral for the even
     circle character of weight char_n, at the disk point z:
 
         (1/2pi) \int_0^{2pi} P(z, e^{2 i theta})^{i Lam + rho}

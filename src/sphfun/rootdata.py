@@ -15,7 +15,6 @@ lam(H) and <i lam, alpha_0> = i lam(H).
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +45,10 @@ class RootDatum:
 
     def __post_init__(self):
         _validate_datum(self)
+        # derived attributes, outside the fields that eq and hash compare
+        simple_index, reflections = _weyl_tables(self)
+        object.__setattr__(self, "_simple_index", simple_index)
+        object.__setattr__(self, "_reflections", reflections)
 
     @property
     def n_positive(self) -> int:
@@ -63,13 +66,7 @@ class RootDatum:
     def simple_root_positive_index(self, letter: int) -> int:
         """Index into positive_roots of the simple root numbered `letter`
         (1-based)."""
-        alpha = np.asarray(self.simple_roots[letter - 1])
-        pos = self.positive_array()
-        for i in range(len(pos)):
-            if np.allclose(pos[i], alpha, atol=_TOL):
-                return i
-        raise RootDatumError(
-            f"simple root {letter} not listed among positive roots")
+        return self._simple_index[letter - 1]
 
 
 @dataclass(frozen=True)
@@ -151,6 +148,28 @@ def _validate_datum(datum: RootDatum) -> None:
                     f"non-crystallographic pair {alpha}, {beta}")
 
 
+def _weyl_tables(datum: RootDatum) -> tuple[tuple, tuple]:
+    """The Weyl action as integers: the positive-root index of each simple
+    root, and each simple reflection as a permutation of the signed roots,
+    where index k < n is positive root k and k + n is its negative.
+    Matching the reflected vectors is the one float comparison of the
+    Weyl combinatorics; a root that matches nothing is incomplete data."""
+    pos = datum.positive_array()
+    signed = np.concatenate([pos, -pos])
+
+    def match(vec: np.ndarray) -> int:
+        hits = np.flatnonzero(np.all(np.abs(signed - vec) <= _TOL, axis=1))
+        if not len(hits):
+            raise RootDatumError(f"root {vec} is not a listed positive root "
+                                 "or its negative")
+        return int(hits[0])
+
+    simple = datum.simple_array()
+    return (tuple(match(alpha) for alpha in simple),
+            tuple(tuple(match(_reflect(alpha, v)) for v in signed)
+                  for alpha in simple))
+
+
 def rho(datum: RootDatum) -> SpectralParam:
     """Half the multiplicity-weighted sum of the positive roots:
     rho = 1/2 sum (m_alpha + 2 m_2alpha) alpha over indivisible alpha."""
@@ -178,28 +197,21 @@ def weyl_apply(datum: RootDatum, w: WeylElement,
     return SpectralParam.of(vec)
 
 
-def _apply_to_real(datum: RootDatum, w: WeylElement,
-                   vec: np.ndarray) -> np.ndarray:
-    out = vec.astype(float)
-    simple = datum.simple_array()
+def _signed_images(datum: RootDatum, w: WeylElement) -> tuple[int, ...]:
+    """Signed-root indices (see _weyl_tables) of w(root k), k < n."""
+    images = range(datum.n_positive)
     for letter in reversed(w.word):
         if letter > datum.rank:
             raise IndexError(f"word letter {letter} exceeds rank {datum.rank}")
-        out = _reflect(simple[letter - 1], out)
-    return out
+        perm = datum._reflections[letter - 1]
+        images = [perm[x] for x in images]
+    return tuple(images)
 
 
 def negative_set_indices(datum: RootDatum, w: WeylElement) -> list[int]:
     """Indices i with w(positive_roots[i]) a negative root."""
-    pos = datum.positive_array()
-    out = []
-    for i in range(len(pos)):
-        image = _apply_to_real(datum, w, pos[i])
-        for candidate in pos:
-            if np.allclose(image, -candidate, atol=_TOL):
-                out.append(i)
-                break
-    return out
+    return [i for i, image in enumerate(_signed_images(datum, w))
+            if image >= datum.n_positive]
 
 
 def negative_set(datum: RootDatum, w: WeylElement) -> list[tuple[float, ...]]:
@@ -223,27 +235,19 @@ def restrict(datum: RootDatum, lam: SpectralParam, alpha) -> complex:
     return complex((lam.array() @ a) / (a @ a))
 
 
-def _root_key(vec: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(round(x * 2 ** 20)) for x in vec)
-
-
 def enumerate_weyl(datum: RootDatum) -> list[WeylElement]:
     """All Weyl elements with a reduced word each, by breadth-first
     closure over right multiplication by simple reflections (feasible for
     the built-in rank <= 2 catalog)."""
-    pos = datum.positive_array()
-
-    def action_key(w: WeylElement) -> tuple:
-        return tuple(_root_key(_apply_to_real(datum, w, p)) for p in pos)
-
-    seen = {action_key(WeylElement.identity()): WeylElement.identity()}
+    seen = {_signed_images(datum, WeylElement.identity()):
+            WeylElement.identity()}
     frontier = [WeylElement.identity()]
     while frontier:
         nxt = []
         for w in frontier:
             for letter in range(1, datum.rank + 1):
                 cand = WeylElement(w.word + (letter,))
-                key = action_key(cand)
+                key = _signed_images(datum, cand)
                 if key not in seen:
                     seen[key] = cand
                     nxt.append(cand)
@@ -326,11 +330,6 @@ def datum_by_name(name: str, *args) -> RootDatum:
         return _CATALOG[name.lower()](*args)
     except KeyError:
         raise RootDatumError(f"unknown catalog datum {name!r}") from None
-
-
-@lru_cache(maxsize=None)
-def _cached_catalog(name: str, args: tuple) -> RootDatum:
-    return datum_by_name(name, *args)
 
 
 def datum_from_dict(doc: dict) -> RootDatum:

@@ -20,6 +20,8 @@ SUITES = {}
 # suites that read only the multiplicities of a --space selector, so they
 # also run on rank-one spaces that are not real hyperbolic spaces
 RANK_ONE_SUITES = frozenset({"asymptotic", "hs-norm"})
+# suites that read a --ktype; the others run fixed K-type tables
+KTYPE_SUITES = frozenset({"asymptotic"})
 
 
 def _register(name):

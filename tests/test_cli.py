@@ -11,6 +11,7 @@ import pytest
 
 from sphfun import cfun
 from sphfun import rankone as r1
+from sphfun import rootdata as rd
 from sphfun.cli import main, parse_complex, parse_grid, parse_space
 
 DATA = Path(__file__).parent / "data"
@@ -87,7 +88,6 @@ class TestCEval:
         assert rows_of(out)[0]["c_re"]
 
     def test_datum_file_selector(self, tmp_path):
-        from sphfun import rootdata as rd
         path = tmp_path / "b2.json"
         path.write_text(json.dumps(rd.datum_to_dict(rd.datum_b2())),
                         encoding="utf-8")
@@ -98,6 +98,30 @@ class TestCEval:
         code, _, err = run_cli("c-eval", "--space", "h2", "--datum",
                                str(path), "--lambda", "1,0")
         assert code == 2 and "exactly one" in err
+
+    def test_incomplete_datum_file_exits_2(self, tmp_path):
+        # A2 without alpha1 + alpha2 is not closed under the reflections
+        path = tmp_path / "a2_incomplete.json"
+        doc = rd.datum_to_dict(rd.datum_a2())
+        doc["positive_indivisible_roots"].pop()
+        doc["multiplicities"].pop()
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli("c-eval", "--space", str(path),
+                                 "--lambda", "0.9,-0.5")
+        assert code == 2 and out == ""
+        assert "not a listed positive root" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("c-eval", "--space", "a2"),
+        ("csigma-eval", "--space", "a2", "--word", "1"),
+        ("det-a", "--space", "a2", "--table", str(DATA / "a2_table.json")),
+    ])
+    @pytest.mark.parametrize("vec", ["0.9,-0.5", "0.9,-0.5;0.4,-0.7;1,0"])
+    def test_lambda_vec_component_count(self, argv, vec):
+        code, out, err = run_cli(*argv, "--lambda", "0.9,-0.5",
+                                 "--lambda-vec", vec)
+        assert code == 2 and out == ""
+        assert "rank 2" in err
 
 
 class TestPhiEval:
@@ -195,6 +219,17 @@ class TestVerify:
         rows = rows_of(out)
         assert len(rows) == 2
         assert all(r["passed"] == "true" for r in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "hs-norm", "--space", "h2", "--ktype", "s1r0"),
+        ("--suite", "all", "--space", "h2", "--ktype", "s1r0"),
+        ("--suite", "asymptotic", "--ktype", "s1r0"),
+    ])
+    def test_ignored_ktype_exits_2(self, argv):
+        # only asymptotic reads --ktype, and it needs --space to resolve it
+        code, out, err = run_cli("verify", *argv)
+        assert code == 2 and out == ""
+        assert "--ktype" in err
 
     def test_unknown_suite_exits_2(self):
         code, _, err = run_cli("verify", "--suite", "nope")

@@ -15,6 +15,26 @@ def random_param(rank, rng=RNG):
         rng.uniform(-2, 2, rank) + 1j * rng.uniform(-2, 2, rank))
 
 
+def float_negative_set(d, w):
+    """Reference negative set: each positive root mapped by weyl_apply and
+    matched against the negated listed roots."""
+    pos = d.positive_array()
+    out = []
+    for i, beta in enumerate(pos):
+        image = rd.weyl_apply(d, w, rd.SpectralParam.of(beta)).array()
+        if any(np.allclose(image, -gamma, atol=1e-9) for gamma in pos):
+            out.append(i)
+    return out
+
+
+# A2 without alpha1 + alpha2, and A1xA1 without its second simple root
+INCOMPLETE_DATA = [
+    (((1.0, 0.0), (-0.5, 3 ** 0.5 / 2)),
+     ((1.0, 0.0), (-0.5, 3 ** 0.5 / 2))),
+    (((1.0, 0.0), (0.0, 1.0)), ((1.0, 0.0),)),
+]
+
+
 class TestRho:
     def test_rank_one_unit(self):
         d = rd.datum_a1(1, 0)
@@ -97,9 +117,12 @@ class TestNegativeSet:
             [d.positive_roots[0]]
 
     def test_length_additivity_over_group(self):
-        for d in (rd.datum_a2(), rd.datum_b2()):
+        for d in (rd.datum_a1xa1(), rd.datum_a2(), rd.datum_b2(),
+                  rd.datum_b2(2, 3, 1)):
             for w in rd.enumerate_weyl(d):
-                assert len(rd.negative_set_indices(d, w)) == len(w.word)
+                indices = rd.negative_set_indices(d, w)
+                assert len(indices) == len(w.word)
+                assert indices == float_negative_set(d, w)
 
     def test_reducedness_check(self):
         d = rd.datum_a2()
@@ -187,6 +210,13 @@ class TestValidationAndIO:
                 ((1.0, 0.0), (0.0, 1.0)),
                 ((1.0, 0.0), (0.0, 1.0), (1.0, -1.0)),
                 ((1, 0),) * 3)
+
+    @pytest.mark.parametrize("simple,positive", INCOMPLETE_DATA)
+    def test_incomplete_datum_rejected(self, simple, positive):
+        # the positive roots must be closed under the simple reflections
+        # and list every simple root
+        with pytest.raises(rd.RootDatumError):
+            rd.RootDatum(2, simple, positive, ((1, 0),) * len(positive))
 
     def test_json_roundtrip(self, tmp_path):
         d = rd.datum_b2(2, 1, 1)
