@@ -22,8 +22,7 @@ from . import cfun, higherrank as hr, models as md, rankone as r1
 from . import rootdata as rd
 from . import verify as vf
 from .complexmath import HypConvergenceError, HypDomainError, PoleError
-from .quadrature import (DEFAULT_SPEC, QuadratureSpec, SCHEME_GL,
-                         SCHEME_TANH_SINH, ToleranceNotMetError)
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, ToleranceNotMetError
 
 EXIT_OK = 0
 EXIT_EVAL = 1
@@ -32,7 +31,7 @@ EXIT_USAGE = 2
 EVAL_ERRORS = (PoleError, cfun.CPoleError, HypDomainError,
                HypConvergenceError, ToleranceNotMetError,
                md.DivergentIntegralError, r1.ResonanceError,
-               r1.SmallDenominatorError, ZeroDivisionError)
+               r1.SmallDenominatorError, ZeroDivisionError, OverflowError)
 
 
 class UsageError(Exception):
@@ -155,12 +154,10 @@ def t_values(args) -> list[float]:
 
 def quad_spec(args) -> QuadratureSpec:
     kw = {}
-    if getattr(args, "abs_tol", None):
+    if args.abs_tol is not None:
         kw["abs_tol"] = args.abs_tol
-    if getattr(args, "rel_tol", None):
+    if args.rel_tol is not None:
         kw["rel_tol"] = args.rel_tol
-    if getattr(args, "scheme", None):
-        kw["scheme"] = args.scheme
     return QuadratureSpec(**kw) if kw else DEFAULT_SPEC
 
 
@@ -355,8 +352,7 @@ def cmd_simple_check(args) -> int:
     space = resolve_space(args)
     rows = []
     for lam in lambda_values(args):
-        vec = [lam] + [0j] * (space.datum.rank - 1)
-        param = rd.SpectralParam.of(vec)
+        param = spectral_param(args, space.datum, lam)
         rows.append({
             "lambda_re": lam.real,
             "lambda_im": lam.imag,
@@ -429,6 +425,7 @@ def cmd_limits(args) -> int:
         raise UsageError("limits needs a rank-one space")
     kt = resolve_ktype(args, space)
     rows = []
+    ok = True
     for lam in lambda_values(args):
         target = r1.limit_large_t_target(space.rankone, kt, lam)
         small_target = r1.small_t_target(space.rankone, kt, lam)
@@ -446,12 +443,14 @@ def cmd_limits(args) -> int:
                 row["error"] = ""
             except EVAL_ERRORS as exc:
                 row["error"] = str(exc)
+                ok = False
             rows.append(row)
     emit(rows, args)
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_EVAL
 
 
-def _add_common(p, with_t=False, with_ktype=False):
+def _add_common(p, with_t=False, with_ktype=False, with_vec=False,
+                with_tol=False):
     p.add_argument("--space",
                    help="h2 | hn:<n> | rankone:<m>,<m2> | a2 | b2 | "
                         "datum-file path")
@@ -462,8 +461,9 @@ def _add_common(p, with_t=False, with_ktype=False):
                    help="real-part grid start:stop:count")
     p.add_argument("--im", type=float, default=0.0,
                    help="imaginary part used with --lambda-grid")
-    p.add_argument("--lambda-vec", dest="lambda_vec",
-                   help="full higher-rank parameter re,im;re,im;...")
+    if with_vec:
+        p.add_argument("--lambda-vec", dest="lambda_vec",
+                       help="full higher-rank parameter re,im;re,im;...")
     if with_t:
         p.add_argument("--t", type=float, help="radial coordinate")
         p.add_argument("--t-grid", dest="t_grid",
@@ -471,14 +471,17 @@ def _add_common(p, with_t=False, with_ktype=False):
     if with_ktype:
         p.add_argument("--ktype", help="catalog name or d:<d_a>,<d_2a>")
         p.add_argument("--catalog", help="K-type catalog JSON path")
+    if with_tol:
+        _add_tol(p)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--out", help="output path (default stdout)")
+
+
+def _add_tol(p):
     p.add_argument("--abs-tol", dest="abs_tol", type=float,
                    help="quadrature absolute tolerance")
     p.add_argument("--rel-tol", dest="rel_tol", type=float,
                    help="quadrature relative tolerance")
-    p.add_argument("--scheme", choices=[SCHEME_GL, SCHEME_TANH_SINH],
-                   help="half-line quadrature scheme")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", help="output path (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,19 +492,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("c-eval", help="evaluate the c-function")
-    _add_common(p)
+    _add_common(p, with_vec=True)
     p.set_defaults(fn=cmd_c_eval)
 
     p = sub.add_parser("csigma-eval",
                        help="partial c (with --word) or the rank-one "
                             "second coefficient (with --ktype)")
-    _add_common(p, with_ktype=True)
+    _add_common(p, with_ktype=True, with_vec=True)
     p.add_argument("--word", help="Weyl word as comma-separated 1-based "
                                   "simple-root indices")
     p.set_defaults(fn=cmd_csigma_eval)
 
     p = sub.add_parser("phi-eval", help="evaluate spherical functions")
-    _add_common(p, with_t=True, with_ktype=True)
+    _add_common(p, with_t=True, with_ktype=True, with_tol=True)
     p.add_argument("--methods", default="closed",
                    help="comma subset of closed,series,quadrature")
     p.add_argument("--series-n", dest="series_n", type=int, default=40,
@@ -510,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simple-check",
                        help="simplicity predicate of the parameter")
-    _add_common(p)
+    _add_common(p, with_vec=True)
     p.add_argument("--tol", type=float, default=cfun.SIMPLE_TOL)
     p.set_defaults(fn=cmd_simple_check)
 
@@ -523,16 +526,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ktype", help="catalog K-type name (%s, with --space)"
                    % ", ".join(sorted(vf.KTYPE_SUITES)))
     p.add_argument("--catalog", help="K-type catalog JSON path")
-    p.add_argument("--abs-tol", dest="abs_tol", type=float)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float)
-    p.add_argument("--scheme", choices=[SCHEME_GL, SCHEME_TANH_SINH])
+    _add_tol(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("det-a", help="determinant of the intertwining "
                                      "operator from a factor table")
-    _add_common(p)
+    _add_common(p, with_vec=True)
     p.add_argument("--table", help="factor-table JSON path")
     p.set_defaults(fn=cmd_det_a)
 

@@ -34,9 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._backend import kernels
-from .quadrature import (DEFAULT_SPEC, QuadratureSpec,
-                         gauss_legendre_adaptive, halfline_integral,
-                         trapezoid_doubling)
+from .quadrature import (DEFAULT_SPEC, QuadratureSpec, exp_sinh_halfline,
+                         gauss_legendre_adaptive, trapezoid_doubling)
 
 __all__ = [
     "Matrix2", "BallPoint", "BoundaryPoint", "QuadratureSpec",
@@ -304,8 +303,7 @@ def _log_nbar_radial(n: int, s: complex, extra_char: int):
 
 def _nbar_radial(n: int, s: complex, spec: QuadratureSpec,
                  extra_char: int = 0) -> tuple[complex, int]:
-    decay = 2.0 * (complex(s).real - 0.5 * (n - 1))
-    return halfline_integral(_log_nbar_radial(n, s, extra_char), spec, decay)
+    return exp_sinh_halfline(_log_nbar_radial(n, s, extra_char), spec)
 
 
 @lru_cache(maxsize=64)
@@ -371,31 +369,22 @@ def entry_function_sl2(char_n: int, Lam: complex, z: complex,
 
         (1/2pi) \int_0^{2pi} P(z, e^{2 i theta})^{i Lam + rho}
                              e^{i char_n theta} dtheta.
+
+    In psi = 2 theta this is the k-th Fourier coefficient, k = char_n/2,
+    and the Poisson kernel is rotation invariant, so it equals
+    e^{i k arg z} times the same coefficient at the radius |z|.
     """
     if char_n % 2:
         raise ValueError("character weight must be even")
     mu = 1j * complex(Lam) + 0.5
     z = complex(z)
-    if abs(z) >= 1.0:
+    u = abs(z)
+    if u >= 1.0:
         raise ValueError("z must lie inside the unit disk")
-    # in psi = 2 theta the entry is the (char_n/2)-nd Fourier coefficient
-    if z.imag == 0.0 and z.real >= 0.0:
-        value, _ = trapezoid_doubling(
-            lambda m: kernels.poisson_circle_sum(
-                z.real, mu, char_n // 2, m), spec)
-        return value
-
-    def mean_of(m: int) -> complex:
-        theta = np.arange(m) * (2.0 * math.pi / m)
-        b = np.exp(2j * theta)
-        pk = (1.0 - abs(z) ** 2) / np.abs(z - b) ** 2
-        vals = np.exp(mu * np.log(pk))
-        if char_n:
-            vals = vals * np.exp(1j * char_n * theta)
-        return complex(vals.mean())
-
-    value, _ = trapezoid_doubling(mean_of, spec)
-    return value
+    k = char_n // 2
+    value, _ = trapezoid_doubling(
+        lambda m: kernels.poisson_circle_sum(u, mu, k, m), spec)
+    return cmath.exp(1j * k * cmath.phase(z)) * value
 
 
 def quad_eisenstein_sl2(char_n: int, Lam: complex, t: float,
@@ -428,7 +417,6 @@ def functional_equation_check(n: int, Lam: complex, t1: float, t2: float,
     cosh d(gamma) = cosh t1 cosh t2 + sinh t1 sinh t2 cos gamma.
     """
     cache: dict = {}
-    inner_spec = spec
 
     def dist(gamma: np.ndarray) -> np.ndarray:
         arg = (math.cosh(t1) * math.cosh(t2)
@@ -439,13 +427,13 @@ def functional_equation_check(n: int, Lam: complex, t1: float, t2: float,
 
     def f(gamma: np.ndarray) -> np.ndarray:
         ds = dist(gamma)
-        vals = np.array([_phi_ball(n, Lam, float(d), inner_spec, cache)
+        vals = np.array([_phi_ball(n, Lam, float(d), spec, cache)
                          for d in ds], dtype=complex)
         return vals * np.sin(gamma) ** p if p else vals
 
     outer_spec = QuadratureSpec(
         abs_tol=max(spec.abs_tol, 1e-10), rel_tol=max(spec.rel_tol, 1e-9),
-        max_subdivisions=spec.max_subdivisions, scheme=spec.scheme)
+        max_subdivisions=spec.max_subdivisions)
     num, nodes1 = gauss_legendre_adaptive(f, 0.0, math.pi, outer_spec)
     den, nodes2 = _sphere_band_norm(n, outer_spec) if p else (
         math.pi + 0j, 0)

@@ -1,14 +1,14 @@
 """Deterministic quadrature engines for the integral oracles.
 
-Three schemes cover every defining integral of the package:
+Three rules cover every defining integral of the package:
 
 * adaptive composite Gauss-Legendre on finite intervals (bisection driven
   by the 20- vs 40-point discrepancy, leftmost-first accumulation with
   compensated summation, so results are reproducible bit for bit);
 * trapezoid doubling for smooth periodic integrands;
-* a double-exponential rule for half-line integrals, applied after the
-  x = sinh u substitution by the callers; the integrand is supplied in
-  log form so the algebraic tails can never overflow.
+* a double-exponential rule, the one rule for half-line integrals,
+  applied after the x = sinh u substitution by the callers; the integrand
+  is supplied in log form so the algebraic tails can never overflow.
 
 All routines return (value, nodes_used) and raise ToleranceNotMetError
 with the achieved estimate when the node budget runs out.
@@ -21,29 +21,19 @@ from typing import Callable
 
 import numpy as np
 
-SCHEME_GL = "gauss_legendre_composite"
-SCHEME_TANH_SINH = "tanh_sinh_halfline"
-_SCHEMES = (SCHEME_GL, SCHEME_TANH_SINH)
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for the oracle integrals.  `scheme` selects
-    the rule used on the noncompact (half-line) directions; circle and
-    polar integrals always use the periodic/Gauss rules."""
+    """Tolerances and budget for the oracle integrals."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_subdivisions: int = 2 ** 14
-    scheme: str = SCHEME_TANH_SINH
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 4:
             raise ValueError("max_subdivisions too small")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -184,20 +174,3 @@ def exp_sinh_halfline(log_f: Callable[[np.ndarray], np.ndarray],
                 abs(cur - prev),
                 max(spec.abs_tol, spec.rel_tol * abs(cur)), nodes)
         prev = cur
-
-
-def halfline_integral(log_f, spec: QuadratureSpec, decay_rate: float
-                      ) -> tuple[complex, int]:
-    """Half-line integral of exp(log_f) by the scheme chosen in spec.
-    decay_rate is a lower bound on the eventual exponential decay rate of
-    the integrand, used to truncate the Gauss-Legendre variant."""
-    if spec.scheme == SCHEME_TANH_SINH:
-        return exp_sinh_halfline(log_f, spec)
-    if decay_rate <= 0:
-        raise ValueError("decay_rate must be positive for the GL scheme")
-    u_max = (45.0 + abs(math.log(spec.abs_tol))) / decay_rate + 10.0
-
-    def f(u: np.ndarray) -> np.ndarray:
-        return np.exp(log_f(u))
-
-    return gauss_legendre_adaptive(f, 0.0, u_max, spec)

@@ -122,6 +122,8 @@ def _validate_datum(datum: RootDatum) -> None:
         raise RootDatumError("simple roots must have length == rank")
     if pos.ndim != 2 or pos.shape[1] != datum.rank:
         raise RootDatumError("positive roots must have length == rank")
+    if np.any(np.linalg.norm(np.vstack([simple, pos]), axis=1) <= _TOL):
+        raise RootDatumError("roots must be nonzero")
     if len(datum.mult) != len(datum.positive_roots):
         raise RootDatumError("one multiplicity pair per positive root")
     for m, m2 in datum.mult:

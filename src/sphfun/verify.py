@@ -82,12 +82,11 @@ def _sl2_char_ktype(char_n: int, catalog) -> r1.KTypeRankOne:
 
 @_register("c-vs-integral")
 def suite_c_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                        ktype=None, catalog=None,
-                        count: int = 8) -> list[dict]:
+                        ktype=None, catalog=None) -> list[dict]:
     """Product formula against the opposite-unipotent integral."""
     rows = []
     for n, sp in _spaces_for(space):
-        for lam in _lambda_samples(count):
+        for lam in _lambda_samples(8):
             closed = cfun.c_alpha(lam, sp.m_alpha, sp.m_2alpha).value
             quad = md.quad_c_Nbar(n, lam, spec)
             rows.append(_row("c-vs-integral", f"n={n} lam={lam:.4g}",
@@ -97,12 +96,11 @@ def suite_c_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
 
 @_register("phi-vs-integral")
 def suite_phi_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                          ktype=None, catalog=None,
-                          count: int = 5) -> list[dict]:
+                          ktype=None, catalog=None) -> list[dict]:
     """Zonal closed form against the boundary integral."""
     rows = []
     for n, sp in _spaces_for(space):
-        for lam in _lambda_samples(count, seed=5, im_range=(-0.6, 0.6)):
+        for lam in _lambda_samples(5, seed=5, im_range=(-0.6, 0.6)):
             for t in (0.0, 0.5, 1.0, 2.0, 3.0):
                 closed = r1.phi_tau(sp, r1.TRIVIAL_KTYPE, lam, t)
                 quad = md.quad_phi_K(n, lam, t, spec)
@@ -114,19 +112,18 @@ def suite_phi_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
 
 @_register("functional-equation")
 def suite_functional_equation(spec: QuadratureSpec = DEFAULT_SPEC,
-                              space=None, ktype=None, catalog=None,
-                              count: int = 3) -> list[dict]:
+                              space=None, ktype=None,
+                              catalog=None) -> list[dict]:
     """Zonal functional equation plus the character-entry variant."""
     rows = []
     n = space[0] if space else 2
-    for lam in _lambda_samples(count, seed=23, im_range=(-0.4, 0.4)):
+    for lam in _lambda_samples(3, seed=23, im_range=(-0.4, 0.4)):
         for (t1, t2) in ((0.0, 1.0), (1.0, 1.0), (0.5, 2.0)):
             rep = md.functional_equation_check(n, lam, t1, t2, spec)
             rows.append(_row("functional-equation",
                              f"n={n} lam={lam:.4g} t=({t1},{t2})", rep, 1e-6))
     if n == 2:
-        for lam in _lambda_samples(max(count - 1, 1), seed=29,
-                                   im_range=(-0.4, 0.4)):
+        for lam in _lambda_samples(2, seed=29, im_range=(-0.4, 0.4)):
             rep = md.functional_equation_entry_sl2(2, lam, 1.0, 1.0, spec)
             rows.append(_row("functional-equation",
                              f"entry char=2 lam={lam:.4g}", rep, 1e-6))
@@ -135,15 +132,14 @@ def suite_functional_equation(spec: QuadratureSpec = DEFAULT_SPEC,
 
 @_register("eisenstein")
 def suite_eisenstein(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                     ktype=None, catalog=None,
-                     count: int = 3) -> list[dict]:
+                     ktype=None, catalog=None) -> list[dict]:
     """Eisenstein-entry quadrature is proportional to the closed form
     with a t-independent constant (1/s! in this normalization)."""
     rows = []
     h2 = r1.RankOneSpace(1, 0)
     for char_n in (2, 4):
         kt = _sl2_char_ktype(char_n, catalog)
-        for lam in _lambda_samples(count, seed=31, im_range=(-0.5, 0.5)):
+        for lam in _lambda_samples(3, seed=31, im_range=(-0.5, 0.5)):
             ratios = []
             for t in (0.5, 1.0, 2.0):
                 quad = md.quad_eisenstein_sl2(char_n, lam, t, spec)
@@ -162,8 +158,7 @@ def suite_eisenstein(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
 
 @_register("asymptotic")
 def suite_asymptotic(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                     ktype=None, catalog=None,
-                     count: int = 0) -> list[dict]:
+                     ktype=None, catalog=None) -> list[dict]:
     """Large-t limit of the normalized K-type function.  The remainder is
     |B/A| (sech^2 t)^{|Im lam|} (2F1 connection coefficients at z = 1),
     so the 1e-5 bound is asserted, with monotone decay from t = 10, at
@@ -197,13 +192,13 @@ def suite_asymptotic(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
 
 @_register("csigma")
 def suite_csigma(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                 ktype=None, catalog=None, count: int = 4) -> list[dict]:
+                 ktype=None, catalog=None) -> list[dict]:
     """Scalar second coefficient against its unipotent integral."""
     rows = []
     h2 = r1.RankOneSpace(1, 0)
     for char_n in (0, 2, 4):
         kt = _sl2_char_ktype(char_n, catalog)
-        for lam in _lambda_samples(count, seed=37):
+        for lam in _lambda_samples(4, seed=37):
             closed = r1.C_sigma_minus(h2, kt, lam)
             quad = md.quad_Csigma_sl2(char_n, lam, spec)
             rows.append(_row("csigma", f"char={char_n} lam={lam:.4g}",
@@ -213,7 +208,7 @@ def suite_csigma(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
 
 @_register("cocycle")
 def suite_cocycle(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                  ktype=None, catalog=None, count: int = 10) -> list[dict]:
+                  ktype=None, catalog=None) -> list[dict]:
     """Partial c multiplicativity over length-additive pairs."""
     rows = []
     rng = np.random.default_rng(41)
@@ -226,7 +221,7 @@ def suite_cocycle(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
                 if len(u.word) and len(v.word) and rd.is_reduced(datum, uv):
                     pairs.append((u, v, uv))
         worst = 0.0
-        for _ in range(count):
+        for _ in range(10):
             lam = rd.SpectralParam.of(
                 rng.uniform(0.2, 2.0, datum.rank)
                 - 1j * rng.uniform(0.1, 1.0, datum.rank))
@@ -253,7 +248,7 @@ def suite_cocycle(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
 
 @_register("det-a")
 def suite_det_a(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                ktype=None, catalog=None, count: int = 5) -> list[dict]:
+                ktype=None, catalog=None) -> list[dict]:
     """Determinant formula: rank-one reduction and the two-path check."""
     rows = []
     rng = np.random.default_rng(43)
@@ -261,7 +256,7 @@ def suite_det_a(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
     h2_datum = rd.datum_a1(1, 0)
     kt = r1.ktype_from_rs(h2, 0, 2)
     table1 = hr.FactorKTypeTable((1,), 1, {(1, 1): kt})
-    for _ in range(count):
+    for _ in range(5):
         lam = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
         det = hr.det_A(h2_datum, rd.WeylElement.of(1),
                        rd.SpectralParam.of([lam]), table1)
@@ -273,7 +268,7 @@ def suite_det_a(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
     table = hr.FactorKTypeTable((1, 2, 1), 2, {
         (1, 1): kts[0], (1, 2): kts[1], (2, 1): kts[1], (2, 2): kts[2],
         (3, 1): kts[0], (3, 2): kts[2]})
-    for _ in range(count):
+    for _ in range(5):
         lam = rd.SpectralParam.of(
             rng.uniform(0.2, 2.0, 2) - 1j * rng.uniform(0.1, 1.0, 2))
         d1 = hr.det_A(a2, w0, lam, table)
@@ -285,7 +280,7 @@ def suite_det_a(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
 
 @_register("hs-norm")
 def suite_hs_norm(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                  ktype=None, catalog=None, count: int = 5) -> list[dict]:
+                  ktype=None, catalog=None) -> list[dict]:
     """Hilbert-Schmidt norm identity at real spectral parameters."""
     rows = []
     rng = np.random.default_rng(47)
@@ -295,7 +290,7 @@ def suite_hs_norm(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
     for sp in spaces:
         for s in (1, 2):
             kt = r1.ktype_from_rs(sp, 0, s)
-            for _ in range(count):
+            for _ in range(5):
                 lam = float(rng.uniform(0.3, 3.0))
                 rep = hr.hs_norm_check(sp, kt, lam)
                 rows.append(_row(

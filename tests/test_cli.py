@@ -111,6 +111,18 @@ class TestCEval:
         assert code == 2 and out == ""
         assert "not a listed positive root" in err
 
+    def test_zero_root_datum_file_exits_2(self, tmp_path):
+        path = tmp_path / "zero_root.json"
+        doc = {"rank": 1, "simple_roots": [[1.0]],
+               "positive_indivisible_roots": [[1.0], [0.0]],
+               "multiplicities": [{"root_index": i, "m_alpha": 1,
+                                   "m_2alpha": 0} for i in range(2)]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli("c-eval", "--space", str(path),
+                                 "--lambda", "1,0")
+        assert code == 2 and out == ""
+        assert "roots must be nonzero" in err
+
     @pytest.mark.parametrize("argv", [
         ("c-eval", "--space", "a2"),
         ("csigma-eval", "--space", "a2", "--word", "1"),
@@ -171,6 +183,19 @@ class TestSimpleCheck:
         code, out, _ = run_cli("simple-check", "--space", "h2",
                                "--lambda", "1,-0.37")
         assert rows_of(out)[0]["simple"] == "true"
+
+    @pytest.mark.parametrize("vec,simple", [("0,1.5;0,0", "false"),
+                                            ("1,0;2,0", "true")])
+    def test_lambda_vec_is_read(self, vec, simple):
+        code, out, _ = run_cli("simple-check", "--space", "a2",
+                               "--lambda", "0,1.5", "--lambda-vec", vec)
+        assert code == 0
+        assert rows_of(out)[0]["simple"] == simple
+
+    def test_malformed_lambda_vec_exits_2(self):
+        code, out, _ = run_cli("simple-check", "--space", "a2",
+                               "--lambda", "0,1.5", "--lambda-vec", "garbage")
+        assert code == 2 and out == ""
 
 
 class TestCsigmaEval:
@@ -276,6 +301,50 @@ class TestLimits:
         rows = rows_of(out)
         assert float(rows[1]["large_t_rel_err"]) < \
             float(rows[0]["large_t_rel_err"])
+
+    def test_error_row_exits_1(self):
+        code, out, _ = run_cli("limits", "--space", "h2",
+                               "--lambda", "0.5,-0.3", "--t", "nan")
+        assert code == 1
+        assert rows_of(out)[0]["error"]
+
+    @pytest.mark.parametrize("command", ["limits", "phi-eval"])
+    def test_overflow_is_an_error_row(self, command):
+        # math.cosh overflows at t = 800
+        code, out, _ = run_cli(command, "--space", "h2",
+                               "--lambda", "0.5,-0.3", "--t", "800")
+        assert code == 1
+        assert rows_of(out)[0]["error"] == "math range error"
+
+
+class TestOptionSurface:
+    # each command registers only the options it reads
+    @pytest.mark.parametrize("argv,flag", [
+        (("c-eval", "--space", "h2", "--lambda", "1,0"),
+         ("--abs-tol", "5")),
+        (("limits", "--space", "h2", "--lambda", "0.5,-0.8", "--t", "10"),
+         ("--lambda-vec", "0.5,-0.8")),
+        (("phi-eval", "--space", "h2", "--lambda", "0.7,0.2", "--t", "1"),
+         ("--lambda-vec", "0.7,0.2")),
+        (("verify", "--suite", "cocycle"),
+         ("--scheme", "tanh_sinh_halfline")),
+    ])
+    def test_dropped_flag_exits_2(self, argv, flag):
+        assert run_cli(*argv)[0] == 0
+        code, out, err = run_cli(*argv, *flag)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag[0]}" in err
+
+    def test_tolerance_flags_are_read(self):
+        argv = ("phi-eval", "--space", "h2", "--lambda", "0.7,0.2",
+                "--t", "1.5", "--methods", "quadrature")
+        code, default, _ = run_cli(*argv)
+        assert code == 0
+        code, loose, _ = run_cli(*argv, "--abs-tol", "1e-4",
+                                 "--rel-tol", "1e-4")
+        assert code == 0
+        assert (rows_of(loose)[0]["phi_quadrature_re"]
+                != rows_of(default)[0]["phi_quadrature_re"])
 
 
 class TestOutput:

@@ -16,7 +16,6 @@ import pytest
 from sphfun import cfun
 from sphfun import models as md
 from sphfun import rankone as r1
-from sphfun.quadrature import SCHEME_GL, QuadratureSpec
 
 RNG = np.random.default_rng(77)
 
@@ -148,13 +147,6 @@ class TestCOracle:
                 closed = cfun.c_alpha(lam, n - 1, 0).value
                 assert quad == pytest.approx(closed, rel=1e-6)
 
-    def test_gl_scheme_agrees(self):
-        spec = QuadratureSpec(scheme=SCHEME_GL)
-        lam = 1.2 - 0.7j
-        a = md.quad_c_Nbar(3, lam, spec)
-        b = md.quad_c_Nbar(3, lam)
-        assert a == pytest.approx(b, rel=1e-8)
-
     def test_divergent_region_rejected(self):
         with pytest.raises(md.DivergentIntegralError):
             md.quad_c_Nbar(2, 1.0 + 0.5j)
@@ -191,6 +183,30 @@ class TestEisenstein:
                 assert ratio == pytest.approx(ratios[0], abs=1e-6)
             assert ratios[0] == pytest.approx(
                 1.0 / math.factorial(kt.s), rel=1e-8)
+
+
+def brute_force_entry(char_n, lam, z, nodes=4096):
+    """Uniform mean over `nodes` boundary points b = e^{i psi} of
+    P(z, b)^{i lam + 1/2} e^{i (char_n/2) psi}, straight from the
+    definition of the entry."""
+    mu = 1j * lam + 0.5
+    psi = np.arange(nodes) * (2.0 * math.pi / nodes)
+    b = np.exp(1j * psi)
+    pk = (1.0 - abs(z) ** 2) / np.abs(z - b) ** 2
+    return complex(np.mean(pk ** mu * np.exp(0.5j * char_n * psi)))
+
+
+class TestEntryCircleMean:
+    # off the nonnegative real axis: all four quadrants and the negative
+    # real axis, where the entry is the radial mean times e^{i k arg z}
+    @pytest.mark.parametrize("char_n", [0, 2, 4])
+    @pytest.mark.parametrize("z", [0.3 + 0.2j, -0.45 + 0.3j, -0.2 - 0.55j,
+                                   0.5 - 0.35j, -0.6 + 0j])
+    def test_matches_brute_force_mean(self, char_n, z):
+        for lam in (0.8 + 0.3j, 1.3 - 0.4j):
+            value = md.entry_function_sl2(char_n, lam, z)
+            assert value == pytest.approx(
+                brute_force_entry(char_n, lam, z), rel=1e-10)
 
 
 class TestCSigmaOracle:

@@ -218,6 +218,17 @@ class TestValidationAndIO:
         with pytest.raises(rd.RootDatumError):
             rd.RootDatum(2, simple, positive, ((1, 0),) * len(positive))
 
+    @pytest.mark.parametrize("simple,positive", [
+        (((1.0,),), ((1.0,), (0.0,))),
+        # |root|^2 underflows to 0 in the crystallographic check
+        (((1.0,),), ((1.0,), (1e-200,))),
+        (((1.0, 0.0), (0.0, 0.0)), ((1.0, 0.0), (0.0, 0.0))),
+    ])
+    def test_zero_root_rejected(self, simple, positive):
+        with pytest.raises(rd.RootDatumError, match="nonzero"):
+            rd.RootDatum(len(simple[0]), simple, positive,
+                         ((1, 0),) * len(positive))
+
     def test_json_roundtrip(self, tmp_path):
         d = rd.datum_b2(2, 1, 1)
         path = tmp_path / "datum.json"
