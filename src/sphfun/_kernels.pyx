@@ -7,7 +7,7 @@ Twin of ``sphfun._kernels_py`` — same names, same semantics, typed loops.
 import numpy as np
 
 cimport numpy as cnp
-from libc.math cimport atan2, cos, exp, fabs, hypot, log, M_PI, sin, sqrt
+from libc.math cimport atan2, cos, exp, fabs, hypot, log, M_PI, sin
 
 cnp.import_array()
 
@@ -49,24 +49,12 @@ cdef inline double complex _csin(double complex z) noexcept:
     return sin(z.real) * 0.5 * (ep + em) + 1j * (cos(z.real) * 0.5 * (ep - em))
 
 
-cdef inline double complex _cpow(double complex base, double complex p) noexcept:
-    return _cexp(p * _clog(base))
-
-
 cdef double complex _lanczos_sum(double complex z) noexcept:
     cdef double complex s = _LANCZOS[0]
     cdef int k
     for k in range(1, 15):
         s = s + _LANCZOS[k] / (z - 1.0 + k)
     return s
-
-
-cdef double complex _cgamma(double complex z) noexcept:
-    cdef double complex t
-    if z.real < 0.5:
-        return M_PI / (_csin(M_PI * z) * _cgamma(1.0 - z))
-    t = z + (_LANCZOS_G - 0.5)
-    return sqrt(2.0 * M_PI) * _cpow(t, z - 0.5) * _cexp(-t) * _lanczos_sum(z)
 
 
 cdef double complex _log_sin(double complex w) noexcept:
@@ -88,13 +76,8 @@ cdef double complex _clgamma(double complex z) noexcept:
             + _clog(_lanczos_sum(z)))
 
 
-def cgamma(z):
-    """Gamma(z) for complex z (poles not screened here)."""
-    return _cgamma(complex(z))
-
-
 def clgamma(z):
-    """A branch of log Gamma(z); exp(clgamma(z)) == cgamma(z)."""
+    """A branch of log Gamma(z); exp(clgamma(z)) == Gamma(z)."""
     return _clgamma(complex(z))
 
 
@@ -160,29 +143,3 @@ def poisson_circle_sum(double u, mu, int harmonic, int nphi):
         acc_re += mag * cos(phase)
         acc_im += mag * sin(phase)
     return complex(acc_re / nphi, acc_im / nphi)
-
-
-def poisson_polar_sum(cnp.ndarray[cnp.float64_t, ndim=1] theta,
-                      cnp.ndarray[cnp.float64_t, ndim=1] weights,
-                      double u, mu, int sin_power):
-    """sum_j w_j sin^p(theta_j) P(u, theta_j)^mu."""
-    cdef double complex cmu = complex(mu)
-    cdef double mre = cmu.real, mim = cmu.imag
-    cdef double acc_re = 0.0, acc_im = 0.0
-    cdef double logpk, mag, phase, sp, st
-    cdef Py_ssize_t j, n = theta.shape[0]
-    cdef int p
-    for j in range(n):
-        logpk = log((1.0 - u * u)
-                    / (1.0 - 2.0 * u * cos(theta[j]) + u * u))
-        mag = exp(mre * logpk) * weights[j]
-        if sin_power:
-            st = sin(theta[j])
-            sp = 1.0
-            for p in range(sin_power):
-                sp *= st
-            mag *= sp
-        phase = mim * logpk
-        acc_re += mag * cos(phase)
-        acc_im += mag * sin(phase)
-    return complex(acc_re, acc_im)

@@ -5,7 +5,7 @@ This module is the fallback twin of the compiled extension
 ``sphfun._backend`` picks whichever is importable.  Everything here is a
 pure function of its arguments.
 
-The gamma kernels use a 15-term Lanczos rational approximation
+The log-Gamma kernel uses a 15-term Lanczos rational approximation
 (g = 607/128) with reflection into the left half plane, good to roughly
 1e-14 relative accuracy away from the poles.
 """
@@ -59,18 +59,8 @@ def _log_sin(w: complex) -> complex:
             + cmath.log(1.0 - cmath.exp(-2j * w)))
 
 
-def cgamma(z: complex) -> complex:
-    """Gamma(z) for complex z (poles not screened here)."""
-    z = complex(z)
-    if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * cgamma(1.0 - z))
-    t = z + (_LANCZOS_G - 0.5)
-    return (math.sqrt(2.0 * math.pi) * t ** (z - 0.5) * cmath.exp(-t)
-            * _lanczos_sum(z))
-
-
 def clgamma(z: complex) -> complex:
-    """A branch of log Gamma(z); exp(clgamma(z)) == cgamma(z)."""
+    """A branch of log Gamma(z); exp(clgamma(z)) == Gamma(z)."""
     z = complex(z)
     if z.real < 0.5:
         return _LOG_PI - _log_sin(math.pi * z) - clgamma(1.0 - z)
@@ -144,15 +134,3 @@ def poisson_circle_sum(u: float, mu: complex, harmonic: int,
     if harmonic:
         vals = vals * np.exp(1j * harmonic * psi)
     return complex(vals.mean())
-
-
-def poisson_polar_sum(theta: np.ndarray, weights: np.ndarray, u: float,
-                      mu: complex, sin_power: int) -> complex:
-    """sum_j w_j sin^p(theta_j) P(u, theta_j)^mu for the polar slice of the
-    sphere integral."""
-    mu = complex(mu)
-    pk = (1.0 - u * u) / (1.0 - 2.0 * u * np.cos(theta) + u * u)
-    vals = np.exp(mu * np.log(pk))
-    if sin_power:
-        vals = vals * np.sin(theta) ** sin_power
-    return complex(np.sum(weights * vals))

@@ -161,6 +161,14 @@ def quad_spec(args) -> QuadratureSpec:
     return QuadratureSpec(**kw) if kw else DEFAULT_SPEC
 
 
+def reject_given(args, dests, reason: str) -> None:
+    """UsageError for the first of the options dests (argparse names) that
+    was given, when the command would not read it."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise UsageError(f"--{dest.replace('_', '-')} {reason}")
+
+
 def resolve_ktype(args, space: Space) -> r1.KTypeRankOne:
     name = getattr(args, "ktype", None)
     if space.rankone is None:
@@ -263,6 +271,7 @@ def cmd_csigma_eval(args) -> int:
     rows = []
     ok = True
     if args.word:
+        reject_given(args, ("ktype", "catalog"), "is read only without --word")
         word = rd.WeylElement(tuple(int(x) for x in args.word.split(",")))
         datum = space.datum
 
@@ -270,6 +279,7 @@ def cmd_csigma_eval(args) -> int:
             return cfun.c_sigma(datum, word,
                                 spectral_param(args, datum, lam)).value
     else:
+        reject_given(args, ("lambda_vec",), "is read only with --word")
         if space.rankone is None:
             raise UsageError("csigma-eval without --word needs a rank-one "
                              "space and --ktype")
@@ -295,7 +305,10 @@ def cmd_phi_eval(args) -> int:
     for m in methods:
         if m not in ("closed", "series", "quadrature"):
             raise UsageError(f"unknown method {m!r}")
-    if "quadrature" in methods:
+    if "quadrature" not in methods:
+        reject_given(args, ("abs_tol", "rel_tol"),
+                     "is read only with --methods quadrature")
+    else:
         if space.ball_n is None:
             raise UsageError("quadrature method needs a hyperbolic-space "
                              "selector (h2 or hn:<n>)")
@@ -366,6 +379,18 @@ def cmd_verify(args) -> int:
     if args.ktype and (args.suite not in vf.KTYPE_SUITES or not args.space):
         raise UsageError("--ktype applies only to %s, with --space"
                          % ", ".join(sorted(vf.KTYPE_SUITES)))
+    try:
+        names = vf.suite_names([args.suite])
+    except KeyError as exc:
+        raise UsageError(str(exc)) from None
+    reads = set().union(*(vf.SUITE_OPTIONS[name] for name in names))
+    if args.ktype:
+        reads.add("catalog")  # resolve_ktype reads the catalog
+    # the run_suites keyword each option feeds
+    feeds = (("space", "space"), ("catalog", "catalog"),
+             ("abs_tol", "spec"), ("rel_tol", "spec"))
+    reject_given(args, [dest for dest, key in feeds if key not in reads],
+                 f"is not read by suite {args.suite}")
     spec = quad_spec(args)
     space = None
     ktype = None
@@ -381,10 +406,8 @@ def cmd_verify(args) -> int:
         if args.ktype:
             ktype = resolve_ktype(args, sp)
     try:
-        rows = vf.run_suites([args.suite], spec=spec, space=space,
-                             ktype=ktype, catalog=args.catalog)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from None
+        rows = vf.run_suites(names, spec=spec, space=space, ktype=ktype,
+                             catalog=args.catalog)
     except EVAL_ERRORS as exc:
         sys.stderr.write(f"verification aborted: {exc}\n")
         return EXIT_EVAL

@@ -49,10 +49,7 @@ def _check_finite(z: complex) -> complex:
 
 def gamma(z: complex) -> complex:
     """Gamma(z); raises PoleError within POLE_TOL of a non-positive integer."""
-    z = _check_finite(z)
-    if distance_to_nonpos_int(z) <= POLE_TOL:
-        raise PoleError(z)
-    return kernels.cgamma(z)
+    return cmath.exp(log_gamma(z))
 
 
 def log_gamma(z: complex) -> complex:
@@ -105,16 +102,6 @@ def _series(a, b, c, z) -> complex:
     return val
 
 
-def _poly_sum(a, b, c, z, m: int) -> complex:
-    # terminating series when a (or b) = -m
-    term = 1.0 + 0j
-    total = 1.0 + 0j
-    for n in range(m):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-    return total
-
-
 def _coeff(nums, dens) -> complex:
     # Gamma-ratio prefactor; vanishes when a denominator hits a pole
     for z in dens:
@@ -144,7 +131,10 @@ def _gauss_2f1_impl(a, b, c, z, zc) -> complex:
         raise PoleError(c, f"2F1 parameter pole at c = {c}")
     for p, name in ((a, "a"), (b, "b")):
         if p.imag == 0.0 and p.real <= 0.0 and p.real == round(p.real):
-            return _poly_sum(a, b, c, z, int(-p.real))
+            # terminating series when a (or b) = -m: with tol = 0 the
+            # kernel stops after its first two zero terms, in m + 2 steps
+            return kernels.hyp2f1_series(a, b, c, z, 0.0,
+                                         int(-p.real) + 2)[0]
     az = abs(z)
     if az > 1.0 + 1e-14:
         raise HypDomainError(f"|z| = {az} > 1 not supported")

@@ -2,11 +2,14 @@
 integral oracle, at fixed tolerances.
 
 Each suite returns a list of row dicts with a shared column layout, and
-the CLI `verify` command renders them and sets the exit status.  Default
-parameter sets are small enough to run in seconds; the full acceptance
-battery lives in the test suite.
+the CLI `verify` command renders them and sets the exit status.  A
+suite's signature lists the keywords of `run_suites` it reads (spec,
+space, ktype, catalog), and it is passed only those.  Default parameter
+sets are small enough to run in seconds; the full acceptance battery
+lives in the test suite.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -17,16 +20,17 @@ from .models import OracleReport
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 SUITES = {}
+# the keywords each suite reads, taken from its signature when registered
+SUITE_OPTIONS = {}
 # suites that read only the multiplicities of a --space selector, so they
 # also run on rank-one spaces that are not real hyperbolic spaces
 RANK_ONE_SUITES = frozenset({"asymptotic", "hs-norm"})
-# suites that read a --ktype; the others run fixed K-type tables
-KTYPE_SUITES = frozenset({"asymptotic"})
 
 
 def _register(name):
     def deco(fn):
         SUITES[name] = fn
+        SUITE_OPTIONS[name] = frozenset(inspect.signature(fn).parameters)
         return fn
     return deco
 
@@ -81,8 +85,8 @@ def _sl2_char_ktype(char_n: int, catalog) -> r1.KTypeRankOne:
 
 
 @_register("c-vs-integral")
-def suite_c_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                        ktype=None, catalog=None) -> list[dict]:
+def suite_c_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC,
+                        space=None) -> list[dict]:
     """Product formula against the opposite-unipotent integral."""
     rows = []
     for n, sp in _spaces_for(space):
@@ -95,8 +99,8 @@ def suite_c_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
 
 
 @_register("phi-vs-integral")
-def suite_phi_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                          ktype=None, catalog=None) -> list[dict]:
+def suite_phi_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC,
+                          space=None) -> list[dict]:
     """Zonal closed form against the boundary integral."""
     rows = []
     for n, sp in _spaces_for(space):
@@ -112,8 +116,7 @@ def suite_phi_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
 
 @_register("functional-equation")
 def suite_functional_equation(spec: QuadratureSpec = DEFAULT_SPEC,
-                              space=None, ktype=None,
-                              catalog=None) -> list[dict]:
+                              space=None) -> list[dict]:
     """Zonal functional equation plus the character-entry variant."""
     rows = []
     n = space[0] if space else 2
@@ -131,8 +134,8 @@ def suite_functional_equation(spec: QuadratureSpec = DEFAULT_SPEC,
 
 
 @_register("eisenstein")
-def suite_eisenstein(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                     ktype=None, catalog=None) -> list[dict]:
+def suite_eisenstein(spec: QuadratureSpec = DEFAULT_SPEC,
+                     catalog=None) -> list[dict]:
     """Eisenstein-entry quadrature is proportional to the closed form
     with a t-independent constant (1/s! in this normalization)."""
     rows = []
@@ -157,8 +160,7 @@ def suite_eisenstein(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
 
 
 @_register("asymptotic")
-def suite_asymptotic(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                     ktype=None, catalog=None) -> list[dict]:
+def suite_asymptotic(space=None, ktype=None) -> list[dict]:
     """Large-t limit of the normalized K-type function.  The remainder is
     |B/A| (sech^2 t)^{|Im lam|} (2F1 connection coefficients at z = 1),
     so the 1e-5 bound is asserted, with monotone decay from t = 10, at
@@ -191,8 +193,8 @@ def suite_asymptotic(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
 
 
 @_register("csigma")
-def suite_csigma(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                 ktype=None, catalog=None) -> list[dict]:
+def suite_csigma(spec: QuadratureSpec = DEFAULT_SPEC,
+                 catalog=None) -> list[dict]:
     """Scalar second coefficient against its unipotent integral."""
     rows = []
     h2 = r1.RankOneSpace(1, 0)
@@ -207,8 +209,7 @@ def suite_csigma(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
 
 
 @_register("cocycle")
-def suite_cocycle(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                  ktype=None, catalog=None) -> list[dict]:
+def suite_cocycle() -> list[dict]:
     """Partial c multiplicativity over length-additive pairs."""
     rows = []
     rng = np.random.default_rng(41)
@@ -247,8 +248,7 @@ def suite_cocycle(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
 
 
 @_register("det-a")
-def suite_det_a(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                ktype=None, catalog=None) -> list[dict]:
+def suite_det_a() -> list[dict]:
     """Determinant formula: rank-one reduction and the two-path check."""
     rows = []
     rng = np.random.default_rng(43)
@@ -279,8 +279,7 @@ def suite_det_a(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
 
 
 @_register("hs-norm")
-def suite_hs_norm(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-                  ktype=None, catalog=None) -> list[dict]:
+def suite_hs_norm(space=None) -> list[dict]:
     """Hilbert-Schmidt norm identity at real spectral parameters."""
     rows = []
     rng = np.random.default_rng(47)
@@ -300,15 +299,30 @@ def suite_hs_norm(spec: QuadratureSpec = DEFAULT_SPEC, space=None,
     return rows
 
 
-def run_suites(names, spec: QuadratureSpec = DEFAULT_SPEC, space=None,
-               ktype=None, catalog=None) -> list[dict]:
+# suites that read a --ktype; the others run fixed K-type tables
+KTYPE_SUITES = frozenset(name for name, options in SUITE_OPTIONS.items()
+                         if "ktype" in options)
+
+
+def suite_names(names) -> list[str]:
+    """The suites to run: every suite for ["all"], else names, which
+    must all be registered (KeyError otherwise)."""
     if names == ["all"]:
-        names = list(SUITES)
-    rows = []
+        return list(SUITES)
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; available: "
                            f"{', '.join(sorted(SUITES))}, all")
-        rows.extend(SUITES[name](spec=spec, space=space, ktype=ktype,
-                                 catalog=catalog))
+    return list(names)
+
+
+def run_suites(names, spec: QuadratureSpec = DEFAULT_SPEC, space=None,
+               ktype=None, catalog=None) -> list[dict]:
+    given = {"spec": spec, "space": space, "ktype": ktype,
+             "catalog": catalog}
+    rows = []
+    for name in suite_names(names):
+        rows.extend(SUITES[name](**{key: value
+                                    for key, value in given.items()
+                                    if key in SUITE_OPTIONS[name]}))
     return rows

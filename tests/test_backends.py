@@ -31,14 +31,6 @@ def sample_points(count):
 
 @needs_ext
 class TestParity:
-    def test_gamma(self):
-        for z in sample_points(200):
-            if abs(z.real - round(z.real)) < 0.05 and z.real <= 0.5:
-                continue
-            a = py_kernels.cgamma(z)
-            b = cy_kernels.cgamma(z)
-            assert b == pytest.approx(a, rel=1e-13)
-
     def test_log_gamma(self):
         for z in sample_points(200):
             if abs(z.real - round(z.real)) < 0.05 and z.real <= 0.5:
@@ -79,17 +71,6 @@ class TestParity:
             a = py_kernels.poisson_circle_sum(u, mu, k, 256)
             b = cy_kernels.poisson_circle_sum(u, mu, k, 256)
             assert b == pytest.approx(a, rel=1e-13, abs=1e-15)
-
-    def test_poisson_polar_sum(self):
-        theta, w = np.polynomial.legendre.leggauss(40)
-        theta = 0.5 * np.pi * (theta + 1.0)
-        w = 0.5 * np.pi * w
-        for p in (0, 1, 3):
-            u = 0.62
-            mu = 0.8 - 0.3j
-            a = py_kernels.poisson_polar_sum(theta, w, u, mu, p)
-            b = cy_kernels.poisson_polar_sum(theta, w, u, mu, p)
-            assert b == pytest.approx(a, rel=1e-13)
 
 
 class TestSelection:

@@ -15,6 +15,7 @@ from sphfun import rootdata as rd
 from sphfun.cli import main, parse_complex, parse_grid, parse_space
 
 DATA = Path(__file__).parent / "data"
+CATALOG = Path(r1.__file__).parent / "data" / "ktypes.json"
 
 
 def run_cli(*argv):
@@ -334,6 +335,42 @@ class TestOptionSurface:
         code, out, err = run_cli(*argv, *flag)
         assert code == 2 and out == ""
         assert f"unrecognized arguments: {flag[0]}" in err
+
+    # a registered option that the mode or suite chosen would not read
+    @pytest.mark.parametrize("argv,flag", [
+        (("csigma-eval", "--space", "a2", "--word", "1,2",
+          "--lambda", "0.9,-0.5"), ("--ktype", "s1r0")),
+        (("csigma-eval", "--space", "a2", "--word", "1,2",
+          "--lambda", "0.9,-0.5"), ("--catalog", str(CATALOG))),
+        (("csigma-eval", "--space", "h2", "--ktype", "s1r0",
+          "--lambda", "1,-0.4"), ("--lambda-vec", "1,-0.4")),
+        (("phi-eval", "--space", "h2", "--lambda", "0.7,0.2", "--t", "1"),
+         ("--abs-tol", "1e-3")),
+        (("phi-eval", "--space", "h2", "--lambda", "0.7,0.2", "--t", "1",
+          "--methods", "closed,series"), ("--rel-tol", "1e-3")),
+        (("verify", "--suite", "cocycle"), ("--space", "h2")),
+        (("verify", "--suite", "eisenstein"), ("--space", "h2")),
+        (("verify", "--suite", "det-a"), ("--abs-tol", "1e-3")),
+        (("verify", "--suite", "hs-norm"), ("--rel-tol", "1e-3")),
+        (("verify", "--suite", "c-vs-integral"),
+         ("--catalog", "/nonexistent.json")),
+        (("verify", "--suite", "asymptotic", "--space", "h2"),
+         ("--catalog", str(CATALOG))),
+    ])
+    def test_unread_flag_exits_2(self, argv, flag):
+        assert run_cli(*argv)[0] == 0
+        code, out, err = run_cli(*argv, *flag)
+        assert code == 2 and out == ""
+        assert flag[0] in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "asymptotic", "--space", "h2", "--ktype",
+         "s2r0", "--catalog", str(CATALOG)),
+        ("verify", "--suite", "all", "--space", "h2", "--catalog",
+         str(CATALOG), "--abs-tol", "1e-10"),
+    ])
+    def test_flags_some_suite_reads_are_accepted(self, argv):
+        assert run_cli(*argv)[0] == 0
 
     def test_tolerance_flags_are_read(self):
         argv = ("phi-eval", "--space", "h2", "--lambda", "0.7,0.2",

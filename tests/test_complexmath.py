@@ -107,6 +107,32 @@ class TestGamma:
         with pytest.raises(ValueError):
             cm.gamma(complex(math.nan, 0.0))
 
+    def test_large_real_argument(self):
+        # Gamma(170) ~ 4e304 is near the top of the double range
+        assert cm.gamma(170) == pytest.approx(math.gamma(170), rel=1e-12)
+
+    def test_large_complex_argument(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = complex(mp.gamma(mp.mpc(150.5, 3)))
+        assert cm.gamma(150.5 + 3j) == pytest.approx(ref, rel=1e-12)
+
+    def test_matches_mpmath_on_square(self):
+        # |Re z|, |Im z| <= 10, at least 0.05 from a pole
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(6)
+        worst = 0.0
+        count = 0
+        with mp.workdps(30):
+            while count < 2000:
+                z = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
+                if cm.distance_to_nonpos_int(z) < 0.05:
+                    continue
+                count += 1
+                ref = complex(mp.gamma(mp.mpc(z.real, z.imag)))
+                worst = max(worst, abs(cm.gamma(z) - ref) / abs(ref))
+        assert worst <= 2e-14
+
 
 class TestLogGamma:
     def test_unit_values(self):
