@@ -7,7 +7,8 @@ Twin of ``sphfun._kernels_py`` — same names, same semantics, typed loops.
 import numpy as np
 
 cimport numpy as cnp
-from libc.math cimport atan2, cos, exp, fabs, hypot, log, M_PI, sin
+from libc.math cimport (atan2, copysign, cos, exp, fabs, floor, hypot, log,
+                        M_PI, rint, sin)
 
 cnp.import_array()
 
@@ -68,16 +69,21 @@ cdef double complex _log_sin(double complex w) noexcept:
 
 
 cdef double complex _clgamma(double complex z) noexcept:
-    cdef double complex t
+    cdef double complex t, log_sin
+    cdef double turns
     if z.real < 0.5:
-        return _LOG_PI - _log_sin(M_PI * z) - _clgamma(1.0 - z)
+        log_sin = _log_sin(M_PI * z)
+        turns = (rint(log_sin.imag / (2.0 * M_PI))
+                 + copysign(1.0, z.imag) * floor(0.5 * z.real + 0.25))
+        return (_LOG_PI + 1j * (2.0 * M_PI * turns) - log_sin
+                - _clgamma(1.0 - z))
     t = z + (_LANCZOS_G - 0.5)
     return (_LOG_SQRT_2PI + (z - 0.5) * _clog(t) - t
             + _clog(_lanczos_sum(z)))
 
 
 def clgamma(z):
-    """A branch of log Gamma(z); exp(clgamma(z)) == Gamma(z)."""
+    """The principal branch of log Gamma(z); see the pure-Python twin."""
     return _clgamma(complex(z))
 
 

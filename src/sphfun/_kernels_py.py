@@ -37,6 +37,7 @@ _LANCZOS = (
 )
 _LOG_SQRT_2PI = 0.9189385332046727417803297364
 _LOG_PI = 1.1447298858494001741434273513
+_TWO_PI = 2.0 * math.pi
 
 
 def _lanczos_sum(z: complex) -> complex:
@@ -60,10 +61,17 @@ def _log_sin(w: complex) -> complex:
 
 
 def clgamma(z: complex) -> complex:
-    """A branch of log Gamma(z); exp(clgamma(z)) == Gamma(z)."""
+    """The principal branch of log Gamma(z), analytic off (-inf, 0]."""
     z = complex(z)
     if z.real < 0.5:
-        return _LOG_PI - _log_sin(math.pi * z) - clgamma(1.0 - z)
+        # reflection; the whole turns of 2 pi i undo those of _log_sin and
+        # pick the principal branch (Hare, J. Algorithms 25 (1997), 221-236)
+        log_sin = _log_sin(math.pi * z)
+        turns = (round(log_sin.imag / _TWO_PI)
+                 + math.copysign(1.0, z.imag)
+                 * math.floor(0.5 * z.real + 0.25))
+        return (complex(_LOG_PI, _TWO_PI * turns) - log_sin
+                - clgamma(1.0 - z))
     t = z + (_LANCZOS_G - 0.5)
     return (_LOG_SQRT_2PI + (z - 0.5) * cmath.log(t) - t
             + cmath.log(_lanczos_sum(z)))

@@ -6,7 +6,9 @@ spaces are `h2 | hn:<n> | rankone:<m_alpha>,<m_2alpha> | <datum.json>`
 (`ranke1:` is accepted as an alias of `rankone:`).  Output is CSV or JSON
 with identical field names; identical configuration produces
 byte-identical output.  Exit codes: 0 success, 1 evaluation/verification
-failure, 2 usage/configuration error.
+failure, 2 usage/configuration error.  The COMMANDS table declares the
+options of each subcommand and when it reads each one; a given option
+that the command would not read is a usage error.
 """
 
 import argparse
@@ -78,12 +80,8 @@ class Space:
 
 
 def resolve_space(args) -> Space:
-    """Exactly one of --space / --datum selects the space."""
-    selector = getattr(args, "space", None)
-    datum_path = getattr(args, "datum", None)
-    if (selector is None) == (datum_path is None):
-        raise UsageError("provide exactly one of --space or --datum")
-    return parse_space(selector if selector is not None else datum_path)
+    """The space that --space or --datum (exactly one is given) selects."""
+    return parse_space(args.space if args.space is not None else args.datum)
 
 
 def parse_space(text: str) -> Space:
@@ -123,12 +121,9 @@ def parse_space(text: str) -> Space:
 
 
 def lambda_values(args) -> list[complex]:
-    if getattr(args, "lam", None):
+    if args.lam is not None:
         return [parse_complex(args.lam)]
-    if getattr(args, "lambda_grid", None):
-        im = getattr(args, "im", 0.0) or 0.0
-        return [complex(x, im) for x in parse_grid(args.lambda_grid)]
-    raise UsageError("provide --lambda or --lambda-grid")
+    return [complex(x, args.im) for x in parse_grid(args.lambda_grid)]
 
 
 def spectral_param(args, datum: rd.RootDatum,
@@ -145,11 +140,18 @@ def spectral_param(args, datum: rd.RootDatum,
 
 
 def t_values(args) -> list[float]:
-    if getattr(args, "t", None) is not None:
-        return [args.t]
-    if getattr(args, "t_grid", None):
-        return parse_grid(args.t_grid)
-    raise UsageError("provide --t or --t-grid")
+    return [args.t] if args.t is not None else parse_grid(args.t_grid)
+
+
+def phi_methods(args) -> list[str]:
+    """The --methods list of phi-eval: closed, series and quadrature."""
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise UsageError("--methods names no method")
+    for m in methods:
+        if m not in ("closed", "series", "quadrature"):
+            raise UsageError(f"unknown method {m!r}")
+    return methods
 
 
 def quad_spec(args) -> QuadratureSpec:
@@ -161,16 +163,8 @@ def quad_spec(args) -> QuadratureSpec:
     return QuadratureSpec(**kw) if kw else DEFAULT_SPEC
 
 
-def reject_given(args, dests, reason: str) -> None:
-    """UsageError for the first of the options dests (argparse names) that
-    was given, when the command would not read it."""
-    for dest in dests:
-        if getattr(args, dest) is not None:
-            raise UsageError(f"--{dest.replace('_', '-')} {reason}")
-
-
 def resolve_ktype(args, space: Space) -> r1.KTypeRankOne:
-    name = getattr(args, "ktype", None)
+    name = args.ktype
     if space.rankone is None:
         raise UsageError("K-types require a rank-one space")
     if not name:
@@ -183,7 +177,7 @@ def resolve_ktype(args, space: Space) -> r1.KTypeRankOne:
                 f"bad explicit K-type {name!r}; use d:<d_alpha>,<d_2alpha>"
             ) from None
         return r1.ktype_from_ds(space.rankone, d_a, d_2a)
-    records = r1.load_ktype_catalog(getattr(args, "catalog", None))
+    records = r1.load_ktype_catalog(args.catalog)
     try:
         return r1.catalog_lookup(records, name, space.rankone)
     except KeyError as exc:
@@ -233,23 +227,28 @@ def emit(rows: list[dict], args) -> None:
         sys.stdout.write(out)
 
 
-def _c_value_row(lam: complex, fn) -> tuple[dict, bool]:
-    base = {"lambda_re": lam.real, "lambda_im": lam.imag}
-    try:
-        value = fn(lam)
-    except EVAL_ERRORS as exc:
-        base.update(c_re="", c_im="",
-                    pole_flag=isinstance(exc, (PoleError, cfun.CPoleError)),
-                    error=str(exc))
-        return base, False
-    base.update(c_re=value.real, c_im=value.imag, pole_flag=False, error="")
-    return base, True
+def _emit_c_values(args, fn) -> int:
+    """Emit a row of fn(lam) for each lam of --lambda or --lambda-grid."""
+    rows = []
+    ok = True
+    for lam in lambda_values(args):
+        row = {"lambda_re": lam.real, "lambda_im": lam.imag}
+        try:
+            value = fn(lam)
+        except EVAL_ERRORS as exc:
+            pole = isinstance(exc, (PoleError, cfun.CPoleError))
+            row.update(c_re="", c_im="", pole_flag=pole, error=str(exc))
+            ok = False
+        else:
+            row.update(c_re=value.real, c_im=value.imag, pole_flag=False,
+                       error="")
+        rows.append(row)
+    emit(rows, args)
+    return EXIT_OK if ok else EXIT_EVAL
 
 
 def cmd_c_eval(args) -> int:
     space = resolve_space(args)
-    rows = []
-    ok = True
 
     def evaluate(lam: complex) -> complex:
         if space.datum.rank == 1:
@@ -257,21 +256,12 @@ def cmd_c_eval(args) -> int:
             return cfun.c_alpha(lam, m, m2).value
         return cfun.c_full(space.datum,
                            spectral_param(args, space.datum, lam)).value
-
-    for lam in lambda_values(args):
-        row, good = _c_value_row(lam, evaluate)
-        rows.append(row)
-        ok = ok and good
-    emit(rows, args)
-    return EXIT_OK if ok else EXIT_EVAL
+    return _emit_c_values(args, evaluate)
 
 
 def cmd_csigma_eval(args) -> int:
     space = resolve_space(args)
-    rows = []
-    ok = True
-    if args.word:
-        reject_given(args, ("ktype", "catalog"), "is read only without --word")
+    if args.word is not None:
         word = rd.WeylElement(tuple(int(x) for x in args.word.split(",")))
         datum = space.datum
 
@@ -279,7 +269,6 @@ def cmd_csigma_eval(args) -> int:
             return cfun.c_sigma(datum, word,
                                 spectral_param(args, datum, lam)).value
     else:
-        reject_given(args, ("lambda_vec",), "is read only with --word")
         if space.rankone is None:
             raise UsageError("csigma-eval without --word needs a rank-one "
                              "space and --ktype")
@@ -287,13 +276,7 @@ def cmd_csigma_eval(args) -> int:
 
         def evaluate(lam: complex) -> complex:
             return r1.C_sigma_minus(space.rankone, kt, lam)
-
-    for lam in lambda_values(args):
-        row, good = _c_value_row(lam, evaluate)
-        rows.append(row)
-        ok = ok and good
-    emit(rows, args)
-    return EXIT_OK if ok else EXIT_EVAL
+    return _emit_c_values(args, evaluate)
 
 
 def cmd_phi_eval(args) -> int:
@@ -301,14 +284,8 @@ def cmd_phi_eval(args) -> int:
     if space.rankone is None:
         raise UsageError("phi-eval needs a rank-one space")
     kt = resolve_ktype(args, space)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in ("closed", "series", "quadrature"):
-            raise UsageError(f"unknown method {m!r}")
-    if "quadrature" not in methods:
-        reject_given(args, ("abs_tol", "rel_tol"),
-                     "is read only with --methods quadrature")
-    else:
+    methods = phi_methods(args)
+    if "quadrature" in methods:
         if space.ball_n is None:
             raise UsageError("quadrature method needs a hyperbolic-space "
                              "selector (h2 or hn:<n>)")
@@ -376,25 +353,10 @@ def cmd_simple_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.ktype and (args.suite not in vf.KTYPE_SUITES or not args.space):
-        raise UsageError("--ktype applies only to %s, with --space"
-                         % ", ".join(sorted(vf.KTYPE_SUITES)))
-    try:
-        names = vf.suite_names([args.suite])
-    except KeyError as exc:
-        raise UsageError(str(exc)) from None
-    reads = set().union(*(vf.SUITE_OPTIONS[name] for name in names))
-    if args.ktype:
-        reads.add("catalog")  # resolve_ktype reads the catalog
-    # the run_suites keyword each option feeds
-    feeds = (("space", "space"), ("catalog", "catalog"),
-             ("abs_tol", "spec"), ("rel_tol", "spec"))
-    reject_given(args, [dest for dest, key in feeds if key not in reads],
-                 f"is not read by suite {args.suite}")
+    names = vf.suite_names([args.suite])
     spec = quad_spec(args)
-    space = None
-    ktype = None
-    if args.space:
+    space = ktype = None
+    if args.space is not None:
         sp = parse_space(args.space)
         if sp.rankone is None or (sp.ball_n is None and
                                   args.suite not in vf.RANK_ONE_SUITES):
@@ -421,8 +383,6 @@ def cmd_verify(args) -> int:
 
 def cmd_det_a(args) -> int:
     space = resolve_space(args)
-    if not args.table:
-        raise UsageError("det-a requires --table")
     table = hr.table_from_json(args.table)
     word = rd.WeylElement(table.word)
     rows = []
@@ -472,39 +432,110 @@ def cmd_limits(args) -> int:
     return EXIT_OK if ok else EXIT_EVAL
 
 
-def _add_common(p, with_t=False, with_ktype=False, with_vec=False,
-                with_tol=False):
-    p.add_argument("--space",
-                   help="h2 | hn:<n> | rankone:<m>,<m2> | a2 | b2 | "
-                        "datum-file path")
-    p.add_argument("--datum", help="root-datum JSON path (alternative "
-                                   "to --space)")
-    p.add_argument("--lambda", dest="lam", help="spectral parameter re,im")
-    p.add_argument("--lambda-grid", dest="lambda_grid",
-                   help="real-part grid start:stop:count")
-    p.add_argument("--im", type=float, default=0.0,
-                   help="imaginary part used with --lambda-grid")
-    if with_vec:
-        p.add_argument("--lambda-vec", dest="lambda_vec",
-                       help="full higher-rank parameter re,im;re,im;...")
-    if with_t:
-        p.add_argument("--t", type=float, help="radial coordinate")
-        p.add_argument("--t-grid", dest="t_grid",
-                       help="t grid start:stop:count")
-    if with_ktype:
-        p.add_argument("--ktype", help="catalog name or d:<d_a>,<d_2a>")
-        p.add_argument("--catalog", help="K-type catalog JSON path")
-    if with_tol:
-        _add_tol(p)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", help="output path (default stdout)")
+def _dest(flag: str) -> str:
+    return OPTIONS[flag].get("dest", flag[2:].replace("-", "_"))
 
 
-def _add_tol(p):
-    p.add_argument("--abs-tol", dest="abs_tol", type=float,
-                   help="quadrature absolute tolerance")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float,
-                   help="quadrature relative tolerance")
+def _catalog_ktype(args) -> bool:
+    return bool(args.ktype) and not args.ktype.startswith("d:")
+
+
+def _suite_reads(key: str):
+    """Whether a suite that --suite runs takes the run_suites keyword key."""
+    return lambda args: any(key in vf.SUITE_OPTIONS[name]
+                            for name in vf.suite_names([args.suite]))
+
+
+# The option surface, in one table.  OPTIONS holds the argparse keywords
+# of every option; each is registered with default None, so an option was
+# given exactly when its value is not None, and DEFAULTS fills in the rest
+# once the check has passed.  COMMANDS lists, for each subcommand, the
+# options it registers, each mapped to None when the command always reads
+# it, or else to (reads, reason): the command reads the option only when
+# reads(args) holds and otherwise rejects it with "<flag> <reason>".  A
+# command that registers every option of a ONE_OF group takes exactly one.
+OPTIONS = {
+    "--suite": dict(required=True, help="one of %s, or all"
+                    % ", ".join(sorted(vf.SUITES))),
+    "--space": dict(help="h2 | hn:<n> | rankone:<m>,<m2> | a2 | b2 | "
+                         "datum-file path"),
+    "--datum": dict(help="root-datum JSON path (alternative to --space)"),
+    "--lambda": dict(dest="lam", help="spectral parameter re,im"),
+    "--lambda-grid": dict(help="real-part grid start:stop:count"),
+    "--im": dict(type=float, help="imaginary part used with --lambda-grid"),
+    "--lambda-vec": dict(help="full higher-rank parameter re,im;re,im;..."),
+    "--t": dict(type=float, help="radial coordinate"),
+    "--t-grid": dict(help="t grid start:stop:count"),
+    "--ktype": dict(help="catalog name or d:<d_a>,<d_2a>"),
+    "--catalog": dict(help="K-type catalog JSON path"),
+    "--abs-tol": dict(type=float, help="quadrature absolute tolerance"),
+    "--rel-tol": dict(type=float, help="quadrature relative tolerance"),
+    "--format": dict(choices=["csv", "json"]),
+    "--out": dict(help="output path (default stdout)"),
+    "--word": dict(help="Weyl word: comma-separated 1-based root indices"),
+    "--methods": dict(help="comma subset of closed,series,quadrature"),
+    "--series-n": dict(type=int, help="series truncation order"),
+    "--tol": dict(type=float, help="simplicity tolerance"),
+    "--table": dict(required=True, help="factor-table JSON path"),
+}
+DEFAULTS = {"--im": 0.0, "--format": "csv", "--methods": "closed",
+            "--series-n": 40, "--tol": cfun.SIMPLE_TOL}
+ONE_OF = (("--space", "--datum"), ("--lambda", "--lambda-grid"),
+          ("--t", "--t-grid"))
+
+_SPACE = {"--space": None, "--datum": None}
+_LAMBDA = {"--lambda": None, "--lambda-grid": None,
+           "--im": (lambda args: args.lambda_grid is not None,
+                    "is read only with --lambda-grid")}
+_T = {"--t": None, "--t-grid": None}
+_KTYPE = {"--ktype": None, "--catalog": (
+    _catalog_ktype, "is read only with a catalog --ktype name")}
+_OUTPUT = {"--format": None, "--out": None}
+_QUADRATURE = (lambda args: "quadrature" in phi_methods(args),
+               "is read only with --methods quadrature")
+_BY_SUITE = "is not read by suite {suite}"
+
+COMMANDS = {
+    "c-eval": (cmd_c_eval, "evaluate the c-function", {
+        **_SPACE, **_LAMBDA, "--lambda-vec": None, **_OUTPUT}),
+    "csigma-eval": (cmd_csigma_eval, "partial c (with --word) or the "
+                    "rank-one second coefficient (with --ktype)", {
+        **_SPACE, **_LAMBDA,
+        "--lambda-vec": (lambda args: args.word is not None,
+                         "is read only with --word"),
+        "--ktype": (lambda args: args.word is None,
+                    "is read only without --word"),
+        "--catalog": (lambda args: args.word is None and _catalog_ktype(args),
+                      "is read only with a catalog --ktype name, without "
+                      "--word"),
+        **_OUTPUT, "--word": None}),
+    "phi-eval": (cmd_phi_eval, "evaluate spherical functions", {
+        **_SPACE, **_LAMBDA, **_T, **_KTYPE, "--abs-tol": _QUADRATURE,
+        "--rel-tol": _QUADRATURE, **_OUTPUT, "--methods": None,
+        "--series-n": (lambda args: "series" in phi_methods(args),
+                       "is read only with --methods series")}),
+    "simple-check": (cmd_simple_check, "simplicity predicate of the "
+                     "parameter", {
+        **_SPACE, **_LAMBDA, "--lambda-vec": None, **_OUTPUT, "--tol": None}),
+    "verify": (cmd_verify, "run a named verification suite", {
+        "--suite": None,
+        "--space": (_suite_reads("space"), _BY_SUITE),
+        "--ktype": (lambda args: (args.suite in vf.KTYPE_SUITES
+                                  and args.space is not None),
+                    "is read only by suite %s, with --space"
+                    % ", ".join(sorted(vf.KTYPE_SUITES))),
+        # resolve_ktype reads the catalog for a catalog K-type name
+        "--catalog": (lambda args: (_suite_reads("catalog")(args)
+                                    or _catalog_ktype(args)), _BY_SUITE),
+        "--abs-tol": (_suite_reads("spec"), _BY_SUITE),
+        "--rel-tol": (_suite_reads("spec"), _BY_SUITE), **_OUTPUT}),
+    "det-a": (cmd_det_a, "determinant of the intertwining operator from a "
+              "factor table", {
+        **_SPACE, **_LAMBDA, "--lambda-vec": None, **_OUTPUT,
+        "--table": None}),
+    "limits": (cmd_limits, "large-t and small-t diagnostics", {
+        **_SPACE, **_LAMBDA, **_T, **_KTYPE, **_OUTPUT}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,73 +544,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="c-functions and spherical functions on rank-one "
                     "symmetric spaces, with quadrature verification")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("c-eval", help="evaluate the c-function")
-    _add_common(p, with_vec=True)
-    p.set_defaults(fn=cmd_c_eval)
-
-    p = sub.add_parser("csigma-eval",
-                       help="partial c (with --word) or the rank-one "
-                            "second coefficient (with --ktype)")
-    _add_common(p, with_ktype=True, with_vec=True)
-    p.add_argument("--word", help="Weyl word as comma-separated 1-based "
-                                  "simple-root indices")
-    p.set_defaults(fn=cmd_csigma_eval)
-
-    p = sub.add_parser("phi-eval", help="evaluate spherical functions")
-    _add_common(p, with_t=True, with_ktype=True, with_tol=True)
-    p.add_argument("--methods", default="closed",
-                   help="comma subset of closed,series,quadrature")
-    p.add_argument("--series-n", dest="series_n", type=int, default=40,
-                   help="series truncation order")
-    p.set_defaults(fn=cmd_phi_eval)
-
-    p = sub.add_parser("simple-check",
-                       help="simplicity predicate of the parameter")
-    _add_common(p, with_vec=True)
-    p.add_argument("--tol", type=float, default=cfun.SIMPLE_TOL)
-    p.set_defaults(fn=cmd_simple_check)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True,
-                   help="one of %s, or all" % ", ".join(sorted(vf.SUITES)))
-    p.add_argument("--space", help="restrict to one space (h2, hn:<n>; "
-                   "rankone:<m>,<m2> for %s)"
-                   % ", ".join(sorted(vf.RANK_ONE_SUITES)))
-    p.add_argument("--ktype", help="catalog K-type name (%s, with --space)"
-                   % ", ".join(sorted(vf.KTYPE_SUITES)))
-    p.add_argument("--catalog", help="K-type catalog JSON path")
-    _add_tol(p)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("det-a", help="determinant of the intertwining "
-                                     "operator from a factor table")
-    _add_common(p, with_vec=True)
-    p.add_argument("--table", help="factor-table JSON path")
-    p.set_defaults(fn=cmd_det_a)
-
-    p = sub.add_parser("limits", help="large-t and small-t diagnostics")
-    _add_common(p, with_t=True, with_ktype=True)
-    p.set_defaults(fn=cmd_limits)
-
+    for name, (_, summary, rules) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag in rules:
+            p.add_argument(flag, **OPTIONS[flag])
     return ap
 
 
+def check_options(args) -> None:
+    """Hold args to the table row of its command: exactly one option of
+    each ONE_OF group, and no given option the command would not read;
+    then fill in DEFAULTS."""
+    rules = COMMANDS[args.command][2]
+    given = {flag for flag in rules if getattr(args, _dest(flag)) is not None}
+    for group in ONE_OF:
+        if rules.keys() >= set(group) and len(given.intersection(group)) != 1:
+            raise UsageError("provide exactly one of " + " or ".join(group))
+    for flag, value in DEFAULTS.items():
+        if flag in rules and flag not in given:
+            setattr(args, _dest(flag), value)
+    for flag, rule in rules.items():
+        if flag in given and rule is not None and not rule[0](args):
+            raise UsageError(f"{flag} " + rule[1].format_map(vars(args)))
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (rd.RootDatumError, ValueError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+        check_options(args)
+        return COMMANDS[args.command][0](args)
+    except (UsageError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -53,10 +53,9 @@ def gamma(z: complex) -> complex:
 
 
 def log_gamma(z: complex) -> complex:
-    """A branch of log Gamma(z) suitable for ratio evaluation.
+    """The principal branch of log Gamma(z), analytic off (-inf, 0].
 
-    exp(log_gamma(z)) == gamma(z) up to the 2*pi*i branch ambiguity, and
-    differences log_gamma(z1) - log_gamma(z2) exponentiate to accurate
+    Differences log_gamma(z1) - log_gamma(z2) exponentiate to accurate
     Gamma ratios even when the ratio itself would overflow.
     """
     z = _check_finite(z)

@@ -29,6 +29,11 @@ class NonReducedWordError(ValueError):
     """Weyl word is not reduced."""
 
 
+class WordError(RootDatumError, IndexError):
+    """A Weyl word letter that names no simple root of the datum (an
+    IndexError too: a letter indexes the simple roots)."""
+
+
 @dataclass(frozen=True)
 class RootDatum:
     """Restricted root system with per-root multiplicities.
@@ -66,7 +71,7 @@ class RootDatum:
     def simple_root_positive_index(self, letter: int) -> int:
         """Index into positive_roots of the simple root numbered `letter`
         (1-based)."""
-        return self._simple_index[letter - 1]
+        return self._simple_index[_letter_index(self, letter)]
 
 
 @dataclass(frozen=True)
@@ -185,6 +190,13 @@ def _reflect(alpha: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return vec - (2.0 * (vec @ alpha) / (alpha @ alpha)) * alpha
 
 
+def _letter_index(datum: RootDatum, letter: int) -> int:
+    """The 0-based simple-root index of a 1-based word letter."""
+    if letter > datum.rank:
+        raise WordError(f"word letter {letter} exceeds rank {datum.rank}")
+    return letter - 1
+
+
 def weyl_apply(datum: RootDatum, w: WeylElement,
                lam: SpectralParam) -> SpectralParam:
     """Apply w = s_{i1} ... s_{ip} to lam (rightmost letter acts first),
@@ -193,9 +205,7 @@ def weyl_apply(datum: RootDatum, w: WeylElement,
     vec = lam.array()
     simple = datum.simple_array()
     for letter in reversed(w.word):
-        if letter > datum.rank:
-            raise IndexError(f"word letter {letter} exceeds rank {datum.rank}")
-        vec = _reflect(simple[letter - 1], vec)
+        vec = _reflect(simple[_letter_index(datum, letter)], vec)
     return SpectralParam.of(vec)
 
 
@@ -203,9 +213,7 @@ def _signed_images(datum: RootDatum, w: WeylElement) -> tuple[int, ...]:
     """Signed-root indices (see _weyl_tables) of w(root k), k < n."""
     images = range(datum.n_positive)
     for letter in reversed(w.word):
-        if letter > datum.rank:
-            raise IndexError(f"word letter {letter} exceeds rank {datum.rank}")
-        perm = datum._reflections[letter - 1]
+        perm = datum._reflections[_letter_index(datum, letter)]
         images = [perm[x] for x in images]
     return tuple(images)
 

@@ -4,6 +4,8 @@ determinism."""
 import csv
 import io
 import json
+import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -12,8 +14,9 @@ import pytest
 from sphfun import cfun
 from sphfun import rankone as r1
 from sphfun import rootdata as rd
-from sphfun.cli import main, parse_complex, parse_grid, parse_space
+from sphfun.cli import COMMANDS, main, parse_complex, parse_grid, parse_space
 
+ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
 CATALOG = Path(r1.__file__).parent / "data" / "ktypes.json"
 
@@ -174,6 +177,12 @@ class TestPhiEval:
         # normalization 1/s!; for s=1 they agree
         assert float(row["max_pairwise_err"]) < 1e-7
 
+    def test_empty_methods_exits_2(self):
+        code, out, err = run_cli("phi-eval", "--space", "h2", "--lambda",
+                                 "0.7,0.2", "--t", "1", "--methods", ",")
+        assert code == 2 and out == ""
+        assert "--methods" in err
+
 
 class TestSimpleCheck:
     def test_flags(self):
@@ -216,6 +225,12 @@ class TestCsigmaEval:
         expected = r1.C_sigma_minus(
             r1.RankOneSpace(1, 0), r1.sl2_ktype_for_char(2), 1 - 0.4j)
         assert float(row["c_re"]) == pytest.approx(expected.real)
+
+    def test_word_letter_beyond_rank_exits_2(self):
+        code, out, err = run_cli("csigma-eval", "--space", "a2", "--word",
+                                 "1,7", "--lambda", "1,0")
+        assert code == 2 and out == ""
+        assert "exceeds rank" in err
 
 
 class TestVerify:
@@ -287,6 +302,16 @@ class TestDetA:
         assert code == 0
         assert rows_of(out)[0]["det_re"]
 
+    def test_bad_table_word_is_an_error_row(self, tmp_path):
+        doc = json.loads((DATA / "a2_table.json").read_text(encoding="utf-8"))
+        doc["word"] = [1, 7, 1]
+        path = tmp_path / "bad_word.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run_cli("det-a", "--space", "a2", "--table",
+                               str(path), "--lambda", "0.9,-0.5")
+        assert code == 1
+        assert "exceeds rank" in rows_of(out)[0]["error"]
+
     def test_missing_table_exits_2(self):
         code, _, _ = run_cli("det-a", "--space", "a2",
                              "--lambda", "0.9,-0.5")
@@ -356,6 +381,15 @@ class TestOptionSurface:
          ("--catalog", "/nonexistent.json")),
         (("verify", "--suite", "asymptotic", "--space", "h2"),
          ("--catalog", str(CATALOG))),
+        (("phi-eval", "--space", "h2", "--lambda", "0.7,0.2", "--t", "1"),
+         ("--t-grid", "0:3:4")),
+        (("c-eval", "--space", "h2", "--lambda", "1,0"),
+         ("--lambda-grid", "0:2:3")),
+        (("phi-eval", "--space", "h2", "--lambda", "0.7,0.2", "--t", "1"),
+         ("--series-n", "3")),
+        (("c-eval", "--space", "h2", "--lambda", "1,0"), ("--im", "5")),
+        (("limits", "--space", "h2", "--lambda", "0.5,-0.8", "--t", "10"),
+         ("--catalog", "/nonexistent.json")),
     ])
     def test_unread_flag_exits_2(self, argv, flag):
         assert run_cli(*argv)[0] == 0
@@ -404,3 +438,17 @@ class TestOutput:
     def test_help_exits_clean(self):
         code, _, _ = run_cli("--help")
         assert code == 0
+
+    def test_readme_examples_run(self, monkeypatch):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", readme,
+                          re.M | re.S).group(1)
+        commands = [shlex.split(line)[1:]
+                    for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("sphfun ")]
+        assert {argv[0] for argv in commands} == set(COMMANDS)
+        monkeypatch.chdir(ROOT)  # the det-a example names a relative path
+        for argv in commands:
+            code, out, err = run_cli(*argv)
+            assert (code, err) == (0, ""), argv
+            assert out

@@ -139,15 +139,23 @@ class TestLogGamma:
         assert abs(cm.log_gamma(1)) < 1e-14
         assert abs(cm.log_gamma(2)) < 1e-14
 
-    def test_exp_consistency(self):
-        z = 10 + 10j
-        rel = abs(cmath.exp(cm.log_gamma(z)) - cm.gamma(z)) / abs(cm.gamma(z))
-        assert rel < 1e-11
+    @staticmethod
+    def mpmath_loggamma(z):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            return complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
 
-    def test_exp_consistency_strip(self):
+    def test_matches_mpmath(self):
+        z = 10 + 10j
+        ref = self.mpmath_loggamma(z)
+        assert abs(cm.log_gamma(z) - ref) / abs(ref) < 1e-11
+
+    def test_matches_mpmath_strip(self):
+        # the principal branch: the imaginary part is compared as it is,
+        # not modulo 2 pi
         for z in sample_strip(100, seed=5):
-            g = cm.gamma(z)
-            assert cmath.exp(cm.log_gamma(z)) == pytest.approx(g, rel=1e-11)
+            ref = self.mpmath_loggamma(z)
+            assert cm.log_gamma(z) == pytest.approx(ref, rel=1e-11, abs=1e-11)
 
     def test_ratio_large_arguments(self):
         # Gamma(z+1)/Gamma(z) = z with |Gamma| far beyond overflow
