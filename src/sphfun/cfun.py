@@ -38,10 +38,6 @@ class CFunctionValue:
     """Result record for a c-function evaluation."""
 
     value: complex
-    pole_flag: bool = False
-
-    def __complex__(self) -> complex:
-        return self.value
 
 
 class CPoleError(ValueError):
@@ -69,18 +65,12 @@ def _factor_arguments(w: complex, m: int, m2: int):
 
 def _log_verbatim_factor(w: complex, m: int, m2: int,
                          root_index: int | None = None) -> complex:
-    rho0 = 0.5 * m + m2
     num, dens = _factor_arguments(w, m, m2)
-    if cm.distance_to_nonpos_int(num) <= cm.POLE_TOL:
-        raise CPoleError("numerator", num, root_index)
-    for d in dens:
-        if cm.distance_to_nonpos_int(d) <= cm.POLE_TOL:
-            raise CPoleError("denominator", d, root_index)
-    return ((rho0 - w) * _LOG2
-            + cm.log_gamma(0.5 * (m + m2 + 1.0))
-            + cm.log_gamma(num)
-            - cm.log_gamma(dens[0])
-            - cm.log_gamma(dens[1]))
+    try:
+        return cm.log_gamma_quotient((0.5 * (m + m2 + 1.0), num), dens,
+                                     (0.5 * m + m2 - w) * _LOG2)
+    except cm.PoleError as exc:
+        raise CPoleError(exc.side, exc.z, root_index) from None
 
 
 @lru_cache(maxsize=None)
@@ -139,12 +129,11 @@ def gamma_plus_X(datum: RootDatum, lam: SpectralParam) -> complex:
     acc = 0j
     for i in range(datum.n_positive):
         m, m2 = datum.mult_of(i)
-        w = 1j * restrict(datum, lam, i)
-        _, dens = _factor_arguments(w, m, m2)
-        for d in dens:
-            if cm.distance_to_nonpos_int(d) <= cm.POLE_TOL:
-                raise CPoleError("denominator", d, i)
-            acc += cm.log_gamma(d)
+        _, dens = _factor_arguments(1j * restrict(datum, lam, i), m, m2)
+        try:
+            acc = cm.log_gamma_quotient(dens, (), acc)
+        except cm.PoleError as exc:
+            raise CPoleError("denominator", exc.z, i) from None
     return cmath.exp(acc)
 
 

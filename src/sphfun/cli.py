@@ -128,7 +128,7 @@ def lambda_values(args) -> list[complex]:
 
 def spectral_param(args, datum: rd.RootDatum,
                    lam: complex) -> rd.SpectralParam:
-    """The higher-rank parameter: --lambda-vec, one re,im component per
+    """The spectral parameter: --lambda-vec, one re,im component per
     rank, or else (lam, 0, ..., 0)."""
     if not args.lambda_vec:
         return rd.SpectralParam.of([lam] + [0j] * (datum.rank - 1))
@@ -251,11 +251,11 @@ def cmd_c_eval(args) -> int:
     space = resolve_space(args)
 
     def evaluate(lam: complex) -> complex:
+        param = spectral_param(args, space.datum, lam)
         if space.datum.rank == 1:
             m, m2 = space.datum.mult_of(0)
-            return cfun.c_alpha(lam, m, m2).value
-        return cfun.c_full(space.datum,
-                           spectral_param(args, space.datum, lam)).value
+            return cfun.c_alpha(param.coords[0], m, m2).value
+        return cfun.c_full(space.datum, param).value
     return _emit_c_values(args, evaluate)
 
 
@@ -463,7 +463,7 @@ OPTIONS = {
     "--lambda": dict(dest="lam", help="spectral parameter re,im"),
     "--lambda-grid": dict(help="real-part grid start:stop:count"),
     "--im": dict(type=float, help="imaginary part used with --lambda-grid"),
-    "--lambda-vec": dict(help="full higher-rank parameter re,im;re,im;..."),
+    "--lambda-vec": dict(help="full parameter re,im;re,im;..., one per rank"),
     "--t": dict(type=float, help="radial coordinate"),
     "--t-grid": dict(help="t grid start:stop:count"),
     "--ktype": dict(help="catalog name or d:<d_a>,<d_2a>"),
@@ -487,6 +487,8 @@ _SPACE = {"--space": None, "--datum": None}
 _LAMBDA = {"--lambda": None, "--lambda-grid": None,
            "--im": (lambda args: args.lambda_grid is not None,
                     "is read only with --lambda-grid")}
+_LAMBDA_VEC = {"--lambda-vec": (lambda args: args.lambda_grid is None,
+                                "is read only with --lambda")}
 _T = {"--t": None, "--t-grid": None}
 _KTYPE = {"--ktype": None, "--catalog": (
     _catalog_ktype, "is read only with a catalog --ktype name")}
@@ -497,12 +499,13 @@ _BY_SUITE = "is not read by suite {suite}"
 
 COMMANDS = {
     "c-eval": (cmd_c_eval, "evaluate the c-function", {
-        **_SPACE, **_LAMBDA, "--lambda-vec": None, **_OUTPUT}),
+        **_SPACE, **_LAMBDA, **_LAMBDA_VEC, **_OUTPUT}),
     "csigma-eval": (cmd_csigma_eval, "partial c (with --word) or the "
                     "rank-one second coefficient (with --ktype)", {
         **_SPACE, **_LAMBDA,
-        "--lambda-vec": (lambda args: args.word is not None,
-                         "is read only with --word"),
+        "--lambda-vec": (lambda args: (args.word is not None
+                                       and args.lambda_grid is None),
+                         "is read only with --word and --lambda"),
         "--ktype": (lambda args: args.word is None,
                     "is read only without --word"),
         "--catalog": (lambda args: args.word is None and _catalog_ktype(args),
@@ -516,7 +519,7 @@ COMMANDS = {
                        "is read only with --methods series")}),
     "simple-check": (cmd_simple_check, "simplicity predicate of the "
                      "parameter", {
-        **_SPACE, **_LAMBDA, "--lambda-vec": None, **_OUTPUT, "--tol": None}),
+        **_SPACE, **_LAMBDA, **_LAMBDA_VEC, **_OUTPUT, "--tol": None}),
     "verify": (cmd_verify, "run a named verification suite", {
         "--suite": None,
         "--space": (_suite_reads("space"), _BY_SUITE),
@@ -531,7 +534,7 @@ COMMANDS = {
         "--rel-tol": (_suite_reads("spec"), _BY_SUITE), **_OUTPUT}),
     "det-a": (cmd_det_a, "determinant of the intertwining operator from a "
               "factor table", {
-        **_SPACE, **_LAMBDA, "--lambda-vec": None, **_OUTPUT,
+        **_SPACE, **_LAMBDA, **_LAMBDA_VEC, **_OUTPUT,
         "--table": None}),
     "limits": (cmd_limits, "large-t and small-t diagnostics", {
         **_SPACE, **_LAMBDA, **_T, **_KTYPE, **_OUTPUT}),

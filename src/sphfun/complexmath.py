@@ -1,12 +1,16 @@
-"""Complex special-function layer: Gamma, log-Gamma and Gauss 2F1.
+"""Complex special-function layer: Gamma, log-Gamma, Gauss 2F1 and the
+overflow-free log_cosh / log_sinh of a real t.
 
 Thin validating wrappers around the kernel backend.  All pole screening
-and domain logic lives here so the compiled and pure-Python kernels stay
-interchangeable.
+(each Gamma argument passes ``_pole_free`` once) and domain logic lives
+here so the compiled and pure-Python kernels stay interchangeable.
 """
 
 import cmath
 import math
+import sys
+
+import numpy as np
 
 from ._backend import kernels
 
@@ -18,10 +22,12 @@ DEGENERATE_EPS = 1e-9
 
 
 class PoleError(ValueError):
-    """Argument within tolerance of a Gamma pole (non-positive integer)."""
+    """Gamma-pole argument (within POLE_TOL); log_gamma_quotient sets side."""
 
-    def __init__(self, z: complex, message: str | None = None):
+    def __init__(self, z: complex, message: str | None = None,
+                 side: str | None = None):
         self.z = z
+        self.side = side
         super().__init__(message or f"gamma pole at z = {z}")
 
 
@@ -40,10 +46,12 @@ def distance_to_nonpos_int(z: complex) -> float:
     return math.hypot(z.real - k, z.imag)
 
 
-def _check_finite(z: complex) -> complex:
+def _pole_free(z: complex, side: str | None = None) -> complex:
     z = complex(z)
     if not (cmath.isfinite(z)):
         raise ValueError(f"non-finite argument {z}")
+    if distance_to_nonpos_int(z) <= POLE_TOL:
+        raise PoleError(z, side=side)
     return z
 
 
@@ -58,20 +66,35 @@ def log_gamma(z: complex) -> complex:
     Differences log_gamma(z1) - log_gamma(z2) exponentiate to accurate
     Gamma ratios even when the ratio itself would overflow.
     """
-    z = _check_finite(z)
-    if distance_to_nonpos_int(z) <= POLE_TOL:
-        raise PoleError(z)
-    return kernels.clgamma(z)
+    return kernels.clgamma(_pole_free(z))
+
+
+def log_gamma_quotient(numerators, denominators, start=0j) -> complex:
+    """start + sum log_gamma(num) - sum log_gamma(den), added in order.
+    All arguments are screened, numerators first, before any is
+    evaluated; the first pole raises PoleError with its side set."""
+    nums = [_pole_free(z, "numerator") for z in numerators]
+    dens = [_pole_free(z, "denominator") for z in denominators]
+    for z in nums:
+        start += kernels.clgamma(z)
+    for z in dens:
+        start -= kernels.clgamma(z)
+    return start
 
 
 def gamma_ratio(numerators, denominators) -> complex:
     """exp(sum log_gamma(num) - sum log_gamma(den)), overflow safe."""
-    acc = 0j
-    for z in numerators:
-        acc += log_gamma(z)
-    for z in denominators:
-        acc -= log_gamma(z)
-    return cmath.exp(acc)
+    return cmath.exp(log_gamma_quotient(numerators, denominators))
+
+
+def _coeff(nums, dens) -> complex:
+    # Gamma-ratio prefactor; vanishes when a denominator hits a pole
+    try:
+        return gamma_ratio(nums, dens)
+    except PoleError as exc:
+        if exc.side == "numerator":
+            raise
+        return 0j
 
 
 def gauss_2f1_at_one(a: complex, b: complex, c: complex) -> complex:
@@ -84,13 +107,17 @@ def gauss_2f1_at_one(a: complex, b: complex, c: complex) -> complex:
     if d.real <= 0.0:
         raise HypDomainError(
             f"2F1 at z=1 requires Re(c-a-b) > 0, got {d}")
-    if distance_to_nonpos_int(c) <= POLE_TOL or \
-            distance_to_nonpos_int(d) <= POLE_TOL:
-        raise PoleError(c if distance_to_nonpos_int(c) <= POLE_TOL else d)
-    if distance_to_nonpos_int(c - a) <= POLE_TOL or \
-            distance_to_nonpos_int(c - b) <= POLE_TOL:
-        return 0j
-    return gamma_ratio((d, c), (c - a, c - b))
+    return _coeff((c, d), (c - a, c - b))
+
+
+def log_cosh(t):
+    """log cosh t for a real t >= 0 or array of them, free of overflow."""
+    return t - math.log(2.0) + np.log1p(np.exp(-2.0 * t))
+
+
+def log_sinh(t):
+    """log sinh t for a real t > 0 or array of them, free of overflow."""
+    return t - math.log(2.0) + np.log(-np.expm1(-2.0 * t))
 
 
 def _series(a, b, c, z) -> complex:
@@ -101,31 +128,21 @@ def _series(a, b, c, z) -> complex:
     return val
 
 
-def _coeff(nums, dens) -> complex:
-    # Gamma-ratio prefactor; vanishes when a denominator hits a pole
-    for z in dens:
-        if distance_to_nonpos_int(z) <= POLE_TOL:
-            return 0j
-    for z in nums:
-        if distance_to_nonpos_int(z) <= POLE_TOL:
-            raise PoleError(z)
-    return gamma_ratio(nums, dens)
-
-
-def _transform_near_one(a, b, c, z, zc) -> complex:
-    # z -> 1-z connection formula, zc = 1-z supplied for accuracy
+def _transform_near_one(a, b, c, zc, log_zc) -> complex:
+    # z -> 1-z connection formula, zc = 1-z and log zc given for accuracy
     d = c - a - b
     coeff1 = _coeff((c, d), (c - a, c - b))
     coeff2 = _coeff((c, -d), (a, b))
     part1 = coeff1 * _series(a, b, 1.0 - d, zc) if coeff1 != 0 else 0j
     part2 = 0j
     if coeff2 != 0:
-        part2 = (cmath.exp(d * cmath.log(zc)) * coeff2
+        part2 = (cmath.exp(d * log_zc) * coeff2
                  * _series(c - a, c - b, 1.0 + d, zc))
     return part1 + part2
 
 
-def _gauss_2f1_impl(a, b, c, z, zc) -> complex:
+def _gauss_2f1_impl(a, b, c, z, zc, log_zc=None) -> complex:
+    a, b, c = complex(a), complex(b), complex(c)
     if distance_to_nonpos_int(c) <= POLE_TOL:
         raise PoleError(c, f"2F1 parameter pole at c = {c}")
     for p, name in ((a, "a"), (b, "b")):
@@ -139,19 +156,20 @@ def _gauss_2f1_impl(a, b, c, z, zc) -> complex:
         raise HypDomainError(f"|z| = {az} > 1 not supported")
     if az <= SERIES_RADIUS:
         return _series(a, b, c, z)
-    if zc == 0:
+    if zc == 0 and log_zc is None:
         # exactly at the boundary point; for a nonzero complement the
         # connection formula below keeps the genuine zc^{c-a-b} term
         return gauss_2f1_at_one(a, b, c)
     if abs(zc) <= 0.5:
+        log_zc = cmath.log(zc) if log_zc is None else log_zc
         d = c - a - b
         if distance_to_nonpos_int(d) > DEGENERATE_EPS * 10 and \
                 distance_to_nonpos_int(-d) > DEGENERATE_EPS * 10:
-            return _transform_near_one(a, b, c, z, zc)
+            return _transform_near_one(a, b, c, zc, log_zc)
         # near-degenerate c-a-b: perturb c symmetrically and average,
         # with a consistency check on the two evaluations
-        vp = _transform_near_one(a, b, c + DEGENERATE_EPS, z, zc)
-        vm = _transform_near_one(a, b, c - DEGENERATE_EPS, z, zc)
+        vp = _transform_near_one(a, b, c + DEGENERATE_EPS, zc, log_zc)
+        vm = _transform_near_one(a, b, c - DEGENERATE_EPS, zc, log_zc)
         avg = 0.5 * (vp + vm)
         if abs(vp - vm) > 1e-4 * max(abs(avg), 1e-300):
             raise HypConvergenceError(
@@ -169,7 +187,7 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     (the regime needed for arguments tanh^2 t); terminating sum when a or
     b is a non-positive integer.
     """
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    z = complex(z)
     return _gauss_2f1_impl(a, b, c, z, 1.0 - z)
 
 
@@ -178,6 +196,15 @@ def gauss_2f1_complement(a: complex, b: complex, c: complex,
     """2F1 evaluated at z = 1 - one_minus_z with the complement supplied
     directly, avoiding cancellation when z is within rounding of 1
     (e.g. z = tanh^2 t with 1 - z = sech^2 t computed exactly)."""
-    a, b, c = complex(a), complex(b), complex(c)
     zc = complex(one_minus_z)
     return _gauss_2f1_impl(a, b, c, 1.0 - zc, zc)
+
+
+def gauss_2f1_log_complement(a: complex, b: complex, c: complex,
+                             log_one_minus_z: float) -> complex:
+    """2F1 at z = 1 - exp(log_one_minus_z).  Below the double range the
+    complement stays a logarithm, which gives the power (1-z)^{c-a-b}."""
+    zc = math.exp(log_one_minus_z)
+    if zc >= sys.float_info.min:
+        return gauss_2f1_complement(a, b, c, zc)
+    return _gauss_2f1_impl(a, b, c, 1.0 + 0j, complex(zc), log_one_minus_z)

@@ -33,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import complexmath as cm
 from ._backend import kernels
 from .quadrature import (DEFAULT_SPEC, QuadratureSpec, exp_sinh_halfline,
                          gauss_legendre_adaptive, trapezoid_doubling)
@@ -159,9 +160,6 @@ def n_matrix(x: float) -> Matrix2:
     return Matrix2(1.0, x, 0.0, 1.0)
 
 
-WEYL_REP = k_theta_matrix(0.5 * math.pi)  # m*: rotation by pi/2, -I on A
-
-
 def iwasawa_H(g: Matrix2) -> float:
     """H-coordinate h of the K A N factorization g = k exp(h H) n, i.e.
     e^h = (first column norm)^2."""
@@ -267,35 +265,19 @@ def _log_nbar_radial(n: int, s: complex, extra_char: int):
     r"""log of the integrand of \int_0^infty (1+r^2/4)^{-s} r^{n-2}
     [cos(extra_char * atan(r/2))] dr after the substitution r = sinh u,
     as a vectorized function of u."""
-    s = complex(s)
     p = n - 2
 
     def log_f(u: np.ndarray) -> np.ndarray:
-        small = u < 20.0
-        u_small = np.where(small, u, 1.0)
-        u_big = np.where(small, 25.0, np.minimum(u, 700.0))
-        logr = np.where(
-            small,
-            np.log(np.sinh(u_small)),
-            u - math.log(2.0) + np.log1p(-np.exp(-2.0 * u_big)))
-        logcosh = np.where(
-            small,
-            np.log(np.cosh(u_small)),
-            u - math.log(2.0) + np.log1p(np.exp(-2.0 * u_big)))
-        # log(1 + r^2/4) = 2 log r - log 4 + log1p(4/r^2), stable for huge r
-        r2 = np.exp(np.minimum(2.0 * logr, 700.0))
-        log1pr = np.where(
-            logr < 100.0,
-            np.log1p(0.25 * r2),
-            2.0 * logr - math.log(4.0))
-        out = (-s * log1pr + p * logr + logcosh).astype(complex)
+        logr = cm.log_sinh(u)
+        # log(1 + r^2/4), finite for every r
+        log1pr = np.logaddexp(0.0, 2.0 * logr - math.log(4.0))
+        out = (-s * log1pr + p * logr + cm.log_cosh(u)).astype(complex)
         if extra_char:
-            r = np.exp(np.minimum(logr, 350.0))
-            # the cosine changes sign along the ray; complex log carries it
+            # atan(r/2) = pi/2 - atan(2/r); the cosine changes sign along
+            # the ray, and the complex log carries it
+            angle = 0.5 * math.pi - np.arctan(2.0 * np.exp(-logr))
             with np.errstate(divide="ignore"):
-                out = out + np.log(
-                    np.cos(extra_char * np.arctan(0.5 * r))
-                    .astype(complex))
+                out = out + np.log(np.cos(extra_char * angle) + 0j)
         return out
 
     return log_f
@@ -432,8 +414,7 @@ def functional_equation_check(n: int, Lam: complex, t1: float, t2: float,
         return vals * np.sin(gamma) ** p if p else vals
 
     outer_spec = QuadratureSpec(
-        abs_tol=max(spec.abs_tol, 1e-10), rel_tol=max(spec.rel_tol, 1e-9),
-        max_subdivisions=spec.max_subdivisions)
+        abs_tol=max(spec.abs_tol, 1e-10), rel_tol=max(spec.rel_tol, 1e-9))
     num, nodes1 = gauss_legendre_adaptive(f, 0.0, math.pi, outer_spec)
     den, nodes2 = _sphere_band_norm(n, outer_spec) if p else (
         math.pi + 0j, 0)

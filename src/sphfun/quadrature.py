@@ -21,19 +21,20 @@ from typing import Callable
 
 import numpy as np
 
+GL_MAX_BISECTIONS = 2 ** 14
+TRAPEZOID_MAX_NODES = 2 ** 18
+EXP_SINH_MAX_LEVEL_NODES = 2 ** 14
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for the oracle integrals."""
+    """Tolerances for the oracle integrals."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_subdivisions: int = 2 ** 14
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 4:
-            raise ValueError("max_subdivisions too small")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -86,7 +87,7 @@ def gauss_legendre_adaptive(f: Callable[[np.ndarray], np.ndarray],
     """Integrate the vectorized complex integrand f over [a, b]."""
     total = _Kahan()
     nodes = 0
-    budget = spec.max_subdivisions
+    budget = GL_MAX_BISECTIONS
 
     def tol_for(width: float, coarse: complex) -> float:
         frac = width / (b - a)
@@ -127,7 +128,7 @@ def trapezoid_doubling(mean_of: Callable[[int], complex],
         nodes += n
         if abs(cur - prev) <= max(spec.abs_tol, spec.rel_tol * abs(cur)):
             return cur, nodes
-        if n > 16 * spec.max_subdivisions:
+        if n > TRAPEZOID_MAX_NODES:
             raise ToleranceNotMetError(
                 abs(cur - prev),
                 max(spec.abs_tol, spec.rel_tol * abs(cur)), nodes)
@@ -169,7 +170,7 @@ def exp_sinh_halfline(log_f: Callable[[np.ndarray], np.ndarray],
         nodes += n
         if abs(cur - prev) <= max(spec.abs_tol, spec.rel_tol * abs(cur)):
             return cur, nodes
-        if n > spec.max_subdivisions:
+        if n > EXP_SINH_MAX_LEVEL_NODES:
             raise ToleranceNotMetError(
                 abs(cur - prev),
                 max(spec.abs_tol, spec.rel_tol * abs(cur)), nodes)

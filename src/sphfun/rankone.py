@@ -201,10 +201,10 @@ def c_lambda_delta(space: RankOneSpace, kt: KTypeRankOne,
     m2 = space.m_2alpha
     nums = (0.5 * (w + kt.s + kt.r), 0.5 * (w + 1 - m2 + kt.s - kt.r))
     dens = (0.5 * w, 0.5 * (w + 1 - m2))
-    for z in nums + dens:
-        if cm.distance_to_nonpos_int(z) <= cm.POLE_TOL:
-            raise CPoleError("numerator" if z in nums else "denominator", z)
-    return cm.gamma_ratio(nums, dens)
+    try:
+        return cm.gamma_ratio(nums, dens)
+    except cm.PoleError as exc:
+        raise CPoleError(exc.side, exc.z) from None
 
 
 def _hyp_parameters(space: RankOneSpace, kt: KTypeRankOne, Lam: complex):
@@ -228,12 +228,10 @@ def phi_tau(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
         return 1.0 + 0j if kt.s == 0 else 0j
     const = c_lambda_delta(space, kt, Lam)
     th = math.tanh(t)
-    # 1 - tanh^2 t computed as sech^2 t: exact complement for the
-    # near-argument-one hypergeometric regime at large t
-    sech2 = 1.0 / math.cosh(t) ** 2
-    hyp = cm.gauss_2f1_complement(a, b, c, sech2)
-    return (const * th ** kt.s
-            * cmath.exp(l * math.log(math.cosh(t))) * hyp)
+    lc = cm.log_cosh(t)
+    # z = tanh^2 t is within rounding of 1: pass log(1 - z) = -2 log cosh t
+    hyp = cm.gauss_2f1_log_complement(a, b, c, -2.0 * lc)
+    return const * th ** kt.s * cmath.exp(l * lc) * hyp
 
 
 @dataclass(frozen=True)
@@ -338,8 +336,8 @@ def limit_large_t(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
     ``limit_large_t_target`` provided Im(Lam) < 0 (the regime where the
     reflected exponential series term decays)."""
     l = 1j * complex(Lam) - space.rho
-    return (cmath.exp(-l * math.log(2.0 * math.cosh(t)))
-            * phi_tau(space, kt, Lam, t))
+    phi = phi_tau(space, kt, Lam, t)
+    return cmath.exp(-l * (math.log(2.0) + cm.log_cosh(t))) * phi
 
 
 def limit_large_t_target(space: RankOneSpace, kt: KTypeRankOne,

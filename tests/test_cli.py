@@ -4,6 +4,7 @@ determinism."""
 import csv
 import io
 import json
+import math
 import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
@@ -335,12 +336,16 @@ class TestLimits:
         assert rows_of(out)[0]["error"]
 
     @pytest.mark.parametrize("command", ["limits", "phi-eval"])
-    def test_overflow_is_an_error_row(self, command):
-        # math.cosh overflows at t = 800
+    def test_large_t_is_finite(self, command):
+        # cosh t is not a double at t = 800
         code, out, _ = run_cli(command, "--space", "h2",
                                "--lambda", "0.5,-0.3", "--t", "800")
-        assert code == 1
-        assert rows_of(out)[0]["error"] == "math range error"
+        assert code == 0
+        row = rows_of(out)[0]
+        assert row["error"] == ""
+        values = [float(v) for k, v in row.items()
+                  if k.endswith(("_re", "_im", "_err"))]
+        assert values and all(math.isfinite(v) for v in values)
 
 
 class TestOptionSurface:
@@ -390,6 +395,10 @@ class TestOptionSurface:
         (("c-eval", "--space", "h2", "--lambda", "1,0"), ("--im", "5")),
         (("limits", "--space", "h2", "--lambda", "0.5,-0.8", "--t", "10"),
          ("--catalog", "/nonexistent.json")),
+        (("c-eval", "--space", "h2", "--lambda", "1,0"),
+         ("--lambda-vec", "1,0;2,0")),
+        (("c-eval", "--space", "a2", "--lambda-grid", "0.5:1:3"),
+         ("--lambda-vec", "1,-0.5;2,-0.5")),
     ])
     def test_unread_flag_exits_2(self, argv, flag):
         assert run_cli(*argv)[0] == 0

@@ -157,6 +157,19 @@ class TestLogGamma:
             ref = self.mpmath_loggamma(z)
             assert cm.log_gamma(z) == pytest.approx(ref, rel=1e-11, abs=1e-11)
 
+    def test_quotient_reports_pole_side(self, monkeypatch):
+        # every argument is screened, numerators first, before the kernel
+        # evaluates any
+        calls = []
+        monkeypatch.setattr(cm.kernels, "clgamma",
+                            lambda z: calls.append(z) or 0j)
+        for nums, dens, side, z in (((1.5, -2.0), (0.0,), "numerator", -2),
+                                    ((1.5,), (2.5, -1.0), "denominator", -1)):
+            with pytest.raises(cm.PoleError) as exc:
+                cm.log_gamma_quotient(nums, dens)
+            assert (exc.value.side, exc.value.z) == (side, z)
+        assert calls == []
+
     def test_ratio_large_arguments(self):
         # Gamma(z+1)/Gamma(z) = z with |Gamma| far beyond overflow
         z = 250.0 + 40.0j

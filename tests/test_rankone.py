@@ -28,6 +28,24 @@ def exact_h3_zonal(lam: complex, t: float) -> complex:
     return cmath.sin(lam * t) / (lam * math.sinh(t))
 
 
+H3_S1R0 = r1.catalog_lookup(r1.load_ktype_catalog(), "s1r0", H3)
+
+
+def mp_phi_and_limit(mp, space, kt, lam, t):
+    """phi_tau and limit_large_t by the closed form in mpmath, with 40
+    digits beyond the e^{-2t} lost in forming tanh^2 t (m_2alpha = 0)."""
+    with mp.workdps(40 + int(2 * t / math.log(10))):
+        rho = mp.mpf(space.m_alpha) / 2
+        w = 1j * mp.mpc(lam) + rho
+        l = w - 2 * rho
+        const = (mp.gamma((w + kt.s + kt.r) / 2) / mp.gamma(w / 2)
+                 * mp.gamma((w + 1 + kt.s - kt.r) / 2) / mp.gamma((w + 1) / 2))
+        hyp = mp.hyp2f1((kt.s + kt.r - l) / 2, (kt.s - kt.r - l + 1) / 2,
+                        kt.s + mp.mpf(space.m_alpha + 1) / 2, mp.tanh(t) ** 2)
+        phi = const * mp.tanh(t) ** kt.s * mp.cosh(t) ** l * hyp
+        return complex(phi), complex((2 * mp.cosh(t)) ** -l * phi)
+
+
 class TestSolveRS:
     def test_trivial(self):
         assert r1.solve_rs(H3, 0.0, 0.0) == (0, 0)
@@ -261,6 +279,30 @@ class TestLimits:
             e10 = abs(r1.limit_large_t(H2, kt, lam, 10.0) - tgt)
             e18 = abs(r1.limit_large_t(H2, kt, lam, 18.0) - tgt)
             assert e18 < e10
+
+    @pytest.mark.parametrize("t", [400.0, 800.0])
+    def test_large_t_matches_mpmath(self, t):
+        # sech^2 t is below the double range here, and cosh t is not a
+        # double at t = 800
+        mp = pytest.importorskip("mpmath")
+        lam = 0.5 - 0.3j
+        for space, kt in ((H2, r1.TRIVIAL_KTYPE), (H3, H3_S1R0)):
+            phi, limit = mp_phi_and_limit(mp, space, kt, lam, t)
+            assert r1.phi_tau(space, kt, lam, t) == pytest.approx(
+                phi, rel=1e-12, abs=0)
+            assert r1.limit_large_t(space, kt, lam, t) == pytest.approx(
+                limit, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("t", [400.0, 800.0])
+    def test_large_t_weak_decay_matches_mpmath(self, t):
+        # at Im Lam = -0.001 the (sech^2 t)^{i Lam} term of the 2F1 is of
+        # relative size e^{-t/500}: it must survive sech^2 t underflowing
+        mp = pytest.importorskip("mpmath")
+        lam = 0.5 - 0.001j
+        for space, kt in ((H2, r1.TRIVIAL_KTYPE), (H3, H3_S1R0)):
+            phi, _ = mp_phi_and_limit(mp, space, kt, lam, t)
+            assert r1.phi_tau(space, kt, lam, t) == pytest.approx(
+                phi, rel=1e-12, abs=0)
 
     def test_small_t_ratio(self):
         kt = r1.ktype_from_rs(H2, 0, 2)

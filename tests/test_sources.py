@@ -23,6 +23,13 @@ def test_compiles_without_warnings(path):
         compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
+def test_pole_rule_lives_in_complexmath():
+    # one module decides when a Gamma argument is a pole
+    users = {p.name for p in SOURCES
+             if "POLE_TOL" in p.read_text(encoding="utf-8")}
+    assert users == {"complexmath.py"}
+
+
 def test_kernel_twins_share_an_interface_the_library_calls():
     # read from the .pyx source, so the check runs without Cython
     pyx = (PACKAGE / "_kernels.pyx").read_text(encoding="utf-8")
