@@ -54,11 +54,14 @@ def workloads(scale):
                         for _ in range(int(50 * scale))]
 
     # the sizes the quadrature oracles use: one `sphfun verify --suite
-    # all` makes 2053 circle-sum calls, all at 32 to 512 nodes
+    # all` makes 163 circle-sum calls over 2053 radii in all, up to 64
+    # radii a call, at 32 to 512 nodes
+    radii = np.linspace(0.05, 0.9, 16)
+
     def circle(nodes):
         return lambda k: lambda: [
-            k.poisson_circle_sum(0.76, 0.8 - 0.3j, j % 3, nodes)
-            for j in range(int(2000 * scale))]
+            k.poisson_circle_sum(radii, 0.8 - 0.3j, j % 3, nodes)
+            for j in range(int(125 * scale))]
 
     return [
         ("log-gamma scalar grid", lgamma_grid),

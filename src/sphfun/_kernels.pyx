@@ -133,19 +133,31 @@ def hc_gamma_coeffs(int m_alpha, int m_2alpha, lam, int n_max):
     return g
 
 
-def poisson_circle_sum(double u, mu, int harmonic, int nphi):
-    """Mean of P(u,psi)^mu e^{i harmonic psi} over the uniform grid."""
+def poisson_circle_sum(u, mu, int harmonic, int nphi):
+    """Per radius of u, the mean of P(u,psi)^mu e^{i harmonic psi} over
+    the uniform grid."""
+    cdef cnp.ndarray[cnp.float64_t, ndim=1] radii = np.ascontiguousarray(
+        u, dtype=np.float64)
+    cdef Py_ssize_t rows = radii.shape[0]
+    cdef cnp.ndarray[cnp.complex128_t, ndim=1] out = np.empty(
+        rows, dtype=np.complex128)
     cdef double complex cmu = complex(mu)
     cdef double mre = cmu.real, mim = cmu.imag
-    cdef double acc_re = 0.0, acc_im = 0.0
+    cdef double acc_re, acc_im, r
     cdef double psi, logpk, mag, phase, h = 2.0 * M_PI / nphi
+    cdef Py_ssize_t i
     cdef int j
-    for j in range(nphi):
-        psi = j * h
-        logpk = log((1.0 - u * u)
-                    / (1.0 - 2.0 * u * cos(psi) + u * u))
-        mag = exp(mre * logpk)
-        phase = mim * logpk + harmonic * psi
-        acc_re += mag * cos(phase)
-        acc_im += mag * sin(phase)
-    return complex(acc_re / nphi, acc_im / nphi)
+    for i in range(rows):
+        r = radii[i]
+        acc_re = 0.0
+        acc_im = 0.0
+        for j in range(nphi):
+            psi = j * h
+            logpk = log((1.0 - r * r)
+                        / (1.0 - 2.0 * r * cos(psi) + r * r))
+            mag = exp(mre * logpk)
+            phase = mim * logpk + harmonic * psi
+            acc_re += mag * cos(phase)
+            acc_im += mag * sin(phase)
+        out[i] = complex(acc_re / nphi, acc_im / nphi)
+    return out

@@ -131,14 +131,16 @@ def hc_gamma_coeffs(m_alpha: int, m_2alpha: int, lam: complex,
     return g
 
 
-def poisson_circle_sum(u: float, mu: complex, harmonic: int,
-                       nphi: int) -> complex:
-    """Mean over the uniform nphi-point grid on [0, 2pi) of
-    P(u, psi)^mu e^{i harmonic psi} with P = (1-u^2)/(1-2u cos psi+u^2)."""
+def poisson_circle_sum(u, mu: complex, harmonic: int,
+                       nphi: int) -> np.ndarray:
+    """For each radius in the 1-D array u, the mean over the uniform
+    nphi-point grid on [0, 2pi) of P(u, psi)^mu e^{i harmonic psi} with
+    P = (1-u^2)/(1-2u cos psi+u^2)."""
     mu = complex(mu)
+    u = np.asarray(u, dtype=float)[:, None]
     psi = np.arange(nphi) * (2.0 * math.pi / nphi)
     pk = (1.0 - u * u) / (1.0 - 2.0 * u * np.cos(psi) + u * u)
     vals = np.exp(mu * np.log(pk))
     if harmonic:
         vals = vals * np.exp(1j * harmonic * psi)
-    return complex(vals.mean())
+    return vals.mean(axis=1)

@@ -279,6 +279,28 @@ def cmd_csigma_eval(args) -> int:
     return _emit_c_values(args, evaluate)
 
 
+def _per_t(fn, ts: list[float]) -> list:
+    """fn at every t of ts in one call: a value per t, or, when that call
+    raises, each t on its own, with its error in place of its value."""
+    try:
+        return [complex(v) for v in fn(ts)]
+    except EVAL_ERRORS:
+        out = []
+        for t in ts:
+            try:
+                out.append(complex(fn(t)))
+            except EVAL_ERRORS as exc:
+                out.append(exc)
+        return out
+
+
+def _value(got):
+    """A value from _per_t, raising the error stored in its place."""
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
 def cmd_phi_eval(args) -> int:
     space = resolve_space(args)
     if space.rankone is None:
@@ -296,28 +318,48 @@ def cmd_phi_eval(args) -> int:
     rows = []
     ok = True
     for lam in lambda_values(args):
-        for t in t_values(args):
-            if t < 0:
-                raise UsageError("t must be >= 0")
+        ts = t_values(args)
+        if any(t < 0 for t in ts):
+            raise UsageError("t must be >= 0")
+        # per method, in evaluation order: a value or an error per t
+        results = {}
+        tails = [None] * len(ts)
+        if "closed" in methods:
+            results["closed"] = _per_t(
+                lambda x: r1.phi_tau(space.rankone, kt, lam, x), ts)
+        if "series" in methods and kt.s == 0:
+            # one set of coefficients for the values and the tail bounds
+            inner = [i for i, t in enumerate(ts) if t > 0]
+            results["series"] = [None] * len(ts)
+            try:
+                terms = r1.hc_series_terms(space.rankone, lam, args.series_n)
+            except EVAL_ERRORS as exc:
+                got = [exc] * len(inner)
+            else:
+                got = _per_t(lambda x: r1.hc_series_sum(space.rankone,
+                                                        terms, x),
+                             [ts[i] for i in inner])
+                tails = [r1.series_tail_estimate(terms[0][0], t)
+                         for t in ts]
+            for i, value in zip(inner, got):
+                results["series"][i] = value
+        if "quadrature" in methods:
+            if kt.s == 0:
+                results["quadrature"] = _per_t(
+                    lambda x: md.quad_phi_K(space.ball_n, lam, x, spec), ts)
+            else:
+                results["quadrature"] = _per_t(
+                    lambda x: md.quad_eisenstein_sl2(2 * kt.s, lam, x, spec),
+                    ts)
+        for i, t in enumerate(ts):
             row = {"t": t, "lambda_re": lam.real, "lambda_im": lam.imag}
             values = {}
             try:
-                if "closed" in methods:
-                    values["closed"] = r1.phi_tau(space.rankone, kt, lam, t)
-                if "series" in methods and kt.s == 0 and t > 0:
-                    values["series"] = r1.hc_series_eval(
-                        space.rankone, lam, t, args.series_n)
-                    sc = r1.hc_series_gammas(space.rankone, lam,
-                                             args.series_n)
-                    row["series_tail_estimate"] = \
-                        r1.series_tail_estimate(sc, t)
-                if "quadrature" in methods:
-                    if kt.s == 0:
-                        values["quadrature"] = md.quad_phi_K(
-                            space.ball_n, lam, t, spec)
-                    else:
-                        values["quadrature"] = md.quad_eisenstein_sl2(
-                            2 * kt.s, lam, t, spec)
+                for name, per_t in results.items():
+                    if per_t[i] is not None:
+                        values[name] = _value(per_t[i])
+                        if name == "series":
+                            row["series_tail_estimate"] = tails[i]
             except EVAL_ERRORS as exc:
                 row["error"] = str(exc)
                 ok = False
@@ -325,10 +367,10 @@ def cmd_phi_eval(args) -> int:
                 continue
             row["error"] = ""
             for name in ("closed", "series", "quadrature"):
-                if name in values and values[name] is not None:
+                if name in values:
                     row[f"phi_{name}_re"] = values[name].real
                     row[f"phi_{name}_im"] = values[name].imag
-            present = [v for v in values.values() if v is not None]
+            present = list(values.values())
             if len(present) > 1:
                 errs = [abs(a - b) for i, a in enumerate(present)
                         for b in present[i + 1:]]
@@ -412,15 +454,22 @@ def cmd_limits(args) -> int:
     for lam in lambda_values(args):
         target = r1.limit_large_t_target(space.rankone, kt, lam)
         small_target = r1.small_t_target(space.rankone, kt, lam)
-        for t in t_values(args):
+        ts = t_values(args)
+        bigs = _per_t(
+            lambda x: r1.limit_large_t(space.rankone, kt, lam, x), ts)
+        inner = [i for i, t in enumerate(ts) if t > 0]
+        ratios = dict(zip(inner, _per_t(
+            lambda x: r1.small_t_ratio(space.rankone, kt, lam, x),
+            [ts[i] for i in inner])))
+        for i, t in enumerate(ts):
             row = {"t": t, "lambda_re": lam.real, "lambda_im": lam.imag}
             try:
-                big = r1.limit_large_t(space.rankone, kt, lam, t)
+                big = _value(bigs[i])
                 row["large_t_re"] = big.real
                 row["large_t_im"] = big.imag
                 row["large_t_rel_err"] = abs(big - target) / abs(target)
                 if t > 0:
-                    ratio = r1.small_t_ratio(space.rankone, kt, lam, t)
+                    ratio = _value(ratios[i])
                     row["small_t_ratio_rel_err"] = (
                         abs(ratio - small_target) / abs(small_target))
                 row["error"] = ""

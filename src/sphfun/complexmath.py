@@ -39,6 +39,21 @@ class HypConvergenceError(RuntimeError):
     """2F1 series failed to meet tolerance within the iteration cap."""
 
 
+def points(x, dtype=float) -> tuple[list, bool]:
+    """x, a number or a 1-D array (or sequence) of them, as a list of
+    dtype values, and whether it was a number."""
+    if isinstance(x, (int, float, complex)):
+        return [dtype(x)], True
+    arr = np.asarray(x, dtype=dtype)
+    return arr.reshape(-1).tolist(), arr.ndim == 0
+
+
+def shaped(values, scalar: bool):
+    """The complex values computed for points(x): a complex number when
+    x was a number, else a complex array."""
+    return complex(values[0]) if scalar else np.asarray(values, dtype=complex)
+
+
 def distance_to_nonpos_int(z: complex) -> float:
     """Distance from z to the nearest non-positive integer."""
     z = complex(z)
@@ -128,11 +143,14 @@ def _series(a, b, c, z) -> complex:
     return val
 
 
-def _transform_near_one(a, b, c, zc, log_zc) -> complex:
-    # z -> 1-z connection formula, zc = 1-z and log zc given for accuracy
+def _transform_near_one(a, b, c, zc, log_zc, prefactors: dict) -> complex:
+    # z -> 1-z connection formula, zc = 1-z and log zc given for accuracy;
+    # its Gamma-ratio prefactors are made once per (a, b, c) in prefactors
     d = c - a - b
-    coeff1 = _coeff((c, d), (c - a, c - b))
-    coeff2 = _coeff((c, -d), (a, b))
+    if (a, b, c) not in prefactors:
+        prefactors[a, b, c] = (_coeff((c, d), (c - a, c - b)),
+                               _coeff((c, -d), (a, b)))
+    coeff1, coeff2 = prefactors[a, b, c]
     part1 = coeff1 * _series(a, b, 1.0 - d, zc) if coeff1 != 0 else 0j
     part2 = 0j
     if coeff2 != 0:
@@ -141,8 +159,10 @@ def _transform_near_one(a, b, c, zc, log_zc) -> complex:
     return part1 + part2
 
 
-def _gauss_2f1_impl(a, b, c, z, zc, log_zc=None) -> complex:
+def _gauss_2f1_impl(a, b, c, z, zc, log_zc=None,
+                    prefactors: dict | None = None) -> complex:
     a, b, c = complex(a), complex(b), complex(c)
+    prefactors = {} if prefactors is None else prefactors
     if distance_to_nonpos_int(c) <= POLE_TOL:
         raise PoleError(c, f"2F1 parameter pole at c = {c}")
     for p, name in ((a, "a"), (b, "b")):
@@ -165,11 +185,13 @@ def _gauss_2f1_impl(a, b, c, z, zc, log_zc=None) -> complex:
         d = c - a - b
         if distance_to_nonpos_int(d) > DEGENERATE_EPS * 10 and \
                 distance_to_nonpos_int(-d) > DEGENERATE_EPS * 10:
-            return _transform_near_one(a, b, c, zc, log_zc)
+            return _transform_near_one(a, b, c, zc, log_zc, prefactors)
         # near-degenerate c-a-b: perturb c symmetrically and average,
         # with a consistency check on the two evaluations
-        vp = _transform_near_one(a, b, c + DEGENERATE_EPS, zc, log_zc)
-        vm = _transform_near_one(a, b, c - DEGENERATE_EPS, zc, log_zc)
+        vp = _transform_near_one(a, b, c + DEGENERATE_EPS, zc, log_zc,
+                                 prefactors)
+        vm = _transform_near_one(a, b, c - DEGENERATE_EPS, zc, log_zc,
+                                 prefactors)
         avg = 0.5 * (vp + vm)
         if abs(vp - vm) > 1e-4 * max(abs(avg), 1e-300):
             raise HypConvergenceError(
@@ -192,19 +214,26 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
 
 
 def gauss_2f1_complement(a: complex, b: complex, c: complex,
-                         one_minus_z: complex) -> complex:
+                         one_minus_z: complex,
+                         prefactors: dict | None = None) -> complex:
     """2F1 evaluated at z = 1 - one_minus_z with the complement supplied
     directly, avoiding cancellation when z is within rounding of 1
-    (e.g. z = tanh^2 t with 1 - z = sech^2 t computed exactly)."""
+    (e.g. z = tanh^2 t with 1 - z = sech^2 t computed exactly).  A caller
+    evaluating one (a, b, c) at many points passes the same prefactors
+    dict to each call, so the connection formula's Gamma ratios are made
+    once."""
     zc = complex(one_minus_z)
-    return _gauss_2f1_impl(a, b, c, 1.0 - zc, zc)
+    return _gauss_2f1_impl(a, b, c, 1.0 - zc, zc, prefactors=prefactors)
 
 
 def gauss_2f1_log_complement(a: complex, b: complex, c: complex,
-                             log_one_minus_z: float) -> complex:
+                             log_one_minus_z: float,
+                             prefactors: dict | None = None) -> complex:
     """2F1 at z = 1 - exp(log_one_minus_z).  Below the double range the
-    complement stays a logarithm, which gives the power (1-z)^{c-a-b}."""
+    complement stays a logarithm, which gives the power (1-z)^{c-a-b}.
+    prefactors as for gauss_2f1_complement."""
     zc = math.exp(log_one_minus_z)
     if zc >= sys.float_info.min:
-        return gauss_2f1_complement(a, b, c, zc)
-    return _gauss_2f1_impl(a, b, c, 1.0 + 0j, complex(zc), log_one_minus_z)
+        return gauss_2f1_complement(a, b, c, zc, prefactors=prefactors)
+    return _gauss_2f1_impl(a, b, c, 1.0 + 0j, complex(zc), log_one_minus_z,
+                           prefactors)

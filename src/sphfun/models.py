@@ -212,6 +212,22 @@ def geodesic_radius(t: float) -> float:
     return math.tanh(0.5 * t)
 
 
+def _radii(ts: list[float]) -> np.ndarray:
+    if any(t < 0 for t in ts):
+        raise ValueError("t must be >= 0")
+    return np.array([geodesic_radius(t) for t in ts])
+
+
+def _circle_means(u: np.ndarray, mu: complex, harmonic: int,
+                  spec: QuadratureSpec) -> np.ndarray:
+    """Per radius u, the limit of the circle means of the Poisson kernel
+    power P(u, psi)^mu e^{i harmonic psi}: one trapezoid batch."""
+    values, _ = trapezoid_doubling(
+        lambda m, idx: kernels.poisson_circle_sum(u[idx], mu, harmonic, m),
+        len(u), spec)
+    return values
+
+
 @lru_cache(maxsize=64)
 def _sphere_band_norm(n: int, spec: QuadratureSpec) -> tuple[complex, int]:
     # \int_0^pi sin^{n-2} theta dtheta by the same adaptive rule used for
@@ -224,25 +240,24 @@ def _sphere_band_norm(n: int, spec: QuadratureSpec) -> tuple[complex, int]:
     return gauss_legendre_adaptive(f, 0.0, math.pi, spec)
 
 
-def quad_phi_K(n: int, Lam: complex, t: float,
-               spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+def quad_phi_K(n: int, Lam: complex, t, spec: QuadratureSpec = DEFAULT_SPEC):
     """Zonal spherical function on n-dimensional hyperbolic space at
-    distance t, as the normalized boundary integral of the Poisson kernel
-    power P(x, b)^{i Lam + rho}."""
+    distance t (a number or an array of them), as the normalized boundary
+    integral of the Poisson kernel power P(x, b)^{i Lam + rho}.  On the
+    plane the whole grid is one trapezoid batch."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t, scalar = cm.points(t)
     mu = 1j * complex(Lam) + 0.5 * (n - 1)
-    u = geodesic_radius(t)
-    if u == 0.0:
-        return 1.0 + 0j
+    u = _radii(t)
+    values = np.ones(len(u), dtype=complex)
+    inner = np.flatnonzero(u != 0.0)
     if n == 2:
-        value, _ = trapezoid_doubling(
-            lambda m: kernels.poisson_circle_sum(u, mu, 0, m), spec)
-        return value
-    value, _ = _phi_polar(n, mu, u, spec)
-    return value
+        values[inner] = _circle_means(u[inner], mu, 0, spec)
+    else:
+        for i in inner:
+            values[i] = _phi_polar(n, mu, float(u[i]), spec)[0]
+    return cm.shaped(values, scalar)
 
 
 def _phi_polar(n: int, mu: complex, u: float,
@@ -261,17 +276,17 @@ def _phi_polar(n: int, mu: complex, u: float,
 # ---------------------------------------------------------------------------
 # opposite-unipotent integrals
 
-def _log_nbar_radial(n: int, s: complex, extra_char: int):
-    r"""log of the integrand of \int_0^infty (1+r^2/4)^{-s} r^{n-2}
+def _log_nbar_radial(n: int, s: np.ndarray, extra_char: int):
+    r"""log of the integrands of \int_0^infty (1+r^2/4)^{-s} r^{n-2}
     [cos(extra_char * atan(r/2))] dr after the substitution r = sinh u,
-    as a vectorized function of u."""
+    one row per exponent s, as a function of the nodes u and the rows."""
     p = n - 2
 
-    def log_f(u: np.ndarray) -> np.ndarray:
+    def log_f(u: np.ndarray, idx: np.ndarray) -> np.ndarray:
         logr = cm.log_sinh(u)
         # log(1 + r^2/4), finite for every r
         log1pr = np.logaddexp(0.0, 2.0 * logr - math.log(4.0))
-        out = (-s * log1pr + p * logr + cm.log_cosh(u)).astype(complex)
+        out = -s[idx, None] * log1pr + p * logr + cm.log_cosh(u)
         if extra_char:
             # atan(r/2) = pi/2 - atan(2/r); the cosine changes sign along
             # the ray, and the complex log carries it
@@ -283,9 +298,12 @@ def _log_nbar_radial(n: int, s: complex, extra_char: int):
     return log_f
 
 
-def _nbar_radial(n: int, s: complex, spec: QuadratureSpec,
-                 extra_char: int = 0) -> tuple[complex, int]:
-    return exp_sinh_halfline(_log_nbar_radial(n, s, extra_char), spec)
+def _nbar_radial(n: int, s, spec: QuadratureSpec,
+                 extra_char: int = 0) -> np.ndarray:
+    s = np.asarray(s, dtype=complex).reshape(-1)
+    values, _ = exp_sinh_halfline(_log_nbar_radial(n, s, extra_char),
+                                  len(s), spec)
+    return values
 
 
 @lru_cache(maxsize=64)
@@ -294,31 +312,38 @@ def nbar_normalization(n: int, spec: QuadratureSpec) -> complex:
     (n-1)-dimensional opposite-unipotent coordinate (radial part only;
     the angular factor cancels in every normalized ratio).  Shared by the
     c-function and second-coefficient oracles."""
-    value, _ = _nbar_radial(n, complex(n - 1.0), spec)
-    return value
+    return complex(_nbar_radial(n, n - 1.0, spec)[0])
 
 
-def quad_c_Nbar(n: int, Lam: complex,
-                spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+def _convergent_exponents(Lam, rho: float) -> tuple[np.ndarray, bool]:
+    """s = i Lam + rho per Lam, after checking absolute convergence,
+    Re(i Lam) > CONVERGENCE_MARGIN, in input order."""
+    lams, scalar = cm.points(Lam, complex)
+    for lam in lams:
+        if (1j * lam).real <= CONVERGENCE_MARGIN:
+            raise DivergentIntegralError(
+                f"need Re(i Lam) > {CONVERGENCE_MARGIN}, got "
+                f"{(1j * lam).real}")
+    return np.array([1j * lam + rho for lam in lams], dtype=complex), scalar
+
+
+def quad_c_Nbar(n: int, Lam, spec: QuadratureSpec = DEFAULT_SPEC):
     r"""c-function of n-dimensional hyperbolic space as the normalized
     integral over the opposite unipotent group,
 
         \int (1 + |v|^2/4)^{-(i Lam + rho)} dv / (same at Lam = -i rho),
 
-    absolutely convergent for Re(i Lam) > 0 (margin 0.05 enforced)."""
+    absolutely convergent for Re(i Lam) > 0 (margin 0.05 enforced).  Lam
+    is a number or an array of them; an array is one exp-sinh batch."""
     if n < 2:
         raise ValueError("need n >= 2")
-    s = 1j * complex(Lam) + 0.5 * (n - 1)
-    if (1j * complex(Lam)).real <= CONVERGENCE_MARGIN:
-        raise DivergentIntegralError(
-            f"need Re(i Lam) > {CONVERGENCE_MARGIN}, got "
-            f"{(1j * complex(Lam)).real}")
-    num, _ = _nbar_radial(n, s, spec)
-    return num / nbar_normalization(n, spec)
+    s, scalar = _convergent_exponents(Lam, 0.5 * (n - 1))
+    norm = nbar_normalization(n, spec)
+    return cm.shaped([complex(x) / norm for x in _nbar_radial(n, s, spec)],
+                     scalar)
 
 
-def quad_Csigma_sl2(char_n: int, Lam: complex,
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+def quad_Csigma_sl2(char_n: int, Lam, spec: QuadratureSpec = DEFAULT_SPEC):
     r"""Second-coefficient integral on the hyperbolic plane for the even
     circle character of weight char_n:
 
@@ -327,27 +352,26 @@ def quad_Csigma_sl2(char_n: int, Lam: complex,
     over the opposite unipotent group, normalized by the same measure
     constant as the c-function oracle.  With nbar = nbar(x), the rotation
     part is k_{-atan x}, and m* = k_{pi/2}; in the shared coordinate
-    v = 2x the phase is char_n * (atan(v/2) + pi/2)."""
+    v = 2x the phase is char_n * (atan(v/2) + pi/2).  Lam is a number or
+    an array of them; an array is one exp-sinh batch."""
     if char_n % 2:
         raise ValueError("character weight must be even (fixed-vector "
                          "condition for the centralizer)")
-    if (1j * complex(Lam)).real <= CONVERGENCE_MARGIN:
-        raise DivergentIntegralError(
-            f"need Re(i Lam) > {CONVERGENCE_MARGIN}, got "
-            f"{(1j * complex(Lam)).real}")
-    s = 1j * complex(Lam) + 0.5
-    num, _ = _nbar_radial(2, s, spec, extra_char=char_n)
+    s, scalar = _convergent_exponents(Lam, 0.5)
     phase = cmath.exp(0.5j * math.pi * char_n)
-    return phase * num / nbar_normalization(2, spec)
+    norm = nbar_normalization(2, spec)
+    return cm.shaped([phase * complex(x) / norm for x in
+                      _nbar_radial(2, s, spec, extra_char=char_n)], scalar)
 
 
 # ---------------------------------------------------------------------------
 # Eisenstein entries on the disk
 
-def entry_function_sl2(char_n: int, Lam: complex, z: complex,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+def entry_function_sl2(char_n: int, Lam: complex, z,
+                       spec: QuadratureSpec = DEFAULT_SPEC):
     r"""Fixed-vector matrix entry of the Eisenstein integral for the even
-    circle character of weight char_n, at the disk point z:
+    circle character of weight char_n, at the disk point z (a number or
+    an array of them, one trapezoid batch):
 
         (1/2pi) \int_0^{2pi} P(z, e^{2 i theta})^{i Lam + rho}
                              e^{i char_n theta} dtheta.
@@ -359,34 +383,27 @@ def entry_function_sl2(char_n: int, Lam: complex, z: complex,
     if char_n % 2:
         raise ValueError("character weight must be even")
     mu = 1j * complex(Lam) + 0.5
-    z = complex(z)
-    u = abs(z)
-    if u >= 1.0:
+    z, scalar = cm.points(z, complex)
+    u = np.array([abs(x) for x in z])
+    if np.any(u >= 1.0):
         raise ValueError("z must lie inside the unit disk")
     k = char_n // 2
-    value, _ = trapezoid_doubling(
-        lambda m: kernels.poisson_circle_sum(u, mu, k, m), spec)
-    return cmath.exp(1j * k * cmath.phase(z)) * value
+    values = _circle_means(u, mu, k, spec)
+    return cm.shaped([cmath.exp(1j * k * cmath.phase(x)) * complex(v)
+                      for x, v in zip(z, values)], scalar)
 
 
-def quad_eisenstein_sl2(char_n: int, Lam: complex, t: float,
-                        spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
-    """Eisenstein entry along the geodesic: at the point of distance t."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return entry_function_sl2(char_n, Lam, geodesic_radius(t), spec)
+def quad_eisenstein_sl2(char_n: int, Lam: complex, t,
+                        spec: QuadratureSpec = DEFAULT_SPEC):
+    """Eisenstein entry along the geodesic: at the point of distance t
+    (a number or an array of them)."""
+    t, scalar = cm.points(t)
+    return cm.shaped(entry_function_sl2(char_n, Lam, _radii(t), spec),
+                     scalar)
 
 
 # ---------------------------------------------------------------------------
 # functional equations
-
-def _phi_ball(n: int, Lam: complex, t: float, spec: QuadratureSpec,
-              cache: dict) -> complex:
-    key = round(t, 14)
-    if key not in cache:
-        cache[key] = quad_phi_K(n, Lam, t, spec)
-    return cache[key]
-
 
 def functional_equation_check(n: int, Lam: complex, t1: float, t2: float,
                               spec: QuadratureSpec = DEFAULT_SPEC
@@ -398,6 +415,8 @@ def functional_equation_check(n: int, Lam: complex, t1: float, t2: float,
     two geodesic legments, with
     cosh d(gamma) = cosh t1 cosh t2 + sinh t1 sinh t2 cos gamma.
     """
+    # phi at each distance, keyed to 1e-14: nodes at one distance (all
+    # of them when t1 = 0) share one evaluation
     cache: dict = {}
 
     def dist(gamma: np.ndarray) -> np.ndarray:
@@ -408,9 +427,16 @@ def functional_equation_check(n: int, Lam: complex, t1: float, t2: float,
     p = n - 2
 
     def f(gamma: np.ndarray) -> np.ndarray:
-        ds = dist(gamma)
-        vals = np.array([_phi_ball(n, Lam, float(d), spec, cache)
-                         for d in ds], dtype=complex)
+        ds = [float(d) for d in dist(gamma)]
+        keys = [round(d, 14) for d in ds]
+        new = {}
+        for key, d in zip(keys, ds):
+            if key not in cache:
+                new.setdefault(key, d)
+        if new:
+            cache.update(zip(new, quad_phi_K(n, Lam, list(new.values()),
+                                             spec)))
+        vals = np.array([cache[key] for key in keys], dtype=complex)
         return vals * np.sin(gamma) ** p if p else vals
 
     outer_spec = QuadratureSpec(
@@ -419,8 +445,9 @@ def functional_equation_check(n: int, Lam: complex, t1: float, t2: float,
     den, nodes2 = _sphere_band_norm(n, outer_spec) if p else (
         math.pi + 0j, 0)
     lhs = num / den
-    rhs = (quad_phi_K(n, Lam, t1, spec) * quad_phi_K(n, Lam, t2, spec))
-    return OracleReport.build(rhs, lhs, nodes1 + nodes2)
+    phi1, phi2 = quad_phi_K(n, Lam, [t1, t2], spec)
+    return OracleReport.build(complex(phi1) * complex(phi2), lhs,
+                              nodes1 + nodes2)
 
 
 def functional_equation_entry_sl2(char_n: int, Lam: complex, t1: float,
@@ -433,16 +460,13 @@ def functional_equation_entry_sl2(char_n: int, Lam: complex, t1: float,
     g1 = a_t_matrix(t1)
     g2 = a_t_matrix(t2)
 
-    def mean_of(m: int) -> complex:
-        vals = []
-        for j in range(m):
-            theta = 2.0 * math.pi * j / m
-            g = g1 @ k_theta_matrix(theta) @ g2
-            vals.append(entry_function_sl2(char_n, Lam, sl2_to_ball(g),
-                                           spec))
-        return complex(np.mean(vals))
+    def mean_of(m: int, idx: np.ndarray) -> np.ndarray:
+        z = [sl2_to_ball(g1 @ k_theta_matrix(2.0 * math.pi * j / m) @ g2)
+             for j in range(m)]
+        return np.array([complex(np.mean(
+            entry_function_sl2(char_n, Lam, z, spec)))])
 
-    lhs, nodes = trapezoid_doubling(mean_of, spec, n0=16)
+    lhs, nodes = trapezoid_doubling(mean_of, 1, spec, n0=16)
     rhs = (entry_function_sl2(char_n, Lam, sl2_to_ball(g1), spec)
            * quad_phi_K(2, Lam, t2, spec))
-    return OracleReport.build(rhs, lhs, nodes)
+    return OracleReport.build(rhs, lhs[0], nodes)

@@ -10,8 +10,12 @@ Three rules cover every defining integral of the package:
   applied after the x = sinh u substitution by the callers; the integrand
   is supplied in log form so the algebraic tails can never overflow.
 
-All routines return (value, nodes_used) and raise ToleranceNotMetError
-with the achieved estimate when the node budget runs out.
+The last two integrate a batch of rows (one integrand each) with one
+NumPy pass per refinement level; each row stops at the level where it
+would stop alone.  All routines return (value or values, nodes_used as
+an int) and raise ToleranceNotMetError with the achieved estimate when
+the node budget runs out; for a batch, that of its first row in input
+order that ran out.
 """
 
 import math
@@ -114,64 +118,87 @@ def gauss_legendre_adaptive(f: Callable[[np.ndarray], np.ndarray],
     return total.s, nodes
 
 
-def trapezoid_doubling(mean_of: Callable[[int], complex],
-                       spec: QuadratureSpec = DEFAULT_SPEC,
-                       n0: int = 32) -> tuple[complex, int]:
-    """Limit of mean_of(n) (the n-point uniform mean of a smooth periodic
-    integrand over its period) under doubling of n."""
-    n = n0
-    prev = mean_of(n)
-    nodes = n
-    while True:
-        n *= 2
-        cur = mean_of(n)
-        nodes += n
-        if abs(cur - prev) <= max(spec.abs_tol, spec.rel_tol * abs(cur)):
-            return cur, nodes
-        if n > TRAPEZOID_MAX_NODES:
-            raise ToleranceNotMetError(
-                abs(cur - prev),
-                max(spec.abs_tol, spec.rel_tol * abs(cur)), nodes)
-        prev = cur
+def _halving_batch(level, rows: int, spec: QuadratureSpec, cap: int
+                   ) -> tuple[np.ndarray, int]:
+    # level(k, idx) -> (values of the rows idx at refinement level k,
+    # nodes per row); a row leaves the batch at the first level whose value
+    # is within tolerance of the previous one, as it would run alone
+    values = np.empty(rows, dtype=complex)
+    idx = np.arange(rows)
+    if not rows:
+        return values, 0
+    prev, n = level(0, idx)
+    nodes, row_nodes = n * rows, n
+    k = 0
+    while idx.size:
+        k += 1
+        cur, n = level(k, idx)
+        nodes += n * idx.size
+        row_nodes += n
+        target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur))
+        err = np.abs(cur - prev)
+        done = err <= target
+        values[idx[done]] = cur[done]
+        if n > cap and not done.all():
+            first = int(np.argmin(done))  # first row, in input order
+            raise ToleranceNotMetError(float(err[first]),
+                                       float(target[first]), row_nodes)
+        idx, prev = idx[~done], cur[~done]
+    return values, nodes
+
+
+def trapezoid_doubling(mean_of: Callable[[int, np.ndarray], np.ndarray],
+                       rows: int, spec: QuadratureSpec = DEFAULT_SPEC,
+                       n0: int = 32) -> tuple[np.ndarray, int]:
+    """Limits under doubling of n of rows smooth periodic integrals.
+
+    mean_of(n, idx) returns, for each row index in idx, the n-point
+    uniform mean of that row's integrand over its period.  A row leaves
+    the batch at the first doubling that meets the tolerance, so its
+    value is the one a one-row run gives.  Returns the values and the
+    nodes summed over rows."""
+    def level(k, idx):
+        n = n0 << k
+        return mean_of(n, idx), n
+
+    return _halving_batch(level, rows, spec, TRAPEZOID_MAX_NODES)
 
 
 _ES_UMAX = 6.5  # exp((pi/2) sinh 6.5) ~ 1e225: still finite in log space
 
 
-def _exp_sinh_level(log_f, h: float) -> tuple[complex, int]:
+def _exp_sinh_level(log_f, h: float, idx: np.ndarray
+                    ) -> tuple[np.ndarray, int]:
     k = np.arange(-int(_ES_UMAX / h), int(_ES_UMAX / h) + 1)
     kh = k * h
     u = np.exp(0.5 * math.pi * np.sinh(kh))
     logw = np.log(0.5 * math.pi * h * np.cosh(kh)) + np.log(u)
-    vals = log_f(u) + logw
+    vals = log_f(u, idx) + logw
     # overflow-free: everything stays in log space until the final exp
-    re = vals.real
-    m = float(np.max(re))
-    if not math.isfinite(m):
-        finite = np.isfinite(re)
-        vals = vals[finite]
-        if vals.size == 0:
-            return 0j, len(u)
-        m = float(np.max(vals.real))
-    return complex(np.exp(m) * np.sum(np.exp(vals - m))), len(u)
+    m = np.max(vals.real, axis=1)
+    ok = np.isfinite(m)
+    out = np.zeros(len(idx), dtype=complex)
+    out[ok] = np.exp(m[ok]) * np.sum(np.exp(vals[ok] - m[ok, None]), axis=1)
+    for i in np.flatnonzero(~ok):
+        # a row with a non-finite maximum sums its finite entries only
+        row = vals[i][np.isfinite(vals[i].real)]
+        if row.size:
+            top = np.max(row.real)
+            out[i] = np.exp(top) * np.sum(np.exp(row - top))
+    return out, len(u)
 
 
-def exp_sinh_halfline(log_f: Callable[[np.ndarray], np.ndarray],
-                      spec: QuadratureSpec = DEFAULT_SPEC
-                      ) -> tuple[complex, int]:
-    """Integral over (0, inf) of exp(log_f(u)), by the double-exponential
-    rule with step halving.  log_f must be vectorized and may return -inf
-    real parts where the integrand underflows."""
-    h = 0.5
-    prev, nodes = _exp_sinh_level(log_f, h)
-    while True:
-        h *= 0.5
-        cur, n = _exp_sinh_level(log_f, h)
-        nodes += n
-        if abs(cur - prev) <= max(spec.abs_tol, spec.rel_tol * abs(cur)):
-            return cur, nodes
-        if n > EXP_SINH_MAX_LEVEL_NODES:
-            raise ToleranceNotMetError(
-                abs(cur - prev),
-                max(spec.abs_tol, spec.rel_tol * abs(cur)), nodes)
-        prev = cur
+def exp_sinh_halfline(log_f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                      rows: int, spec: QuadratureSpec = DEFAULT_SPEC
+                      ) -> tuple[np.ndarray, int]:
+    """Integrals over (0, inf) of exp(log_f(u, idx)), one per row, by the
+    double-exponential rule with step halving.
+
+    log_f(u, idx) returns the log integrand at the nodes u, one row per
+    row index in idx, and may return -inf real parts where an integrand
+    underflows.  A row leaves the batch at the first halving that meets
+    the tolerance, so its value is the one a one-row run gives.  Returns
+    the values and the nodes summed over rows."""
+    return _halving_batch(
+        lambda k, idx: _exp_sinh_level(log_f, 0.5 ** (k + 1), idx),
+        rows, spec, EXP_SINH_MAX_LEVEL_NODES)

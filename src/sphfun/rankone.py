@@ -215,23 +215,56 @@ def _hyp_parameters(space: RankOneSpace, kt: KTypeRankOne, Lam: complex):
     return l, a, b, c
 
 
-def phi_tau(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
-            t: float) -> complex:
-    """Radial K-type spherical function at exp(t H), by the
-    hypergeometric closed form.  Equals 1 at t = 0 for the trivial type
-    and vanishes to order s at t = 0 otherwise."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+def _times(t, positive: bool = False) -> tuple[list[float], bool]:
+    """t, a number or an array of them, as a list of floats, and whether
+    it was a number; each t must be >= 0 (> 0 when positive)."""
+    ts, scalar = cm.points(t)
+    for x in ts:
+        if positive and x <= 0:
+            raise ValueError("the series representation requires t > 0")
+        if x < 0:
+            raise ValueError("t must be >= 0")
+    return ts, scalar
+
+
+def _closed_form_parts(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
+                       t) -> tuple[complex, list, bool]:
+    """l = i Lam - rho; per t of t (a number or an array of them) None at
+    t = 0, else (c_{Lam,delta} tanh^s t, log cosh t, F(a, b; c;
+    tanh^2 t)); and whether t was a number.  The constant and the 2F1's
+    connection prefactors are made once for all t."""
+    ts, scalar = _times(t)
     validate_ktype(space, kt)
     l, a, b, c = _hyp_parameters(space, kt, Lam)
-    if t == 0.0:
-        return 1.0 + 0j if kt.s == 0 else 0j
-    const = c_lambda_delta(space, kt, Lam)
-    th = math.tanh(t)
-    lc = cm.log_cosh(t)
-    # z = tanh^2 t is within rounding of 1: pass log(1 - z) = -2 log cosh t
-    hyp = cm.gauss_2f1_log_complement(a, b, c, -2.0 * lc)
-    return const * th ** kt.s * cmath.exp(l * lc) * hyp
+    const = None
+    prefactors: dict = {}
+    parts = []
+    for x in ts:
+        if x == 0.0:
+            parts.append(None)
+            continue
+        if const is None:
+            const = c_lambda_delta(space, kt, Lam)
+        lc = cm.log_cosh(x)
+        # z = tanh^2 t is within rounding of 1: pass log(1 - z) = -2 log cosh t
+        hyp = cm.gauss_2f1_log_complement(a, b, c, -2.0 * lc, prefactors)
+        parts.append((const * math.tanh(x) ** kt.s, lc, hyp))
+    return l, parts, scalar
+
+
+def phi_tau(space: RankOneSpace, kt: KTypeRankOne, Lam: complex, t):
+    """Radial K-type spherical function at exp(t H), by the
+    hypergeometric closed form, at t or at each t of an array.  Equals 1
+    at t = 0 for the trivial type and vanishes to order s at t = 0
+    otherwise."""
+    l, parts, scalar = _closed_form_parts(space, kt, Lam, t)
+    values = []
+    for part in parts:
+        if part is None:
+            values.append(1.0 + 0j if kt.s == 0 else 0j)
+        else:
+            values.append(part[0] * cmath.exp(l * part[1]) * part[2])
+    return cm.shaped(values, scalar)
 
 
 @dataclass(frozen=True)
@@ -293,27 +326,47 @@ def series_tail_estimate(sc: SeriesCoefficients, t: float) -> float:
             / (1.0 - math.exp(-(t - 0.5))))
 
 
-def hc_series_eval(space: RankOneSpace, Lam: complex, t: float,
-                   N: int = DEFAULT_SERIES_N) -> complex:
+def hc_series_terms(space: RankOneSpace, Lam: complex,
+                    N: int = DEFAULT_SERIES_N) -> list:
+    """The two terms of the Weyl sum of hc_series_eval: for L = Lam, then
+    L = -Lam, the pair (series coefficients at L, c(L))."""
+    Lam = complex(Lam)
+    terms = []
+    for sign in (1.0, -1.0):
+        L = sign * Lam
+        sc = hc_series_gammas(space, L, N)
+        terms.append((sc, c_alpha(L, space.m_alpha, space.m_2alpha).value))
+    return terms
+
+
+def hc_series_sum(space: RankOneSpace, terms: list, t):
+    """The Weyl sum over the terms of hc_series_terms, at t or at each t
+    of an array (all t > 0)."""
+    ts, scalar = _times(t, positive=True)
+    series = [(np.asarray(sc.gammas), np.arange(sc.truncation + 1),
+               1j * sc.lam - space.rho, c) for sc, c in terms]
+    values = []
+    for x in ts:
+        total = 0j
+        for gammas, ns, exponent, c in series:
+            inner = complex(gammas @ np.exp(-ns * x))
+            total += c * cmath.exp(exponent * x) * inner
+        values.append(total)
+    return cm.shaped(values, scalar)
+
+
+def hc_series_eval(space: RankOneSpace, Lam: complex, t,
+                   N: int = DEFAULT_SERIES_N):
     """Zonal function via the two-term Weyl sum of the exponential series,
 
         c(Lam) e^{(i Lam - rho) t} sum_n g_n(Lam) e^{-n t}
         + (Lam -> -Lam),
 
-    valid for t > 0 away from resonances.
+    at t or at each t of an array, valid for t > 0 away from resonances.
+    The coefficients and c(+-Lam) are made once for all t.
     """
-    if t <= 0:
-        raise ValueError("the series representation requires t > 0")
-    Lam = complex(Lam)
-    total = 0j
-    for sign in (1.0, -1.0):
-        L = sign * Lam
-        sc = hc_series_gammas(space, L, N)
-        ns = np.arange(N + 1)
-        inner = complex(np.asarray(sc.gammas) @ np.exp(-ns * t))
-        total += (c_alpha(L, space.m_alpha, space.m_2alpha).value
-                  * cmath.exp((1j * L - space.rho) * t) * inner)
-    return total
+    _times(t, positive=True)  # before the coefficients are built
+    return hc_series_sum(space, hc_series_terms(space, Lam, N), t)
 
 
 def C_e(space: RankOneSpace, Lam: complex) -> complex:
@@ -330,14 +383,21 @@ def C_sigma_minus(space: RankOneSpace, kt: KTypeRankOne,
             * c_alpha(Lam, space.m_alpha, space.m_2alpha).value)
 
 
-def limit_large_t(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
-                  t: float) -> complex:
-    """(2 cosh t)^{-l} phi(t); converges as t grows to
-    ``limit_large_t_target`` provided Im(Lam) < 0 (the regime where the
-    reflected exponential series term decays)."""
-    l = 1j * complex(Lam) - space.rho
-    phi = phi_tau(space, kt, Lam, t)
-    return cmath.exp(-l * (math.log(2.0) + cm.log_cosh(t))) * phi
+def limit_large_t(space: RankOneSpace, kt: KTypeRankOne, Lam: complex, t):
+    """(2 cosh t)^{-l} phi(t), at t or at each t of an array; converges as
+    t grows to ``limit_large_t_target`` provided Im(Lam) < 0 (the regime
+    where the reflected exponential series term decays).  The cosh powers
+    cancel: it is evaluated as 2^{-l} c_{Lam,delta} tanh^s t
+    F(a, b; c; tanh^2 t), finite where each factor alone overflows."""
+    l, parts, scalar = _closed_form_parts(space, kt, Lam, t)
+    two_l = cmath.exp(-l * math.log(2.0))
+    values = []
+    for part in parts:
+        if part is None:
+            values.append(two_l * (1.0 + 0j if kt.s == 0 else 0j))
+        else:
+            values.append(two_l * (part[0] * part[2]))
+    return cm.shaped(values, scalar)
 
 
 def limit_large_t_target(space: RankOneSpace, kt: KTypeRankOne,
@@ -349,16 +409,20 @@ def limit_large_t_target(space: RankOneSpace, kt: KTypeRankOne,
 
 
 def small_t_ratio(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
-                  t: float) -> complex:
-    """phi(Lam, t) / phi(-Lam, t); tends to
+                  t):
+    """phi(Lam, t) / phi(-Lam, t), at t or at each t of an array; tends to
     c_{Lam,delta} / c_{-Lam,delta} as t -> 0+ (the tanh/cosh prefactors
     and the hypergeometric factor cancel in the limit)."""
-    num = phi_tau(space, kt, Lam, t)
-    den = phi_tau(space, kt, -complex(Lam), t)
-    if abs(den) < 1e-280:
-        raise SmallDenominatorError(
-            f"phi(-Lam, t) vanished at Lam = {Lam}, t = {t}")
-    return num / den
+    ts, scalar = _times(t)
+    nums = phi_tau(space, kt, Lam, ts)
+    dens = phi_tau(space, kt, -complex(Lam), ts)
+    ratios = []
+    for x, num, den in zip(ts, nums, dens):
+        if abs(den) < 1e-280:
+            raise SmallDenominatorError(
+                f"phi(-Lam, t) vanished at Lam = {Lam}, t = {x}")
+        ratios.append(complex(num) / complex(den))
+    return cm.shaped(ratios, scalar)
 
 
 def small_t_target(space: RankOneSpace, kt: KTypeRankOne,

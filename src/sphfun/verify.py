@@ -90,9 +90,10 @@ def suite_c_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC,
     """Product formula against the opposite-unipotent integral."""
     rows = []
     for n, sp in _spaces_for(space):
-        for lam in _lambda_samples(8):
+        lams = _lambda_samples(8)
+        quads = md.quad_c_Nbar(n, lams, spec)
+        for lam, quad in zip(lams, quads):
             closed = cfun.c_alpha(lam, sp.m_alpha, sp.m_2alpha).value
-            quad = md.quad_c_Nbar(n, lam, spec)
             rows.append(_row("c-vs-integral", f"n={n} lam={lam:.4g}",
                              OracleReport.build(closed, quad, 0), 1e-6))
     return rows
@@ -103,11 +104,12 @@ def suite_phi_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC,
                           space=None) -> list[dict]:
     """Zonal closed form against the boundary integral."""
     rows = []
+    ts = (0.0, 0.5, 1.0, 2.0, 3.0)
     for n, sp in _spaces_for(space):
         for lam in _lambda_samples(5, seed=5, im_range=(-0.6, 0.6)):
-            for t in (0.0, 0.5, 1.0, 2.0, 3.0):
-                closed = r1.phi_tau(sp, r1.TRIVIAL_KTYPE, lam, t)
-                quad = md.quad_phi_K(n, lam, t, spec)
+            closeds = r1.phi_tau(sp, r1.TRIVIAL_KTYPE, lam, ts)
+            quads = md.quad_phi_K(n, lam, ts, spec)
+            for t, closed, quad in zip(ts, closeds, quads):
                 rows.append(_abs_row(
                     "phi-vs-integral", f"n={n} lam={lam:.4g} t={t}",
                     OracleReport.build(closed, quad, 0), 1e-8))
@@ -140,14 +142,14 @@ def suite_eisenstein(spec: QuadratureSpec = DEFAULT_SPEC,
     with a t-independent constant (1/s! in this normalization)."""
     rows = []
     h2 = r1.RankOneSpace(1, 0)
+    ts = (0.5, 1.0, 2.0)
     for char_n in (2, 4):
         kt = _sl2_char_ktype(char_n, catalog)
         for lam in _lambda_samples(3, seed=31, im_range=(-0.5, 0.5)):
-            ratios = []
-            for t in (0.5, 1.0, 2.0):
-                quad = md.quad_eisenstein_sl2(char_n, lam, t, spec)
-                closed = r1.phi_tau(h2, kt, lam, t)
-                ratios.append(quad / closed)
+            quads = md.quad_eisenstein_sl2(char_n, lam, ts, spec)
+            closeds = r1.phi_tau(h2, kt, lam, ts)
+            ratios = [complex(quad) / complex(closed)
+                      for quad, closed in zip(quads, closeds)]
             expected = 1.0 / math.factorial(kt.s)
             spread = max(abs(rt - ratios[0]) for rt in ratios)
             rep = OracleReport.build(expected + 0j, ratios[0], 0)
@@ -179,8 +181,8 @@ def suite_asymptotic(space=None, ktype=None) -> list[dict]:
         for eta, t_far in ((0.3, 24.0), (0.8, 18.0)):
             lam = 0.5 - 1j * eta
             target = r1.limit_large_t_target(sp, kt, lam)
-            v_far = r1.limit_large_t(sp, kt, lam, t_far)
-            v10 = r1.limit_large_t(sp, kt, lam, 10.0)
+            v_far, v10 = map(complex,
+                             r1.limit_large_t(sp, kt, lam, (t_far, 10.0)))
             e_far = abs(v_far - target) / abs(target)
             e10 = abs(v10 - target) / abs(target)
             rep = OracleReport.build(target, v_far, 0)
@@ -200,9 +202,10 @@ def suite_csigma(spec: QuadratureSpec = DEFAULT_SPEC,
     h2 = r1.RankOneSpace(1, 0)
     for char_n in (0, 2, 4):
         kt = _sl2_char_ktype(char_n, catalog)
-        for lam in _lambda_samples(4, seed=37):
+        lams = _lambda_samples(4, seed=37)
+        quads = md.quad_Csigma_sl2(char_n, lams, spec)
+        for lam, quad in zip(lams, quads):
             closed = r1.C_sigma_minus(h2, kt, lam)
-            quad = md.quad_Csigma_sl2(char_n, lam, spec)
             rows.append(_row("csigma", f"char={char_n} lam={lam:.4g}",
                              OracleReport.build(closed, quad, 0), 1e-6))
     return rows

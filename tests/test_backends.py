@@ -65,11 +65,12 @@ class TestParity:
 
     def test_poisson_circle_sum(self):
         for _ in range(20):
-            u = RNG.uniform(0, 0.95)
+            u = RNG.uniform(0, 0.95, 7)
             mu = complex(RNG.uniform(0, 2), RNG.uniform(-1, 1))
             k = int(RNG.integers(0, 4))
             a = py_kernels.poisson_circle_sum(u, mu, k, 256)
             b = cy_kernels.poisson_circle_sum(u, mu, k, 256)
+            assert b.shape == a.shape == (7,)
             assert b == pytest.approx(a, rel=1e-13, abs=1e-15)
 
 

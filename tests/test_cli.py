@@ -155,6 +155,16 @@ class TestPhiEval:
                 if r["max_pairwise_err"] and float(r["t"]) >= 1.0]
         assert errs and max(errs) < 1e-8
 
+    def test_error_rows_stay_per_row(self):
+        # the 2F1 at Im Lam > 0 overflows at t = 600 only
+        code, out, _ = run_cli(
+            "phi-eval", "--space", "h2", "--lambda", "0.5,0.6",
+            "--t-grid", "1:600:4", "--methods", "closed,series")
+        assert code == 1
+        rows = rows_of(out)
+        assert [bool(r["error"]) for r in rows] == [False] * 3 + [True]
+        assert rows[0]["phi_series_re"] and rows[-1]["phi_closed_re"] == ""
+
     def test_single_method_no_err_column(self):
         code, out, _ = run_cli(
             "phi-eval", "--space", "h2", "--lambda", "0.7,0.2",
@@ -334,6 +344,20 @@ class TestLimits:
                                "--lambda", "0.5,-0.3", "--t", "nan")
         assert code == 1
         assert rows_of(out)[0]["error"]
+
+    def test_error_rows_stay_per_row(self):
+        # the grid is evaluated in one call; phi(-Lam, 800) underflows, so
+        # only the t = 800 row carries the small-t error, after its finite
+        # large-t values
+        code, out, _ = run_cli("limits", "--space", "hn:3", "--ktype",
+                               "s1r0", "--lambda", "0.5,-0.001",
+                               "--t-grid", "0:800:5")
+        assert code == 1
+        rows = rows_of(out)
+        assert [bool(r["error"]) for r in rows] == [False] * 4 + [True]
+        assert "phi(-Lam, t) vanished" in rows[-1]["error"]
+        assert math.isfinite(float(rows[-1]["large_t_re"]))
+        assert rows[-1]["small_t_ratio_rel_err"] == ""
 
     @pytest.mark.parametrize("command", ["limits", "phi-eval"])
     def test_large_t_is_finite(self, command):

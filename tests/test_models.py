@@ -16,6 +16,9 @@ import pytest
 from sphfun import cfun
 from sphfun import models as md
 from sphfun import rankone as r1
+from sphfun._backend import kernels
+from sphfun.quadrature import (ToleranceNotMetError, exp_sinh_halfline,
+                               trapezoid_doubling)
 
 RNG = np.random.default_rng(77)
 
@@ -280,3 +283,145 @@ class TestDeterminism:
         b = (cmath.exp(2j * theta)
              * md.entry_function_sl2(2, lam, z))
         assert a == pytest.approx(b, rel=1e-8)
+
+
+class TestBatchedRules:
+    # one batched call against one call per row: the same arithmetic, so
+    # the values agree bit for bit, and the nodes add up row by row
+    LAM = 0.7 + 0.2j
+
+    @staticmethod
+    def circle_rows(u, mu, k):
+        return lambda m, idx: kernels.poisson_circle_sum(u[idx], mu, k, m)
+
+    def test_trapezoid_rows_match_one_row_runs(self):
+        u = np.array([0.05, 0.3, 0.76, 0.9])
+        mu = 1j * self.LAM + 0.5
+        values, nodes = trapezoid_doubling(self.circle_rows(u, mu, 1), len(u))
+        singles = [trapezoid_doubling(self.circle_rows(u[i:i + 1], mu, 1), 1)
+                   for i in range(len(u))]
+        assert [complex(v) for v in values] == [complex(s[0][0])
+                                                for s in singles]
+        assert type(nodes) is int
+        assert nodes == sum(s[1] for s in singles)
+        # the rows stop at different levels
+        assert len({s[1] for s in singles}) > 1
+
+    def test_exp_sinh_rows_match_one_row_runs(self):
+        s = np.array([1.5 - 0.6j, 0.9 - 0.2j, 2.0 + 0.1j])
+
+        def log_f(u, idx):
+            # one row underflows everywhere: its integral is 0
+            out = md._log_nbar_radial(3, s, 2)(u, idx)
+            out[idx == 1] = -np.inf
+            return out
+
+        values, nodes = exp_sinh_halfline(log_f, len(s))
+        singles = [exp_sinh_halfline(
+            lambda u, idx, i=i: log_f(u, np.full(len(idx), i)), 1)
+            for i in range(len(s))]
+        assert [complex(v) for v in values] == [complex(x[0][0])
+                                                for x in singles]
+        assert values[1] == 0
+        assert type(nodes) is int
+        assert nodes == sum(x[1] for x in singles)
+
+    def test_empty_batch(self):
+        for values, nodes in (trapezoid_doubling(None, 0),
+                              exp_sinh_halfline(None, 0)):
+            assert values.shape == (0,) and nodes == 0
+        for values in (md.quad_phi_K(2, self.LAM, []),
+                       md.quad_phi_K(3, self.LAM, []),
+                       md.quad_c_Nbar(3, []), md.quad_Csigma_sl2(2, []),
+                       md.entry_function_sl2(2, self.LAM, []),
+                       md.quad_eisenstein_sl2(2, self.LAM, [])):
+            assert values.shape == (0,) and values.dtype == complex
+
+    @pytest.mark.parametrize("rule", ["trapezoid", "exp-sinh"])
+    def test_budget_error_names_first_failing_row(self, rule):
+        # rows 1 and 2 flip sign at every level and never converge; the
+        # error is row 1's, as its one-row run reports it
+        sign = {"flip": 1.0}
+
+        def rows_of(idx, scale):
+            sign["flip"] = -sign["flip"]
+            out = np.ones(len(idx), dtype=complex)
+            out[idx >= 1] = sign["flip"] * scale[idx[idx >= 1]]
+            return out
+
+        scale = np.array([1.0, 3.0, 5.0])
+        if rule == "trapezoid":
+            def run(idx_map, rows):
+                return trapezoid_doubling(
+                    lambda m, idx: rows_of(idx_map[idx], scale), rows)
+        else:
+            def run(idx_map, rows):
+                def log_f(u, idx):
+                    # the row's value times e^{-u}, of unit integral
+                    vals = np.log(rows_of(idx_map[idx], scale) + 0j)
+                    return vals[:, None] - u
+                return exp_sinh_halfline(log_f, rows)
+        with pytest.raises(ToleranceNotMetError) as batch:
+            run(np.arange(3), 3)
+        sign["flip"] = 1.0
+        with pytest.raises(ToleranceNotMetError) as single:
+            run(np.array([1]), 1)
+        assert (batch.value.achieved, batch.value.target,
+                batch.value.nodes) == (single.value.achieved,
+                                       single.value.target,
+                                       single.value.nodes)
+        assert batch.value.achieved == pytest.approx(6.0, rel=1e-12)
+
+
+class TestBatchedOracles:
+    LAMS = [1 - 0.5j, 2 - 0.3j, 0.4 - 0.21j, 0.9 - 0.7j]
+    TS = [0.0, 0.4, 1.3, 3.0]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_phi_grid(self, n):
+        lam = 0.8 - 0.3j
+        grid = md.quad_phi_K(n, lam, self.TS)
+        assert list(grid) == [md.quad_phi_K(n, lam, t) for t in self.TS]
+        assert grid[0] == 1.0
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_c_grid(self, n):
+        grid = md.quad_c_Nbar(n, self.LAMS)
+        assert list(grid) == [md.quad_c_Nbar(n, lam) for lam in self.LAMS]
+
+    def test_csigma_grid(self):
+        for char_n in (0, 4):
+            grid = md.quad_Csigma_sl2(char_n, self.LAMS)
+            assert list(grid) == [md.quad_Csigma_sl2(char_n, lam)
+                                  for lam in self.LAMS]
+
+    def test_entry_and_eisenstein_grids(self):
+        lam = 0.8 + 0.3j
+        zs = [0.3 + 0.2j, -0.45 + 0.3j, 0j, -0.6 + 0j]
+        assert list(md.entry_function_sl2(2, lam, zs)) == [
+            md.entry_function_sl2(2, lam, z) for z in zs]
+        assert list(md.quad_eisenstein_sl2(4, lam, self.TS)) == [
+            md.quad_eisenstein_sl2(4, lam, t) for t in self.TS]
+
+    def test_grid_errors(self):
+        with pytest.raises(md.DivergentIntegralError, match="got -0.5"):
+            md.quad_c_Nbar(2, [1 - 0.5j, 1 + 0.5j, 1 + 0.7j])
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            md.quad_phi_K(2, 0.5, [1.0, -1.0])
+        with pytest.raises(ValueError, match="inside the unit disk"):
+            md.entry_function_sl2(2, 0.5, [0.2, 1.0])
+
+    def test_equal_distances_are_evaluated_once(self, monkeypatch):
+        # at t1 = 0 every node of the outer rule is at distance t2
+        rows = []
+        quad_phi_K = md.quad_phi_K
+
+        def counted(n, lam, t, spec=md.DEFAULT_SPEC):
+            rows.append(np.size(t))
+            return quad_phi_K(n, lam, t, spec)
+
+        monkeypatch.setattr(md, "quad_phi_K", counted)
+        rep = md.functional_equation_check(2, 0.8 + 0.1j, 0.0, 1.0)
+        # one row for the integrand, two for phi(t1) phi(t2)
+        assert sum(rows) == 3
+        assert rep.rel_err < 1e-10

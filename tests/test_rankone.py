@@ -296,13 +296,17 @@ class TestLimits:
     @pytest.mark.parametrize("t", [400.0, 800.0])
     def test_large_t_weak_decay_matches_mpmath(self, t):
         # at Im Lam = -0.001 the (sech^2 t)^{i Lam} term of the 2F1 is of
-        # relative size e^{-t/500}: it must survive sech^2 t underflowing
+        # relative size e^{-t/500}: it must survive sech^2 t underflowing.
+        # On H3 at t = 800, (2 cosh t)^{-l} alone overflows (Re(-l) log
+        # cosh t > 709); the limit, which cancels the cosh powers, must not
         mp = pytest.importorskip("mpmath")
         lam = 0.5 - 0.001j
         for space, kt in ((H2, r1.TRIVIAL_KTYPE), (H3, H3_S1R0)):
-            phi, _ = mp_phi_and_limit(mp, space, kt, lam, t)
+            phi, limit = mp_phi_and_limit(mp, space, kt, lam, t)
             assert r1.phi_tau(space, kt, lam, t) == pytest.approx(
                 phi, rel=1e-12, abs=0)
+            assert r1.limit_large_t(space, kt, lam, t) == pytest.approx(
+                limit, rel=1e-12, abs=0)
 
     def test_small_t_ratio(self):
         kt = r1.ktype_from_rs(H2, 0, 2)
@@ -359,3 +363,48 @@ class TestCatalog:
         assert r1.sl2_ktype_for_char(4).s == 2
         with pytest.raises(ValueError):
             r1.sl2_ktype_for_char(3)
+
+
+CATALOG = r1.load_ktype_catalog()
+
+
+class TestTimeGrids:
+    # a t-array call makes the per-Lam set-up once and then the same
+    # per-t arithmetic as a scalar call, so the two agree bit for bit
+    TS = [0.0, 0.05, 0.7, 1.8, 2.5, 9.0, 30.0]
+    LAMS = [0.9 - 0.3j, 1.7 + 0.2j, 1e-4 + 1e-4j]
+
+    @pytest.mark.parametrize("rec", CATALOG, ids=lambda rec: (
+        f"{rec['name']}-{rec['space'].m_alpha},{rec['space'].m_2alpha}"))
+    def test_closed_form_and_limit(self, rec):
+        sp, kt = rec["space"], rec["ktype"]
+        for lam in self.LAMS:
+            for fn in (r1.phi_tau, r1.limit_large_t):
+                grid = fn(sp, kt, lam, self.TS)
+                assert isinstance(grid, np.ndarray)
+                assert list(grid) == [fn(sp, kt, lam, t) for t in self.TS]
+                assert isinstance(fn(sp, kt, lam, 1.0), complex)
+
+    @pytest.mark.parametrize("space", sorted(
+        {rec["space"] for rec in CATALOG},
+        key=lambda sp: (sp.m_alpha, sp.m_2alpha)),
+        ids=lambda sp: f"{sp.m_alpha},{sp.m_2alpha}")
+    def test_series(self, space):
+        ts = self.TS[1:]
+        for lam in self.LAMS[:2]:
+            grid = r1.hc_series_eval(space, lam, ts)
+            assert list(grid) == [r1.hc_series_eval(space, lam, t)
+                                  for t in ts]
+
+    def test_small_t_ratio(self):
+        kt = r1.ktype_from_rs(H2, 0, 1)
+        ts = [1e-4, 1e-3, 0.5]
+        assert list(r1.small_t_ratio(H2, kt, 0.9 - 0.2j, ts)) == [
+            r1.small_t_ratio(H2, kt, 0.9 - 0.2j, t) for t in ts]
+
+    def test_empty_and_invalid_grids(self):
+        assert r1.phi_tau(H2, r1.TRIVIAL_KTYPE, 0.5, []).shape == (0,)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            r1.phi_tau(H2, r1.TRIVIAL_KTYPE, 0.5, [1.0, -1.0])
+        with pytest.raises(ValueError, match="requires t > 0"):
+            r1.hc_series_eval(H2, 0.5, [1.0, 0.0])
