@@ -279,19 +279,21 @@ def cmd_csigma_eval(args) -> int:
     return _emit_c_values(args, evaluate)
 
 
+def _attempt(fn):
+    """fn(), or the evaluation error it raised in place of its value."""
+    try:
+        return fn()
+    except EVAL_ERRORS as exc:
+        return exc
+
+
 def _per_t(fn, ts: list[float]) -> list:
     """fn at every t of ts in one call: a value per t, or, when that call
     raises, each t on its own, with its error in place of its value."""
     try:
         return [complex(v) for v in fn(ts)]
     except EVAL_ERRORS:
-        out = []
-        for t in ts:
-            try:
-                out.append(complex(fn(t)))
-            except EVAL_ERRORS as exc:
-                out.append(exc)
-        return out
+        return [_attempt(lambda: complex(fn(t))) for t in ts]
 
 
 def _value(got):
@@ -314,6 +316,8 @@ def cmd_phi_eval(args) -> int:
         if kt.s != 0 and space.ball_n != 2:
             raise UsageError("nontrivial K-type quadrature is available "
                              "on h2 only")
+    if "series" in methods and kt.s != 0:
+        raise UsageError("--methods series needs a K-type with s = 0")
     spec = quad_spec(args)
     rows = []
     ok = True
@@ -323,24 +327,15 @@ def cmd_phi_eval(args) -> int:
             raise UsageError("t must be >= 0")
         # per method, in evaluation order: a value or an error per t
         results = {}
-        tails = [None] * len(ts)
         if "closed" in methods:
             results["closed"] = _per_t(
                 lambda x: r1.phi_tau(space.rankone, kt, lam, x), ts)
-        if "series" in methods and kt.s == 0:
-            # one set of coefficients for the values and the tail bounds
+        if "series" in methods:
             inner = [i for i, t in enumerate(ts) if t > 0]
             results["series"] = [None] * len(ts)
-            try:
-                terms = r1.hc_series_terms(space.rankone, lam, args.series_n)
-            except EVAL_ERRORS as exc:
-                got = [exc] * len(inner)
-            else:
-                got = _per_t(lambda x: r1.hc_series_sum(space.rankone,
-                                                        terms, x),
-                             [ts[i] for i in inner])
-                tails = [r1.series_tail_estimate(terms[0][0], t)
-                         for t in ts]
+            got = _per_t(lambda x: r1.hc_series_eval(space.rankone, lam, x,
+                                                     args.series_n),
+                         [ts[i] for i in inner])
             for i, value in zip(inner, got):
                 results["series"][i] = value
         if "quadrature" in methods:
@@ -359,7 +354,11 @@ def cmd_phi_eval(args) -> int:
                     if per_t[i] is not None:
                         values[name] = _value(per_t[i])
                         if name == "series":
-                            row["series_tail_estimate"] = tails[i]
+                            # the cached coefficients hc_series_eval used
+                            sc = r1.hc_series_gammas(space.rankone, lam,
+                                                     args.series_n)
+                            row["series_tail_estimate"] = \
+                                r1.series_tail_estimate(sc, t)
             except EVAL_ERRORS as exc:
                 row["error"] = str(exc)
                 ok = False
@@ -452,8 +451,11 @@ def cmd_limits(args) -> int:
     rows = []
     ok = True
     for lam in lambda_values(args):
-        target = r1.limit_large_t_target(space.rankone, kt, lam)
-        small_target = r1.small_t_target(space.rankone, kt, lam)
+        # a pole here is an error on each row of this lam
+        target = _attempt(
+            lambda: r1.limit_large_t_target(space.rankone, kt, lam))
+        small_target = _attempt(
+            lambda: r1.small_t_target(space.rankone, kt, lam))
         ts = t_values(args)
         bigs = _per_t(
             lambda x: r1.limit_large_t(space.rankone, kt, lam, x), ts)
@@ -467,11 +469,13 @@ def cmd_limits(args) -> int:
                 big = _value(bigs[i])
                 row["large_t_re"] = big.real
                 row["large_t_im"] = big.imag
-                row["large_t_rel_err"] = abs(big - target) / abs(target)
+                row["large_t_rel_err"] = (abs(big - _value(target))
+                                          / abs(target))
                 if t > 0:
                     ratio = _value(ratios[i])
                     row["small_t_ratio_rel_err"] = (
-                        abs(ratio - small_target) / abs(small_target))
+                        abs(ratio - _value(small_target))
+                        / abs(small_target))
                 row["error"] = ""
             except EVAL_ERRORS as exc:
                 row["error"] = str(exc)

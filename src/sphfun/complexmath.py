@@ -9,6 +9,7 @@ here so the compiled and pure-Python kernels stay interchangeable.
 import cmath
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +20,11 @@ SERIES_TOL = 1e-13
 SERIES_RADIUS = 0.9
 MAX_TERMS = 100_000
 DEGENERATE_EPS = 1e-9
+# Entries of each cache of a constant that depends on Lam alone (the
+# connection Gamma ratios here, c_{Lam,delta} and the series terms in
+# rankone): a caller evaluates one Lam, and -Lam, at many t; the bound
+# keeps a run over many Lam from growing
+CACHE_SIZE = 32
 
 
 class PoleError(ValueError):
@@ -143,14 +149,17 @@ def _series(a, b, c, z) -> complex:
     return val
 
 
-def _transform_near_one(a, b, c, zc, log_zc, prefactors: dict) -> complex:
-    # z -> 1-z connection formula, zc = 1-z and log zc given for accuracy;
-    # its Gamma-ratio prefactors are made once per (a, b, c) in prefactors
+@lru_cache(maxsize=CACHE_SIZE)
+def _connection_coeffs(a, b, c) -> tuple[complex, complex]:
+    """The two Gamma ratios of the z -> 1-z connection formula."""
     d = c - a - b
-    if (a, b, c) not in prefactors:
-        prefactors[a, b, c] = (_coeff((c, d), (c - a, c - b)),
-                               _coeff((c, -d), (a, b)))
-    coeff1, coeff2 = prefactors[a, b, c]
+    return _coeff((c, d), (c - a, c - b)), _coeff((c, -d), (a, b))
+
+
+def _transform_near_one(a, b, c, zc, log_zc) -> complex:
+    # z -> 1-z connection formula, zc = 1-z and log zc given for accuracy
+    d = c - a - b
+    coeff1, coeff2 = _connection_coeffs(a, b, c)
     part1 = coeff1 * _series(a, b, 1.0 - d, zc) if coeff1 != 0 else 0j
     part2 = 0j
     if coeff2 != 0:
@@ -159,10 +168,8 @@ def _transform_near_one(a, b, c, zc, log_zc, prefactors: dict) -> complex:
     return part1 + part2
 
 
-def _gauss_2f1_impl(a, b, c, z, zc, log_zc=None,
-                    prefactors: dict | None = None) -> complex:
+def _gauss_2f1_impl(a, b, c, z, zc, log_zc=None) -> complex:
     a, b, c = complex(a), complex(b), complex(c)
-    prefactors = {} if prefactors is None else prefactors
     if distance_to_nonpos_int(c) <= POLE_TOL:
         raise PoleError(c, f"2F1 parameter pole at c = {c}")
     for p, name in ((a, "a"), (b, "b")):
@@ -185,13 +192,11 @@ def _gauss_2f1_impl(a, b, c, z, zc, log_zc=None,
         d = c - a - b
         if distance_to_nonpos_int(d) > DEGENERATE_EPS * 10 and \
                 distance_to_nonpos_int(-d) > DEGENERATE_EPS * 10:
-            return _transform_near_one(a, b, c, zc, log_zc, prefactors)
+            return _transform_near_one(a, b, c, zc, log_zc)
         # near-degenerate c-a-b: perturb c symmetrically and average,
         # with a consistency check on the two evaluations
-        vp = _transform_near_one(a, b, c + DEGENERATE_EPS, zc, log_zc,
-                                 prefactors)
-        vm = _transform_near_one(a, b, c - DEGENERATE_EPS, zc, log_zc,
-                                 prefactors)
+        vp = _transform_near_one(a, b, c + DEGENERATE_EPS, zc, log_zc)
+        vm = _transform_near_one(a, b, c - DEGENERATE_EPS, zc, log_zc)
         avg = 0.5 * (vp + vm)
         if abs(vp - vm) > 1e-4 * max(abs(avg), 1e-300):
             raise HypConvergenceError(
@@ -214,26 +219,19 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
 
 
 def gauss_2f1_complement(a: complex, b: complex, c: complex,
-                         one_minus_z: complex,
-                         prefactors: dict | None = None) -> complex:
+                         one_minus_z: complex) -> complex:
     """2F1 evaluated at z = 1 - one_minus_z with the complement supplied
     directly, avoiding cancellation when z is within rounding of 1
-    (e.g. z = tanh^2 t with 1 - z = sech^2 t computed exactly).  A caller
-    evaluating one (a, b, c) at many points passes the same prefactors
-    dict to each call, so the connection formula's Gamma ratios are made
-    once."""
+    (e.g. z = tanh^2 t with 1 - z = sech^2 t computed exactly)."""
     zc = complex(one_minus_z)
-    return _gauss_2f1_impl(a, b, c, 1.0 - zc, zc, prefactors=prefactors)
+    return _gauss_2f1_impl(a, b, c, 1.0 - zc, zc)
 
 
 def gauss_2f1_log_complement(a: complex, b: complex, c: complex,
-                             log_one_minus_z: float,
-                             prefactors: dict | None = None) -> complex:
+                             log_one_minus_z: float) -> complex:
     """2F1 at z = 1 - exp(log_one_minus_z).  Below the double range the
-    complement stays a logarithm, which gives the power (1-z)^{c-a-b}.
-    prefactors as for gauss_2f1_complement."""
+    complement stays a logarithm, which gives the power (1-z)^{c-a-b}."""
     zc = math.exp(log_one_minus_z)
     if zc >= sys.float_info.min:
-        return gauss_2f1_complement(a, b, c, zc, prefactors=prefactors)
-    return _gauss_2f1_impl(a, b, c, 1.0 + 0j, complex(zc), log_one_minus_z,
-                           prefactors)
+        return gauss_2f1_complement(a, b, c, zc)
+    return _gauss_2f1_impl(a, b, c, 1.0 + 0j, complex(zc), log_one_minus_z)

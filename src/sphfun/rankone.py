@@ -28,6 +28,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -189,6 +190,7 @@ def sl2_ktype_for_char(char_n: int) -> KTypeRankOne:
     return ktype_from_rs(RankOneSpace(1, 0), 0, abs(char_n) // 2)
 
 
+@lru_cache(maxsize=cm.CACHE_SIZE)
 def c_lambda_delta(space: RankOneSpace, kt: KTypeRankOne,
                    Lam: complex) -> complex:
     """The K-type constant of the hypergeometric closed form: with
@@ -231,23 +233,19 @@ def _closed_form_parts(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
                        t) -> tuple[complex, list, bool]:
     """l = i Lam - rho; per t of t (a number or an array of them) None at
     t = 0, else (c_{Lam,delta} tanh^s t, log cosh t, F(a, b; c;
-    tanh^2 t)); and whether t was a number.  The constant and the 2F1's
-    connection prefactors are made once for all t."""
+    tanh^2 t)); and whether t was a number."""
     ts, scalar = _times(t)
     validate_ktype(space, kt)
     l, a, b, c = _hyp_parameters(space, kt, Lam)
-    const = None
-    prefactors: dict = {}
     parts = []
     for x in ts:
         if x == 0.0:
             parts.append(None)
             continue
-        if const is None:
-            const = c_lambda_delta(space, kt, Lam)
+        const = c_lambda_delta(space, kt, Lam)
         lc = cm.log_cosh(x)
         # z = tanh^2 t is within rounding of 1: pass log(1 - z) = -2 log cosh t
-        hyp = cm.gauss_2f1_log_complement(a, b, c, -2.0 * lc, prefactors)
+        hyp = cm.gauss_2f1_log_complement(a, b, c, -2.0 * lc)
         parts.append((const * math.tanh(x) ** kt.s, lc, hyp))
     return l, parts, scalar
 
@@ -273,7 +271,6 @@ class SeriesCoefficients:
     spectral parameter; gammas[0] = 1 and odd entries vanish."""
 
     gammas: tuple[complex, ...]
-    lam: complex
     truncation: int
 
     def __post_init__(self):
@@ -292,7 +289,7 @@ class SeriesCoefficients:
         return best
 
 
-def check_resonance(space: RankOneSpace, Lam: complex, N: int,
+def check_resonance(Lam: complex, N: int,
                     tol: float = RESONANCE_TOL) -> None:
     two_il = 2j * complex(Lam)
     for n in range(2, N + 1, 2):
@@ -300,6 +297,7 @@ def check_resonance(space: RankOneSpace, Lam: complex, N: int,
             raise ResonanceError(n, complex(Lam))
 
 
+@lru_cache(maxsize=cm.CACHE_SIZE)
 def hc_series_gammas(space: RankOneSpace, Lam: complex,
                      N: int = DEFAULT_SERIES_N) -> SeriesCoefficients:
     """Recursion coefficients of the exponential expansion, generated by
@@ -309,11 +307,10 @@ def hc_series_gammas(space: RankOneSpace, Lam: complex,
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    check_resonance(space, Lam, N)
+    check_resonance(Lam, N)
     g = kernels.hc_gamma_coeffs(space.m_alpha, space.m_2alpha,
                                 complex(Lam), N)
-    return SeriesCoefficients(tuple(complex(v) for v in g),
-                              complex(Lam), N)
+    return SeriesCoefficients(tuple(complex(v) for v in g), N)
 
 
 def series_tail_estimate(sc: SeriesCoefficients, t: float) -> float:
@@ -326,33 +323,13 @@ def series_tail_estimate(sc: SeriesCoefficients, t: float) -> float:
             / (1.0 - math.exp(-(t - 0.5))))
 
 
-def hc_series_terms(space: RankOneSpace, Lam: complex,
-                    N: int = DEFAULT_SERIES_N) -> list:
+@lru_cache(maxsize=cm.CACHE_SIZE)
+def _series_terms(space: RankOneSpace, Lam: complex, N: int) -> tuple:
     """The two terms of the Weyl sum of hc_series_eval: for L = Lam, then
     L = -Lam, the pair (series coefficients at L, c(L))."""
-    Lam = complex(Lam)
-    terms = []
-    for sign in (1.0, -1.0):
-        L = sign * Lam
-        sc = hc_series_gammas(space, L, N)
-        terms.append((sc, c_alpha(L, space.m_alpha, space.m_2alpha).value))
-    return terms
-
-
-def hc_series_sum(space: RankOneSpace, terms: list, t):
-    """The Weyl sum over the terms of hc_series_terms, at t or at each t
-    of an array (all t > 0)."""
-    ts, scalar = _times(t, positive=True)
-    series = [(np.asarray(sc.gammas), np.arange(sc.truncation + 1),
-               1j * sc.lam - space.rho, c) for sc, c in terms]
-    values = []
-    for x in ts:
-        total = 0j
-        for gammas, ns, exponent, c in series:
-            inner = complex(gammas @ np.exp(-ns * x))
-            total += c * cmath.exp(exponent * x) * inner
-        values.append(total)
-    return cm.shaped(values, scalar)
+    return tuple((hc_series_gammas(space, L, N),
+                  c_alpha(L, space.m_alpha, space.m_2alpha).value)
+                 for L in (complex(Lam), -complex(Lam)))
 
 
 def hc_series_eval(space: RankOneSpace, Lam: complex, t,
@@ -363,10 +340,23 @@ def hc_series_eval(space: RankOneSpace, Lam: complex, t,
         + (Lam -> -Lam),
 
     at t or at each t of an array, valid for t > 0 away from resonances.
-    The coefficients and c(+-Lam) are made once for all t.
+    The coefficients and c(+-Lam) come from a cache shared by all calls.
     """
-    _times(t, positive=True)  # before the coefficients are built
-    return hc_series_sum(space, hc_series_terms(space, Lam, N), t)
+    ts, scalar = _times(t, positive=True)
+    # the exponents take this call's Lam: a cache entry is shared by equal
+    # Lam that differ in the sign of a zero part
+    series = [(np.asarray(sc.gammas), np.arange(sc.truncation + 1),
+               1j * L - space.rho, c)
+              for L, (sc, c) in zip((complex(Lam), -complex(Lam)),
+                                    _series_terms(space, Lam, N))]
+    values = []
+    for x in ts:
+        total = 0j
+        for gammas, ns, exponent, c in series:
+            inner = complex(gammas @ np.exp(-ns * x))
+            total += c * cmath.exp(exponent * x) * inner
+        values.append(total)
+    return cm.shaped(values, scalar)
 
 
 def C_e(space: RankOneSpace, Lam: complex) -> complex:
@@ -411,7 +401,7 @@ def limit_large_t_target(space: RankOneSpace, kt: KTypeRankOne,
 def small_t_ratio(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
                   t):
     """phi(Lam, t) / phi(-Lam, t), at t or at each t of an array; tends to
-    c_{Lam,delta} / c_{-Lam,delta} as t -> 0+ (the tanh/cosh prefactors
+    c_{Lam,delta} / c_{-Lam,delta} as t -> 0+ (the tanh/cosh factors
     and the hypergeometric factor cancel in the limit)."""
     ts, scalar = _times(t)
     nums = phi_tau(space, kt, Lam, ts)

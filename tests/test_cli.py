@@ -359,6 +359,21 @@ class TestLimits:
         assert math.isfinite(float(rows[-1]["large_t_re"]))
         assert rows[-1]["small_t_ratio_rel_err"] == ""
 
+    def test_pole_of_c_is_an_error_row(self):
+        # c(Lam) has a pole at Lam = 0: each t of that Lam is an error
+        # row, and the other Lam of the grid keep their rows
+        code, out, _ = run_cli("limits", "--space", "h2", "--lambda", "0,0",
+                               "--t", "1")
+        assert code == 1
+        rows = rows_of(out)
+        assert len(rows) == 1 and "gamma pole" in rows[0]["error"]
+        code, out, _ = run_cli("limits", "--space", "h2", "--lambda-grid",
+                               "0:1:3", "--t-grid", "0:4:3")
+        assert code == 1
+        rows = rows_of(out)
+        assert [bool(r["error"]) for r in rows] == [True] * 3 + [False] * 6
+        assert all(r["large_t_rel_err"] for r in rows[3:])
+
     @pytest.mark.parametrize("command", ["limits", "phi-eval"])
     def test_large_t_is_finite(self, command):
         # cosh t is not a double at t = 800
@@ -423,6 +438,9 @@ class TestOptionSurface:
          ("--lambda-vec", "1,0;2,0")),
         (("c-eval", "--space", "a2", "--lambda-grid", "0.5:1:3"),
          ("--lambda-vec", "1,-0.5;2,-0.5")),
+        (("phi-eval", "--space", "h2", "--ktype", "s1r0", "--lambda",
+          "0.5,0", "--t-grid", "1:2:2"),
+         ("--methods", "series", "--series-n", "20")),
     ])
     def test_unread_flag_exits_2(self, argv, flag):
         assert run_cli(*argv)[0] == 0

@@ -249,6 +249,53 @@ class TestGauss2F1:
             assert abs(lhs) < 1e-10
 
 
+class TestConnectionCache:
+    # the connection formula's Gamma ratios are cached per (a, b, c)
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        cm._connection_coeffs.cache_clear()
+        yield
+        cm._connection_coeffs.cache_clear()
+
+    @staticmethod
+    def bits(values):
+        return [(v.real.hex(), v.imag.hex()) for v in values]
+
+    PLUS = (0.25 + 0j, 0.75 + 0.5j, 2.0 + 0j)
+    MINUS = (complex(0.25, -0.0), 0.75 + 0.5j, complex(2.0, -0.0))
+    ZERO = (0j, 0.5 + 0j, 1.25 + 0j)
+    NEG_ZERO = (-0j, complex(0.5, -0.0), complex(1.25, -0.0))
+
+    @pytest.mark.parametrize("first,second", [
+        (PLUS, MINUS), (MINUS, PLUS), (ZERO, NEG_ZERO), (NEG_ZERO, ZERO)])
+    def test_hit_has_the_bits_of_a_fresh_call(self, first, second):
+        assert first == second
+        cm._connection_coeffs(*first)
+        got = cm._connection_coeffs(*second)
+        assert cm._connection_coeffs.cache_info().hits == 1
+        assert self.bits(got) == self.bits(
+            cm._connection_coeffs.__wrapped__(*second))
+
+    def test_scalar_calls_share_the_ratios(self, monkeypatch):
+        calls = []
+        kernel = cm.kernels.clgamma
+        monkeypatch.setattr(cm.kernels, "clgamma",
+                            lambda z: calls.append(z) or kernel(z))
+        a, b, c = 1.1 - 0.25j, 1.6 - 0.25j, 3.0
+        cm.gauss_2f1_complement(a, b, c, 1e-3)
+        first = len(calls)
+        for zc in (1e-6, 1e-9):
+            cm.gauss_2f1_complement(a, b, c, zc)
+        assert first > 0 and len(calls) == first
+
+    def test_pole_raises_on_every_call(self):
+        # Gamma(c) in the first numerator: c = -1 is a pole
+        for _ in range(3):
+            with pytest.raises(cm.PoleError):
+                cm._connection_coeffs(0.25 + 0j, 0.5 + 0j, -1.0 + 0j)
+        assert cm._connection_coeffs.cache_info().currsize == 0
+
+
 class TestGauss2F1AtOne:
     def test_a_zero_collapses(self):
         assert cm.gauss_2f1_at_one(0, 1.7 - 0.4j, 2.2) == \

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from sphfun import cfun
+from sphfun import complexmath as cm
 from sphfun import rankone as r1
 
 H2 = r1.RankOneSpace(1, 0)
@@ -369,8 +370,8 @@ CATALOG = r1.load_ktype_catalog()
 
 
 class TestTimeGrids:
-    # a t-array call makes the per-Lam set-up once and then the same
-    # per-t arithmetic as a scalar call, so the two agree bit for bit
+    # a t-array call takes the same cached per-Lam set-up and makes the
+    # same per-t arithmetic as a scalar call, so the two agree bit for bit
     TS = [0.0, 0.05, 0.7, 1.8, 2.5, 9.0, 30.0]
     LAMS = [0.9 - 0.3j, 1.7 + 0.2j, 1e-4 + 1e-4j]
 
@@ -408,3 +409,99 @@ class TestTimeGrids:
             r1.phi_tau(H2, r1.TRIVIAL_KTYPE, 0.5, [1.0, -1.0])
         with pytest.raises(ValueError, match="requires t > 0"):
             r1.hc_series_eval(H2, 0.5, [1.0, 0.0])
+
+
+def clear_caches():
+    for fn in (r1.c_lambda_delta, r1.hc_series_gammas, r1._series_terms,
+               cm._connection_coeffs):
+        fn.cache_clear()
+
+
+def outcome(fn, *args):
+    """The bits of fn(*args), or "raised" with the class and text of what
+    it raised."""
+    def bits(v):
+        if isinstance(v, (tuple, list)):
+            return tuple(bits(x) for x in v)
+        if isinstance(v, r1.SeriesCoefficients):
+            return bits(v.gammas), v.truncation
+        return complex(v).real.hex(), complex(v).imag.hex()
+    try:
+        return bits(fn(*args))
+    except (cfun.CPoleError, r1.ResonanceError) as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+class TestPerLambdaCaches:
+    # each per-Lam constant is cached where it is defined, so scalar calls
+    # at one Lam share the set-up a grid call makes
+    TS = (0.05, 0.2, 0.5, 0.9, 1.4, 1.8, 2.5, 3.0, 5.0, 8.0, 12.0, 20.0)
+    SIGNED_ZEROS = [(0j, -0j), (0.5 + 0j, complex(0.5, -0.0)),
+                    (0.3j, complex(-0.0, 0.3)),
+                    (complex(0.0, -0.3), complex(-0.0, -0.3))]
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        clear_caches()
+        yield
+        clear_caches()
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        kernel = getattr(cm.kernels, name)
+        monkeypatch.setattr(cm.kernels, name,
+                            lambda *args: calls.append(1) or kernel(*args))
+        return calls
+
+    # 0.9 - 0.3i takes the connection formula for t > 1.82; at Lam = 0
+    # c - a - b = 0 and the degenerate branch runs
+    @pytest.mark.parametrize("lam", [0.9 - 0.3j, 0j])
+    def test_scalar_phi_calls_share_the_set_up(self, monkeypatch, lam):
+        calls = self.counted(monkeypatch, "clgamma")
+        r1.phi_tau(H3, H3_S1R0, lam, self.TS)
+        grid = len(calls)
+        clear_caches()
+        calls.clear()
+        for t in self.TS:
+            r1.phi_tau(H3, H3_S1R0, lam, t)
+        assert 0 < len(calls) <= grid
+
+    def test_scalar_series_calls_share_the_coefficients(self, monkeypatch):
+        calls = self.counted(monkeypatch, "hc_gamma_coeffs")
+        for t in self.TS[3:9]:
+            r1.hc_series_eval(H3, 0.9 - 0.3j, t)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("first,second", SIGNED_ZEROS + [
+        (b, a) for a, b in SIGNED_ZEROS])
+    def test_hit_has_the_bits_of_a_fresh_call(self, first, second):
+        # the two arguments compare equal, so the second call is a hit
+        assert first == second
+        ch2_s2r1 = r1.ktype_from_rs(CH2, 1, 2)
+        for fn, args in ((r1.c_lambda_delta, (H3, H3_S1R0)),
+                         (r1.c_lambda_delta, (CH2, ch2_s2r1)),
+                         (r1.hc_series_gammas, (H3,)),
+                         (r1._series_terms, (CH2,))):
+            extra = (40,) if fn is r1._series_terms else ()
+            outcome(fn, *args, first, *extra)
+            hits = fn.cache_info().hits
+            got = outcome(fn, *args, second, *extra)
+            if got[0] != "raised":
+                assert fn.cache_info().hits == hits + 1
+            assert got == outcome(fn.__wrapped__, *args, second, *extra)
+
+    def test_pole_raises_on_every_call(self):
+        # c_{Lam,delta} at Lam = 1.5i: (w + s + r)/2 = 0 with w = -1;
+        # c(0) has a pole; 2 i Lam = 4 is a resonant denominator
+        s1r0 = r1.ktype_from_rs(H2, 0, 1)
+        for fn, args, error in (
+                (r1.c_lambda_delta, (H2, s1r0, 1.5j), cfun.CPoleError),
+                (r1.phi_tau, (H2, s1r0, 1.5j, 1.0), cfun.CPoleError),
+                (r1.hc_series_eval, (H2, 0j, 1.0), cfun.CPoleError),
+                (r1.hc_series_gammas, (H2, -2j, 10), r1.ResonanceError)):
+            for _ in range(3):
+                with pytest.raises(error):
+                    fn(*args)
+        assert r1.c_lambda_delta.cache_info().currsize == 0
+        assert r1._series_terms.cache_info().currsize == 0
