@@ -15,7 +15,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -140,7 +142,14 @@ def spectral_param(args, datum: rd.RootDatum,
 
 
 def t_values(args) -> list[float]:
-    return [args.t] if args.t is not None else parse_grid(args.t_grid)
+    """The times of --t or --t-grid, each finite and >= 0."""
+    ts = [args.t] if args.t is not None else parse_grid(args.t_grid)
+    for t in ts:
+        if not math.isfinite(t):
+            raise UsageError(f"t must be finite, got {t}")
+        if t < 0:
+            raise UsageError("t must be >= 0")
+    return ts
 
 
 def phi_methods(args) -> list[str]:
@@ -288,8 +297,9 @@ def _attempt(fn):
 
 
 def _per_t(fn, ts: list[float]) -> list:
-    """fn at every t of ts in one call: a value per t, or, when that call
-    raises, each t on its own, with its error in place of its value."""
+    """fn at every t of ts in one call (a quadrature oracle integrates the
+    grid as one batch): a value per t, or, when that call raises, each t
+    on its own, with its error in place of its value."""
     try:
         return [complex(v) for v in fn(ts)]
     except EVAL_ERRORS:
@@ -297,7 +307,8 @@ def _per_t(fn, ts: list[float]) -> list:
 
 
 def _value(got):
-    """A value from _per_t, raising the error stored in its place."""
+    """A value from _attempt or _per_t, raising the error stored in its
+    place."""
     if isinstance(got, Exception):
         raise got
     return got
@@ -323,21 +334,16 @@ def cmd_phi_eval(args) -> int:
     ok = True
     for lam in lambda_values(args):
         ts = t_values(args)
-        if any(t < 0 for t in ts):
-            raise UsageError("t must be >= 0")
         # per method, in evaluation order: a value or an error per t
         results = {}
         if "closed" in methods:
-            results["closed"] = _per_t(
-                lambda x: r1.phi_tau(space.rankone, kt, lam, x), ts)
+            results["closed"] = [_attempt(
+                lambda: r1.phi_tau(space.rankone, kt, lam, t)) for t in ts]
         if "series" in methods:
-            inner = [i for i, t in enumerate(ts) if t > 0]
-            results["series"] = [None] * len(ts)
-            got = _per_t(lambda x: r1.hc_series_eval(space.rankone, lam, x,
-                                                     args.series_n),
-                         [ts[i] for i in inner])
-            for i, value in zip(inner, got):
-                results["series"][i] = value
+            results["series"] = [_attempt(
+                lambda: r1.hc_series_eval(space.rankone, lam, t,
+                                          args.series_n))
+                if t > 0 else None for t in ts]
         if "quadrature" in methods:
             if kt.s == 0:
                 results["quadrature"] = _per_t(
@@ -456,23 +462,16 @@ def cmd_limits(args) -> int:
             lambda: r1.limit_large_t_target(space.rankone, kt, lam))
         small_target = _attempt(
             lambda: r1.small_t_target(space.rankone, kt, lam))
-        ts = t_values(args)
-        bigs = _per_t(
-            lambda x: r1.limit_large_t(space.rankone, kt, lam, x), ts)
-        inner = [i for i, t in enumerate(ts) if t > 0]
-        ratios = dict(zip(inner, _per_t(
-            lambda x: r1.small_t_ratio(space.rankone, kt, lam, x),
-            [ts[i] for i in inner])))
-        for i, t in enumerate(ts):
+        for t in t_values(args):
             row = {"t": t, "lambda_re": lam.real, "lambda_im": lam.imag}
             try:
-                big = _value(bigs[i])
+                big = r1.limit_large_t(space.rankone, kt, lam, t)
                 row["large_t_re"] = big.real
                 row["large_t_im"] = big.imag
                 row["large_t_rel_err"] = (abs(big - _value(target))
                                           / abs(target))
                 if t > 0:
-                    ratio = _value(ratios[i])
+                    ratio = r1.small_t_ratio(space.rankone, kt, lam, t)
                     row["small_t_ratio_rel_err"] = (
                         abs(ratio - _value(small_target))
                         / abs(small_target))
@@ -602,6 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, summary, rules) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
+        # argparse reads a word that starts with "-" as an option unless it
+        # is a plain number; no option name starts with "-<digit>" or
+        # "-.<digit>", so such a word is a value: --lambda -0.5,0.2
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         for flag in rules:
             p.add_argument(flag, **OPTIONS[flag])
     return ap

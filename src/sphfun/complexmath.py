@@ -45,21 +45,6 @@ class HypConvergenceError(RuntimeError):
     """2F1 series failed to meet tolerance within the iteration cap."""
 
 
-def points(x, dtype=float) -> tuple[list, bool]:
-    """x, a number or a 1-D array (or sequence) of them, as a list of
-    dtype values, and whether it was a number."""
-    if isinstance(x, (int, float, complex)):
-        return [dtype(x)], True
-    arr = np.asarray(x, dtype=dtype)
-    return arr.reshape(-1).tolist(), arr.ndim == 0
-
-
-def shaped(values, scalar: bool):
-    """The complex values computed for points(x): a complex number when
-    x was a number, else a complex array."""
-    return complex(values[0]) if scalar else np.asarray(values, dtype=complex)
-
-
 def distance_to_nonpos_int(z: complex) -> float:
     """Distance from z to the nearest non-positive integer."""
     z = complex(z)

@@ -212,6 +212,21 @@ def geodesic_radius(t: float) -> float:
     return math.tanh(0.5 * t)
 
 
+def _points(x, dtype=float) -> tuple[list, bool]:
+    """x, a number or a 1-D array (or sequence) of them, as a list of
+    dtype values, and whether it was a number."""
+    if isinstance(x, (int, float, complex)):
+        return [dtype(x)], True
+    arr = np.asarray(x, dtype=dtype)
+    return arr.reshape(-1).tolist(), arr.ndim == 0
+
+
+def _shaped(values, scalar: bool):
+    """The complex values computed for _points(x): a complex number when
+    x was a number, else a complex array."""
+    return complex(values[0]) if scalar else np.asarray(values, dtype=complex)
+
+
 def _radii(ts: list[float]) -> np.ndarray:
     if any(t < 0 for t in ts):
         raise ValueError("t must be >= 0")
@@ -247,7 +262,7 @@ def quad_phi_K(n: int, Lam: complex, t, spec: QuadratureSpec = DEFAULT_SPEC):
     plane the whole grid is one trapezoid batch."""
     if n < 2:
         raise ValueError("need n >= 2")
-    t, scalar = cm.points(t)
+    t, scalar = _points(t)
     mu = 1j * complex(Lam) + 0.5 * (n - 1)
     u = _radii(t)
     values = np.ones(len(u), dtype=complex)
@@ -257,7 +272,7 @@ def quad_phi_K(n: int, Lam: complex, t, spec: QuadratureSpec = DEFAULT_SPEC):
     else:
         for i in inner:
             values[i] = _phi_polar(n, mu, float(u[i]), spec)[0]
-    return cm.shaped(values, scalar)
+    return _shaped(values, scalar)
 
 
 def _phi_polar(n: int, mu: complex, u: float,
@@ -318,7 +333,7 @@ def nbar_normalization(n: int, spec: QuadratureSpec) -> complex:
 def _convergent_exponents(Lam, rho: float) -> tuple[np.ndarray, bool]:
     """s = i Lam + rho per Lam, after checking absolute convergence,
     Re(i Lam) > CONVERGENCE_MARGIN, in input order."""
-    lams, scalar = cm.points(Lam, complex)
+    lams, scalar = _points(Lam, complex)
     for lam in lams:
         if (1j * lam).real <= CONVERGENCE_MARGIN:
             raise DivergentIntegralError(
@@ -339,8 +354,8 @@ def quad_c_Nbar(n: int, Lam, spec: QuadratureSpec = DEFAULT_SPEC):
         raise ValueError("need n >= 2")
     s, scalar = _convergent_exponents(Lam, 0.5 * (n - 1))
     norm = nbar_normalization(n, spec)
-    return cm.shaped([complex(x) / norm for x in _nbar_radial(n, s, spec)],
-                     scalar)
+    return _shaped([complex(x) / norm for x in _nbar_radial(n, s, spec)],
+                   scalar)
 
 
 def quad_Csigma_sl2(char_n: int, Lam, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -360,8 +375,8 @@ def quad_Csigma_sl2(char_n: int, Lam, spec: QuadratureSpec = DEFAULT_SPEC):
     s, scalar = _convergent_exponents(Lam, 0.5)
     phase = cmath.exp(0.5j * math.pi * char_n)
     norm = nbar_normalization(2, spec)
-    return cm.shaped([phase * complex(x) / norm for x in
-                      _nbar_radial(2, s, spec, extra_char=char_n)], scalar)
+    return _shaped([phase * complex(x) / norm for x in
+                    _nbar_radial(2, s, spec, extra_char=char_n)], scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -383,23 +398,22 @@ def entry_function_sl2(char_n: int, Lam: complex, z,
     if char_n % 2:
         raise ValueError("character weight must be even")
     mu = 1j * complex(Lam) + 0.5
-    z, scalar = cm.points(z, complex)
+    z, scalar = _points(z, complex)
     u = np.array([abs(x) for x in z])
     if np.any(u >= 1.0):
         raise ValueError("z must lie inside the unit disk")
     k = char_n // 2
     values = _circle_means(u, mu, k, spec)
-    return cm.shaped([cmath.exp(1j * k * cmath.phase(x)) * complex(v)
-                      for x, v in zip(z, values)], scalar)
+    return _shaped([cmath.exp(1j * k * cmath.phase(x)) * complex(v)
+                    for x, v in zip(z, values)], scalar)
 
 
 def quad_eisenstein_sl2(char_n: int, Lam: complex, t,
                         spec: QuadratureSpec = DEFAULT_SPEC):
     """Eisenstein entry along the geodesic: at the point of distance t
     (a number or an array of them)."""
-    t, scalar = cm.points(t)
-    return cm.shaped(entry_function_sl2(char_n, Lam, _radii(t), spec),
-                     scalar)
+    t, scalar = _points(t)
+    return _shaped(entry_function_sl2(char_n, Lam, _radii(t), spec), scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -217,52 +217,40 @@ def _hyp_parameters(space: RankOneSpace, kt: KTypeRankOne, Lam: complex):
     return l, a, b, c
 
 
-def _times(t, positive: bool = False) -> tuple[list[float], bool]:
-    """t, a number or an array of them, as a list of floats, and whether
-    it was a number; each t must be >= 0 (> 0 when positive)."""
-    ts, scalar = cm.points(t)
-    for x in ts:
-        if positive and x <= 0:
-            raise ValueError("the series representation requires t > 0")
-        if x < 0:
-            raise ValueError("t must be >= 0")
-    return ts, scalar
+def _closed_form(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
+                 t: float, limit: bool) -> complex:
+    """phi(t) = c_{Lam,delta} tanh^s t cosh^l t F(a, b; c; tanh^2 t), or,
+    with limit, (2 cosh t)^{-l} phi(t), in which the cosh powers cancel.
 
-
-def _closed_form_parts(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
-                       t) -> tuple[complex, list, bool]:
-    """l = i Lam - rho; per t of t (a number or an array of them) None at
-    t = 0, else (c_{Lam,delta} tanh^s t, log cosh t, F(a, b; c;
-    tanh^2 t)); and whether t was a number."""
-    ts, scalar = _times(t)
+    For Im Lam > 0 that 2F1 grows like cosh^{2 Im Lam} t while cosh^l t
+    decays, and at large t each alone over- or underflows.  There Euler's
+    transformation F(a, b; c; z) = (1 - z)^{i Lam} F(c - a, c - b; c; z)
+    (c - a - b = i Lam, 1 - z = sech^2 t) moves the growth into the cosh
+    power, -i Lam - rho for phi, and leaves a bounded 2F1.
+    """
+    if not t >= 0:
+        raise ValueError("t must be >= 0")
     validate_ktype(space, kt)
     l, a, b, c = _hyp_parameters(space, kt, Lam)
-    parts = []
-    for x in ts:
-        if x == 0.0:
-            parts.append(None)
-            continue
-        const = c_lambda_delta(space, kt, Lam)
-        lc = cm.log_cosh(x)
+    value = 1.0 + 0j if kt.s == 0 else 0j
+    if t > 0:
+        power = 0 if limit else l
+        if complex(Lam).imag > 0:
+            a, b, power = c - a, c - b, power - 2j * complex(Lam)
+        const = c_lambda_delta(space, kt, Lam) * math.tanh(t) ** kt.s
+        lc = cm.log_cosh(t)
         # z = tanh^2 t is within rounding of 1: pass log(1 - z) = -2 log cosh t
         hyp = cm.gauss_2f1_log_complement(a, b, c, -2.0 * lc)
-        parts.append((const * math.tanh(x) ** kt.s, lc, hyp))
-    return l, parts, scalar
+        value = const * cmath.exp(power * lc) * hyp if power else const * hyp
+    return cmath.exp(-l * math.log(2.0)) * value if limit else value
 
 
-def phi_tau(space: RankOneSpace, kt: KTypeRankOne, Lam: complex, t):
+def phi_tau(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
+            t: float) -> complex:
     """Radial K-type spherical function at exp(t H), by the
-    hypergeometric closed form, at t or at each t of an array.  Equals 1
-    at t = 0 for the trivial type and vanishes to order s at t = 0
-    otherwise."""
-    l, parts, scalar = _closed_form_parts(space, kt, Lam, t)
-    values = []
-    for part in parts:
-        if part is None:
-            values.append(1.0 + 0j if kt.s == 0 else 0j)
-        else:
-            values.append(part[0] * cmath.exp(l * part[1]) * part[2])
-    return cm.shaped(values, scalar)
+    hypergeometric closed form.  Equals 1 at t = 0 for the trivial type
+    and vanishes to order s at t = 0 otherwise."""
+    return _closed_form(space, kt, Lam, t, limit=False)
 
 
 @dataclass(frozen=True)
@@ -326,37 +314,39 @@ def series_tail_estimate(sc: SeriesCoefficients, t: float) -> float:
 @lru_cache(maxsize=cm.CACHE_SIZE)
 def _series_terms(space: RankOneSpace, Lam: complex, N: int) -> tuple:
     """The two terms of the Weyl sum of hc_series_eval: for L = Lam, then
-    L = -Lam, the pair (series coefficients at L, c(L))."""
-    return tuple((hc_series_gammas(space, L, N),
-                  c_alpha(L, space.m_alpha, space.m_2alpha).value)
-                 for L in (complex(Lam), -complex(Lam)))
+    L = -Lam, (g_0..g_N at L, 0..N, c(L)), the arrays read-only since
+    every caller shares them."""
+    ns = np.arange(N + 1)
+    ns.flags.writeable = False
+    terms = []
+    for L in (complex(Lam), -complex(Lam)):
+        gammas = np.array(hc_series_gammas(space, L, N).gammas)
+        gammas.flags.writeable = False
+        terms.append((gammas, ns,
+                      c_alpha(L, space.m_alpha, space.m_2alpha).value))
+    return tuple(terms)
 
 
-def hc_series_eval(space: RankOneSpace, Lam: complex, t,
-                   N: int = DEFAULT_SERIES_N):
+def hc_series_eval(space: RankOneSpace, Lam: complex, t: float,
+                   N: int = DEFAULT_SERIES_N) -> complex:
     """Zonal function via the two-term Weyl sum of the exponential series,
 
         c(Lam) e^{(i Lam - rho) t} sum_n g_n(Lam) e^{-n t}
         + (Lam -> -Lam),
 
-    at t or at each t of an array, valid for t > 0 away from resonances.
-    The coefficients and c(+-Lam) come from a cache shared by all calls.
+    valid for t > 0 away from resonances.  The coefficients and c(+-Lam)
+    come from a cache shared by all calls.
     """
-    ts, scalar = _times(t, positive=True)
+    if not t > 0:
+        raise ValueError("the series representation requires t > 0")
+    total = 0j
     # the exponents take this call's Lam: a cache entry is shared by equal
     # Lam that differ in the sign of a zero part
-    series = [(np.asarray(sc.gammas), np.arange(sc.truncation + 1),
-               1j * L - space.rho, c)
-              for L, (sc, c) in zip((complex(Lam), -complex(Lam)),
-                                    _series_terms(space, Lam, N))]
-    values = []
-    for x in ts:
-        total = 0j
-        for gammas, ns, exponent, c in series:
-            inner = complex(gammas @ np.exp(-ns * x))
-            total += c * cmath.exp(exponent * x) * inner
-        values.append(total)
-    return cm.shaped(values, scalar)
+    for L, (gammas, ns, c) in zip((complex(Lam), -complex(Lam)),
+                                  _series_terms(space, Lam, N)):
+        inner = complex(gammas @ np.exp(-ns * t))
+        total += c * cmath.exp((1j * L - space.rho) * t) * inner
+    return total
 
 
 def C_e(space: RankOneSpace, Lam: complex) -> complex:
@@ -373,21 +363,14 @@ def C_sigma_minus(space: RankOneSpace, kt: KTypeRankOne,
             * c_alpha(Lam, space.m_alpha, space.m_2alpha).value)
 
 
-def limit_large_t(space: RankOneSpace, kt: KTypeRankOne, Lam: complex, t):
-    """(2 cosh t)^{-l} phi(t), at t or at each t of an array; converges as
-    t grows to ``limit_large_t_target`` provided Im(Lam) < 0 (the regime
-    where the reflected exponential series term decays).  The cosh powers
-    cancel: it is evaluated as 2^{-l} c_{Lam,delta} tanh^s t
-    F(a, b; c; tanh^2 t), finite where each factor alone overflows."""
-    l, parts, scalar = _closed_form_parts(space, kt, Lam, t)
-    two_l = cmath.exp(-l * math.log(2.0))
-    values = []
-    for part in parts:
-        if part is None:
-            values.append(two_l * (1.0 + 0j if kt.s == 0 else 0j))
-        else:
-            values.append(two_l * (part[0] * part[2]))
-    return cm.shaped(values, scalar)
+def limit_large_t(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
+                  t: float) -> complex:
+    """(2 cosh t)^{-l} phi(t); converges as t grows to
+    ``limit_large_t_target`` provided Im(Lam) < 0 (the regime where the
+    reflected exponential series term decays).  The cosh powers cancel:
+    it is evaluated as 2^{-l} c_{Lam,delta} tanh^s t F(a, b; c; tanh^2 t),
+    finite where each factor alone overflows."""
+    return _closed_form(space, kt, Lam, t, limit=True)
 
 
 def limit_large_t_target(space: RankOneSpace, kt: KTypeRankOne,
@@ -399,20 +382,16 @@ def limit_large_t_target(space: RankOneSpace, kt: KTypeRankOne,
 
 
 def small_t_ratio(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
-                  t):
-    """phi(Lam, t) / phi(-Lam, t), at t or at each t of an array; tends to
-    c_{Lam,delta} / c_{-Lam,delta} as t -> 0+ (the tanh/cosh factors
-    and the hypergeometric factor cancel in the limit)."""
-    ts, scalar = _times(t)
-    nums = phi_tau(space, kt, Lam, ts)
-    dens = phi_tau(space, kt, -complex(Lam), ts)
-    ratios = []
-    for x, num, den in zip(ts, nums, dens):
-        if abs(den) < 1e-280:
-            raise SmallDenominatorError(
-                f"phi(-Lam, t) vanished at Lam = {Lam}, t = {x}")
-        ratios.append(complex(num) / complex(den))
-    return cm.shaped(ratios, scalar)
+                  t: float) -> complex:
+    """phi(Lam, t) / phi(-Lam, t); tends to c_{Lam,delta} / c_{-Lam,delta}
+    as t -> 0+ (the tanh/cosh factors and the hypergeometric factor
+    cancel in the limit)."""
+    num = phi_tau(space, kt, Lam, t)
+    den = phi_tau(space, kt, -complex(Lam), t)
+    if abs(den) < 1e-280:
+        raise SmallDenominatorError(
+            f"phi(-Lam, t) vanished at Lam = {Lam}, t = {t}")
+    return num / den
 
 
 def small_t_target(space: RankOneSpace, kt: KTypeRankOne,

@@ -107,7 +107,7 @@ def suite_phi_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC,
     ts = (0.0, 0.5, 1.0, 2.0, 3.0)
     for n, sp in _spaces_for(space):
         for lam in _lambda_samples(5, seed=5, im_range=(-0.6, 0.6)):
-            closeds = r1.phi_tau(sp, r1.TRIVIAL_KTYPE, lam, ts)
+            closeds = [r1.phi_tau(sp, r1.TRIVIAL_KTYPE, lam, t) for t in ts]
             quads = md.quad_phi_K(n, lam, ts, spec)
             for t, closed, quad in zip(ts, closeds, quads):
                 rows.append(_abs_row(
@@ -147,9 +147,8 @@ def suite_eisenstein(spec: QuadratureSpec = DEFAULT_SPEC,
         kt = _sl2_char_ktype(char_n, catalog)
         for lam in _lambda_samples(3, seed=31, im_range=(-0.5, 0.5)):
             quads = md.quad_eisenstein_sl2(char_n, lam, ts, spec)
-            closeds = r1.phi_tau(h2, kt, lam, ts)
-            ratios = [complex(quad) / complex(closed)
-                      for quad, closed in zip(quads, closeds)]
+            ratios = [complex(quad) / r1.phi_tau(h2, kt, lam, t)
+                      for t, quad in zip(ts, quads)]
             expected = 1.0 / math.factorial(kt.s)
             spread = max(abs(rt - ratios[0]) for rt in ratios)
             rep = OracleReport.build(expected + 0j, ratios[0], 0)
@@ -181,8 +180,8 @@ def suite_asymptotic(space=None, ktype=None) -> list[dict]:
         for eta, t_far in ((0.3, 24.0), (0.8, 18.0)):
             lam = 0.5 - 1j * eta
             target = r1.limit_large_t_target(sp, kt, lam)
-            v_far, v10 = map(complex,
-                             r1.limit_large_t(sp, kt, lam, (t_far, 10.0)))
+            v_far, v10 = (r1.limit_large_t(sp, kt, lam, t)
+                          for t in (t_far, 10.0))
             e_far = abs(v_far - target) / abs(target)
             e10 = abs(v10 - target) / abs(target)
             rep = OracleReport.build(target, v_far, 0)

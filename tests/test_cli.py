@@ -156,10 +156,11 @@ class TestPhiEval:
         assert errs and max(errs) < 1e-8
 
     def test_error_rows_stay_per_row(self):
-        # the 2F1 at Im Lam > 0 overflows at t = 600 only
+        # at Im Lam = 0.6 > rho phi grows like e^{0.1 t}: it leaves the
+        # double range at t = 7200 only
         code, out, _ = run_cli(
             "phi-eval", "--space", "h2", "--lambda", "0.5,0.6",
-            "--t-grid", "1:600:4", "--methods", "closed,series")
+            "--t-grid", "1:7200:4", "--methods", "closed,series")
         assert code == 1
         rows = rows_of(out)
         assert [bool(r["error"]) for r in rows] == [False] * 3 + [True]
@@ -340,8 +341,10 @@ class TestLimits:
             float(rows[0]["large_t_rel_err"])
 
     def test_error_row_exits_1(self):
+        # at Im Lam > 0 the limit grows like cosh^{2 Im Lam} t: past the
+        # double range at t = 600
         code, out, _ = run_cli("limits", "--space", "h2",
-                               "--lambda", "0.5,-0.3", "--t", "nan")
+                               "--lambda", "0.5,0.6", "--t", "600")
         assert code == 1
         assert rows_of(out)[0]["error"]
 
@@ -385,6 +388,21 @@ class TestLimits:
         values = [float(v) for k, v in row.items()
                   if k.endswith(("_re", "_im", "_err"))]
         assert values and all(math.isfinite(v) for v in values)
+
+    @pytest.mark.parametrize("argv", [
+        ("phi-eval", "--t", "nan"),
+        ("phi-eval", "--t", "inf"),
+        ("phi-eval", "--t", "nan", "--methods", "quadrature"),
+        ("phi-eval", "--t-grid", "0:1e309:3"),
+        ("limits", "--t", "inf"),
+        ("limits", "--t", "nan"),
+        ("limits", "--t-grid", "0:inf:3"),
+    ])
+    def test_non_finite_t_exits_2(self, argv):
+        code, out, err = run_cli(argv[0], "--space", "h2", "--lambda",
+                                 "0.5,-0.3", *argv[1:])
+        assert code == 2 and out == ""
+        assert "t must be finite" in err
 
 
 class TestOptionSurface:
@@ -456,6 +474,25 @@ class TestOptionSurface:
     ])
     def test_flags_some_suite_reads_are_accepted(self, argv):
         assert run_cli(*argv)[0] == 0
+
+    # argparse takes "-0.5,0.2" for an option name unless it is told
+    # otherwise; each space-separated value reads as its "=" form
+    @pytest.mark.parametrize("argv,flag,value", [
+        (("c-eval", "--space", "h2"), "--lambda", "-0.5,0.2"),
+        (("c-eval", "--space", "h2"), "--lambda-grid", "-1:1:3"),
+        (("c-eval", "--space", "h2", "--im", "-0.3"), "--lambda-grid",
+         "-.5:1:3"),
+        (("c-eval", "--space", "a2", "--lambda", "1,0"), "--lambda-vec",
+         "-1,0;0.5,-0.3"),
+        (("limits", "--space", "h2", "--t", "1"), "--lambda", "-0.5,-0.3"),
+        (("phi-eval", "--space", "h2", "--lambda", "0.5,0.2"), "--t-grid",
+         "-1:1:3"),
+    ])
+    def test_negative_value_reads_as_its_equals_form(self, argv, flag,
+                                                     value):
+        got = run_cli(*argv, flag, value)
+        assert got == run_cli(*argv, f"{flag}={value}")
+        assert "expected one argument" not in got[2]
 
     def test_tolerance_flags_are_read(self):
         argv = ("phi-eval", "--space", "h2", "--lambda", "0.7,0.2",

@@ -29,20 +29,26 @@ def exact_h3_zonal(lam: complex, t: float) -> complex:
     return cmath.sin(lam * t) / (lam * math.sinh(t))
 
 
-H3_S1R0 = r1.catalog_lookup(r1.load_ktype_catalog(), "s1r0", H3)
+CATALOG = r1.load_ktype_catalog()
+H3_S1R0 = r1.catalog_lookup(CATALOG, "s1r0", H3)
 
 
 def mp_phi_and_limit(mp, space, kt, lam, t):
-    """phi_tau and limit_large_t by the closed form in mpmath, with 40
-    digits beyond the e^{-2t} lost in forming tanh^2 t (m_2alpha = 0)."""
-    with mp.workdps(40 + int(2 * t / math.log(10))):
-        rho = mp.mpf(space.m_alpha) / 2
+    """phi_tau and limit_large_t by the closed form in mpmath at 40
+    digits; the factors of t take 40 digits beyond the e^{-2t} lost in
+    forming tanh^2 t."""
+    m2 = space.m_2alpha
+    with mp.workdps(40):
+        rho = mp.mpf(space.m_alpha) / 2 + m2
         w = 1j * mp.mpc(lam) + rho
         l = w - 2 * rho
         const = (mp.gamma((w + kt.s + kt.r) / 2) / mp.gamma(w / 2)
-                 * mp.gamma((w + 1 + kt.s - kt.r) / 2) / mp.gamma((w + 1) / 2))
-        hyp = mp.hyp2f1((kt.s + kt.r - l) / 2, (kt.s - kt.r - l + 1) / 2,
-                        kt.s + mp.mpf(space.m_alpha + 1) / 2, mp.tanh(t) ** 2)
+                 * mp.gamma((w + 1 - m2 + kt.s - kt.r) / 2)
+                 / mp.gamma((w + 1 - m2) / 2))
+    with mp.workdps(40 + int(2 * t / math.log(10))):
+        hyp = mp.hyp2f1((kt.s + kt.r - l) / 2, (kt.s - kt.r - l + 1 - m2) / 2,
+                        kt.s + mp.mpf(space.m_alpha + m2 + 1) / 2,
+                        mp.tanh(t) ** 2)
         phi = const * mp.tanh(t) ** kt.s * mp.cosh(t) ** l * hyp
         return complex(phi), complex((2 * mp.cosh(t)) ** -l * phi)
 
@@ -135,6 +141,47 @@ class TestPhiTau:
             a = r1.phi_tau(H2, r1.TRIVIAL_KTYPE, 1.1 - 0.7j, t)
             b = r1.phi_tau(H2, r1.TRIVIAL_KTYPE, -1.1 + 0.7j, t)
             assert a == pytest.approx(b, rel=1e-11)
+
+    def test_phi_matches_mpmath(self):
+        # every catalog K-type, |Lam| in [1e-3, 3] with |Im Lam| < 0.95 rho
+        # (both signs), t in [0.05, 800]; the examples are Im Lam > 0
+        # points where the 2F1 alone overflows (t = 600) or cosh^l t alone
+        # underflows (t = 800).  phi is within 1e-12 relative, or, where
+        # its two exponential terms nearly cancel (real Lam, as in the
+        # third example), it is the exact value at a t within 1e-15
+        # relative: the phase Lam log cosh t is formed in doubles
+        mp = pytest.importorskip("mpmath")
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        by_name = {(rec["name"], rec["space"]): rec for rec in CATALOG}
+
+        @st.composite
+        def points(draw):
+            rec = draw(st.sampled_from(CATALOG))
+            bound = 0.95 * rec["space"].rho
+            lam = complex(draw(st.floats(-3.0, 3.0)),
+                          draw(st.floats(-bound, bound, exclude_min=True,
+                                         exclude_max=True)))
+            hyp.assume(1e-3 <= abs(lam) <= 3.0)
+            return rec, lam, draw(st.floats(0.05, 800.0))
+
+        @hyp.settings(derandomize=True, deadline=None, database=None,
+                      max_examples=30)
+        @hyp.given(points())
+        @hyp.example((by_name["trivial", H2], 0.5 + 0.6j, 600.0))
+        @hyp.example((by_name["s1r0", H3], 0.5 + 0.3j, 800.0))
+        @hyp.example((by_name["s2r0", H2], 3 + 0j, 414.25))
+        def check(point):
+            rec, lam, t = point
+            sp, kt = rec["space"], rec["ktype"]
+            want = mp_phi_and_limit(mp, sp, kt, lam, t)[0]
+            hyp.assume(abs(want) >= 1e-300)
+            err = abs(r1.phi_tau(sp, kt, lam, t) - want)
+            assert err <= 1e-12 * abs(want) or err <= max(
+                abs(mp_phi_and_limit(mp, sp, kt, lam, mp.mpf(t) * f)[0]
+                    - want) for f in (1 - mp.mpf(1e-15), 1 + mp.mpf(1e-15)))
+
+        check()
 
 
 class TestSeries:
@@ -366,12 +413,11 @@ class TestCatalog:
             r1.sl2_ktype_for_char(3)
 
 
-CATALOG = r1.load_ktype_catalog()
-
-
 class TestTimeGrids:
-    # a t-array call takes the same cached per-Lam set-up and makes the
-    # same per-t arithmetic as a scalar call, so the two agree bit for bit
+    # the evaluators take one t: at each t of a grid (t = 0 and both 2F1
+    # branches included) a call returns one complex, and the limit is
+    # (2 cosh t)^{-l} phi(t) whichever side of Euler's transformation
+    # (Im Lam > 0) the closed form takes
     TS = [0.0, 0.05, 0.7, 1.8, 2.5, 9.0, 30.0]
     LAMS = [0.9 - 0.3j, 1.7 + 0.2j, 1e-4 + 1e-4j]
 
@@ -380,35 +426,42 @@ class TestTimeGrids:
     def test_closed_form_and_limit(self, rec):
         sp, kt = rec["space"], rec["ktype"]
         for lam in self.LAMS:
-            for fn in (r1.phi_tau, r1.limit_large_t):
-                grid = fn(sp, kt, lam, self.TS)
-                assert isinstance(grid, np.ndarray)
-                assert list(grid) == [fn(sp, kt, lam, t) for t in self.TS]
-                assert isinstance(fn(sp, kt, lam, 1.0), complex)
+            l = 1j * lam - sp.rho
+            for t in self.TS:
+                phi = r1.phi_tau(sp, kt, lam, t)
+                limit = r1.limit_large_t(sp, kt, lam, t)
+                assert type(phi) is complex and type(limit) is complex
+                scale = cmath.exp(-l * (math.log(2.0) + cm.log_cosh(t)))
+                assert limit == pytest.approx(scale * phi, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("space", sorted(
         {rec["space"] for rec in CATALOG},
         key=lambda sp: (sp.m_alpha, sp.m_2alpha)),
         ids=lambda sp: f"{sp.m_alpha},{sp.m_2alpha}")
     def test_series(self, space):
-        ts = self.TS[1:]
+        # the 40-term series is accurate to 1e-8 from t = 1 on
         for lam in self.LAMS[:2]:
-            grid = r1.hc_series_eval(space, lam, ts)
-            assert list(grid) == [r1.hc_series_eval(space, lam, t)
-                                  for t in ts]
+            for t in self.TS[3:]:
+                got = r1.hc_series_eval(space, lam, t)
+                assert type(got) is complex
+                assert got == pytest.approx(
+                    r1.phi_tau(space, r1.TRIVIAL_KTYPE, lam, t), rel=1e-8)
 
     def test_small_t_ratio(self):
         kt = r1.ktype_from_rs(H2, 0, 1)
-        ts = [1e-4, 1e-3, 0.5]
-        assert list(r1.small_t_ratio(H2, kt, 0.9 - 0.2j, ts)) == [
-            r1.small_t_ratio(H2, kt, 0.9 - 0.2j, t) for t in ts]
+        lam = 0.9 - 0.2j
+        for t in (1e-4, 1e-3, 0.5):
+            assert r1.small_t_ratio(H2, kt, lam, t) == (
+                r1.phi_tau(H2, kt, lam, t) / r1.phi_tau(H2, kt, -lam, t))
 
     def test_empty_and_invalid_grids(self):
-        assert r1.phi_tau(H2, r1.TRIVIAL_KTYPE, 0.5, []).shape == (0,)
-        with pytest.raises(ValueError, match="t must be >= 0"):
-            r1.phi_tau(H2, r1.TRIVIAL_KTYPE, 0.5, [1.0, -1.0])
-        with pytest.raises(ValueError, match="requires t > 0"):
-            r1.hc_series_eval(H2, 0.5, [1.0, 0.0])
+        for fn in (r1.phi_tau, r1.limit_large_t, r1.small_t_ratio):
+            for t in (-1.0, math.nan):
+                with pytest.raises(ValueError, match="t must be >= 0"):
+                    fn(H2, r1.TRIVIAL_KTYPE, 0.5, t)
+        for t in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="requires t > 0"):
+                r1.hc_series_eval(H2, 0.5, t)
 
 
 def clear_caches():
@@ -421,7 +474,7 @@ def outcome(fn, *args):
     """The bits of fn(*args), or "raised" with the class and text of what
     it raised."""
     def bits(v):
-        if isinstance(v, (tuple, list)):
+        if isinstance(v, (tuple, list, np.ndarray)):
             return tuple(bits(x) for x in v)
         if isinstance(v, r1.SeriesCoefficients):
             return bits(v.gammas), v.truncation
@@ -434,7 +487,7 @@ def outcome(fn, *args):
 
 class TestPerLambdaCaches:
     # each per-Lam constant is cached where it is defined, so scalar calls
-    # at one Lam share the set-up a grid call makes
+    # at one Lam share the set-up
     TS = (0.05, 0.2, 0.5, 0.9, 1.4, 1.8, 2.5, 3.0, 5.0, 8.0, 12.0, 20.0)
     SIGNED_ZEROS = [(0j, -0j), (0.5 + 0j, complex(0.5, -0.0)),
                     (0.3j, complex(-0.0, 0.3)),
@@ -458,14 +511,16 @@ class TestPerLambdaCaches:
     # c - a - b = 0 and the degenerate branch runs
     @pytest.mark.parametrize("lam", [0.9 - 0.3j, 0j])
     def test_scalar_phi_calls_share_the_set_up(self, monkeypatch, lam):
+        # 12 calls need no more set-up than one call on each 2F1 branch
         calls = self.counted(monkeypatch, "clgamma")
-        r1.phi_tau(H3, H3_S1R0, lam, self.TS)
-        grid = len(calls)
+        for t in (self.TS[0], self.TS[-1]):
+            r1.phi_tau(H3, H3_S1R0, lam, t)
+        one_per_branch = len(calls)
         clear_caches()
         calls.clear()
         for t in self.TS:
             r1.phi_tau(H3, H3_S1R0, lam, t)
-        assert 0 < len(calls) <= grid
+        assert 0 < len(calls) <= one_per_branch
 
     def test_scalar_series_calls_share_the_coefficients(self, monkeypatch):
         calls = self.counted(monkeypatch, "hc_gamma_coeffs")
