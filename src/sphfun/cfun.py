@@ -142,8 +142,8 @@ def is_simple(datum: RootDatum, lam: SpectralParam,
     """False exactly when some denominator Gamma argument lies within tol
     of a non-positive integer (the reciprocal of the denominator product
     vanishes there, which characterizes the non-simple parameters)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     for i in range(datum.n_positive):
         m, m2 = datum.mult_of(i)
         w = 1j * restrict(datum, lam, i)

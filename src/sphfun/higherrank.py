@@ -175,6 +175,9 @@ def table_from_dict(doc: dict) -> FactorKTypeTable:
     ell = 0
     for rec in doc["entries"]:
         j, i = int(rec["j"]), int(rec["i"])
+        if not 1 <= j <= len(word) or i < 1 or (j, i) in entries:
+            raise ValueError(f"table entry (j={j}, i={i}) is listed twice "
+                             f"or outside j = 1..{len(word)}, i >= 1")
         ell = max(ell, i)
         space = RankOneSpace(int(rec["m_alpha"]), int(rec.get("m_2alpha", 0)))
         kt = KTypeRankOne(float(rec["d_alpha"]),

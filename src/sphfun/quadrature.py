@@ -37,8 +37,9 @@ class QuadratureSpec:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and > 0, got "
+                             f"abs_tol={self.abs_tol} rel_tol={self.rel_tol}")
 
 
 DEFAULT_SPEC = QuadratureSpec()

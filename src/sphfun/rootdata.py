@@ -344,19 +344,24 @@ def datum_by_name(name: str, *args) -> RootDatum:
 
 def datum_from_dict(doc: dict) -> RootDatum:
     """Build a datum from the JSON document layout: rank, simple_roots,
-    positive_indivisible_roots, multiplicities (root_index 0-based)."""
+    positive_indivisible_roots, multiplicities (root_index 0-based, each
+    listed at most once; an unlisted root has multiplicity (1, 0))."""
     try:
         rank = int(doc["rank"])
         simple = tuple(tuple(float(x) for x in r) for r in doc["simple_roots"])
         pos = tuple(tuple(float(x) for x in r)
                     for r in doc["positive_indivisible_roots"])
-        mult = [(1, 0)] * len(pos)
+        mult = {}
         for ent in doc["multiplicities"]:
-            mult[int(ent["root_index"])] = (
-                int(ent["m_alpha"]), int(ent.get("m_2alpha", 0)))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+            i = int(ent["root_index"])
+            if not 0 <= i < len(pos) or i in mult:
+                raise RootDatumError(f"root_index {i} is listed twice or "
+                                     f"outside 0..{len(pos) - 1}")
+            mult[i] = (int(ent["m_alpha"]), int(ent.get("m_2alpha", 0)))
+    except (KeyError, TypeError, ValueError) as exc:
         raise RootDatumError(f"malformed root-datum document: {exc}") from exc
-    return RootDatum(rank, simple, pos, tuple(mult))
+    return RootDatum(rank, simple, pos,
+                     tuple(mult.get(i, (1, 0)) for i in range(len(pos))))
 
 
 def datum_from_json(path) -> RootDatum:

@@ -4,9 +4,10 @@ integral oracle, at fixed tolerances.
 Each suite returns a list of row dicts with a shared column layout, and
 the CLI `verify` command renders them and sets the exit status.  A
 suite's signature lists the keywords of `run_suites` it reads (spec,
-space, ktype, catalog), and it is passed only those.  Default parameter
-sets are small enough to run in seconds; the full acceptance battery
-lives in the test suite.
+space, ktype, catalog), and it is passed only those.  Most suites call
+a check function (check_*) on fixed samples small enough to run in
+seconds; the acceptance battery in the tests runs the same checks on
+its own samples.
 """
 
 import inspect
@@ -25,6 +26,7 @@ SUITE_OPTIONS = {}
 # suites that read only the multiplicities of a --space selector, so they
 # also run on rank-one spaces that are not real hyperbolic spaces
 RANK_ONE_SUITES = frozenset({"asymptotic", "hs-norm"})
+H2 = r1.RankOneSpace(1, 0)
 
 
 def _register(name):
@@ -51,12 +53,6 @@ def _row(suite: str, case: str, report: OracleReport, tol: float) -> dict:
     }
 
 
-def _abs_row(suite, case, report, tol):
-    row = _row(suite, case, report, tol)
-    row["passed"] = report.abs_err <= tol
-    return row
-
-
 def _lambda_samples(count: int, seed: int = 11,
                     im_range=(-1.2, -0.2)) -> list[complex]:
     rng = np.random.default_rng(seed)
@@ -67,7 +63,7 @@ def _lambda_samples(count: int, seed: int = 11,
 
 def _spaces_for(selector) -> list[tuple[int, r1.RankOneSpace]]:
     if selector is None:
-        return [(2, r1.RankOneSpace(1, 0)), (3, r1.RankOneSpace(2, 0)),
+        return [(2, H2), (3, r1.RankOneSpace(2, 0)),
                 (4, r1.RankOneSpace(3, 0))]
     n, space = selector
     return [(n, space)]
@@ -81,16 +77,14 @@ def _sl2_char_ktype(char_n: int, catalog) -> r1.KTypeRankOne:
         return r1.sl2_ktype_for_char(char_n)
     records = r1.load_ktype_catalog(catalog)
     name = "trivial" if char_n == 0 else f"s{char_n // 2}r0"
-    return r1.catalog_lookup(records, name, r1.RankOneSpace(1, 0))
+    return r1.catalog_lookup(records, name, H2)
 
 
-@_register("c-vs-integral")
-def suite_c_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC,
-                        space=None) -> list[dict]:
-    """Product formula against the opposite-unipotent integral."""
+def check_c_vs_integral(spaces, lams, spec=DEFAULT_SPEC) -> list[dict]:
+    """Product formula against the opposite-unipotent integral, on each
+    (n, space) of spaces at each Lam of lams."""
     rows = []
-    for n, sp in _spaces_for(space):
-        lams = _lambda_samples(8)
+    for n, sp in spaces:
         quads = md.quad_c_Nbar(n, lams, spec)
         for lam, quad in zip(lams, quads):
             closed = cfun.c_alpha(lam, sp.m_alpha, sp.m_2alpha).value
@@ -99,40 +93,61 @@ def suite_c_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC,
     return rows
 
 
+@_register("c-vs-integral")
+def suite_c_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC,
+                        space=None) -> list[dict]:
+    return check_c_vs_integral(_spaces_for(space), _lambda_samples(8), spec)
+
+
+def check_phi_vs_integral(spaces, lams, spec=DEFAULT_SPEC) -> list[dict]:
+    """Zonal closed form against the boundary integral, on each (n, space)
+    of spaces at each Lam of lams and t = 0, 0.5, 1, 2, 3."""
+    rows = []
+    ts = (0.0, 0.5, 1.0, 2.0, 3.0)
+    for n, sp in spaces:
+        for lam in lams:
+            quads = md.quad_phi_K(n, lam, ts, spec)
+            for t, quad in zip(ts, quads):
+                closed = r1.phi_tau(sp, r1.TRIVIAL_KTYPE, lam, t)
+                row = _row("phi-vs-integral", f"n={n} lam={lam:.4g} t={t}",
+                           OracleReport.build(closed, quad, 0), 1e-8)
+                row["passed"] = row["abs_err"] <= 1e-8
+                rows.append(row)
+    return rows
+
+
 @_register("phi-vs-integral")
 def suite_phi_vs_integral(spec: QuadratureSpec = DEFAULT_SPEC,
                           space=None) -> list[dict]:
-    """Zonal closed form against the boundary integral."""
+    lams = _lambda_samples(5, seed=5, im_range=(-0.6, 0.6))
+    return check_phi_vs_integral(_spaces_for(space), lams, spec)
+
+
+def check_functional_equation(n, lams, entry_lams,
+                              spec=DEFAULT_SPEC) -> list[dict]:
+    """Zonal functional equation on the n-ball at each Lam of lams, then
+    the character-entry variant on H2 at each Lam of entry_lams."""
     rows = []
-    ts = (0.0, 0.5, 1.0, 2.0, 3.0)
-    for n, sp in _spaces_for(space):
-        for lam in _lambda_samples(5, seed=5, im_range=(-0.6, 0.6)):
-            closeds = [r1.phi_tau(sp, r1.TRIVIAL_KTYPE, lam, t) for t in ts]
-            quads = md.quad_phi_K(n, lam, ts, spec)
-            for t, closed, quad in zip(ts, closeds, quads):
-                rows.append(_abs_row(
-                    "phi-vs-integral", f"n={n} lam={lam:.4g} t={t}",
-                    OracleReport.build(closed, quad, 0), 1e-8))
+    for lam in lams:
+        for (t1, t2) in ((0.0, 1.0), (1.0, 1.0), (0.5, 2.0)):
+            rep = md.functional_equation_check(n, lam, t1, t2, spec)
+            rows.append(_row("functional-equation",
+                             f"n={n} lam={lam:.4g} t=({t1},{t2})", rep, 1e-6))
+    for lam in entry_lams:
+        rep = md.functional_equation_entry_sl2(2, lam, 1.0, 1.0, spec)
+        rows.append(_row("functional-equation",
+                         f"entry char=2 lam={lam:.4g}", rep, 1e-6))
     return rows
 
 
 @_register("functional-equation")
 def suite_functional_equation(spec: QuadratureSpec = DEFAULT_SPEC,
                               space=None) -> list[dict]:
-    """Zonal functional equation plus the character-entry variant."""
-    rows = []
     n = space[0] if space else 2
-    for lam in _lambda_samples(3, seed=23, im_range=(-0.4, 0.4)):
-        for (t1, t2) in ((0.0, 1.0), (1.0, 1.0), (0.5, 2.0)):
-            rep = md.functional_equation_check(n, lam, t1, t2, spec)
-            rows.append(_row("functional-equation",
-                             f"n={n} lam={lam:.4g} t=({t1},{t2})", rep, 1e-6))
-    if n == 2:
-        for lam in _lambda_samples(2, seed=29, im_range=(-0.4, 0.4)):
-            rep = md.functional_equation_entry_sl2(2, lam, 1.0, 1.0, spec)
-            rows.append(_row("functional-equation",
-                             f"entry char=2 lam={lam:.4g}", rep, 1e-6))
-    return rows
+    entry_lams = _lambda_samples(2, seed=29, im_range=(-0.4, 0.4))
+    return check_functional_equation(
+        n, _lambda_samples(3, seed=23, im_range=(-0.4, 0.4)),
+        entry_lams if n == 2 else [], spec)
 
 
 @_register("eisenstein")
@@ -141,13 +156,12 @@ def suite_eisenstein(spec: QuadratureSpec = DEFAULT_SPEC,
     """Eisenstein-entry quadrature is proportional to the closed form
     with a t-independent constant (1/s! in this normalization)."""
     rows = []
-    h2 = r1.RankOneSpace(1, 0)
     ts = (0.5, 1.0, 2.0)
     for char_n in (2, 4):
         kt = _sl2_char_ktype(char_n, catalog)
         for lam in _lambda_samples(3, seed=31, im_range=(-0.5, 0.5)):
             quads = md.quad_eisenstein_sl2(char_n, lam, ts, spec)
-            ratios = [complex(quad) / r1.phi_tau(h2, kt, lam, t)
+            ratios = [complex(quad) / r1.phi_tau(H2, kt, lam, t)
                       for t, quad in zip(ts, quads)]
             expected = 1.0 / math.factorial(kt.s)
             spread = max(abs(rt - ratios[0]) for rt in ratios)
@@ -168,9 +182,8 @@ def suite_asymptotic(space=None, ktype=None) -> list[dict]:
     the far time that rate allows: t = 24 at margin 0.3, t = 18 at 0.8."""
     rows = []
     if space is None:
-        h2 = r1.RankOneSpace(1, 0)
         sp3 = r1.RankOneSpace(2, 0)
-        cases = [(h2, r1.ktype_from_rs(h2, 0, 2)),
+        cases = [(H2, r1.ktype_from_rs(H2, 0, 2)),
                  (sp3, r1.ktype_from_rs(sp3, 0, 1))]
     else:
         sp = space[1]
@@ -193,29 +206,38 @@ def suite_asymptotic(space=None, ktype=None) -> list[dict]:
     return rows
 
 
-@_register("csigma")
-def suite_csigma(spec: QuadratureSpec = DEFAULT_SPEC,
-                 catalog=None) -> list[dict]:
-    """Scalar second coefficient against its unipotent integral."""
+def check_csigma(lams, spec=DEFAULT_SPEC, catalog=None) -> list[dict]:
+    """Scalar second coefficient against its unipotent integral, for the
+    circle characters 0, 2, 4 at each Lam of lams."""
     rows = []
-    h2 = r1.RankOneSpace(1, 0)
     for char_n in (0, 2, 4):
         kt = _sl2_char_ktype(char_n, catalog)
-        lams = _lambda_samples(4, seed=37)
         quads = md.quad_Csigma_sl2(char_n, lams, spec)
         for lam, quad in zip(lams, quads):
-            closed = r1.C_sigma_minus(h2, kt, lam)
+            closed = r1.C_sigma_minus(H2, kt, lam)
             rows.append(_row("csigma", f"char={char_n} lam={lam:.4g}",
                              OracleReport.build(closed, quad, 0), 1e-6))
     return rows
 
 
-@_register("cocycle")
-def suite_cocycle() -> list[dict]:
-    """Partial c multiplicativity over length-additive pairs."""
+@_register("csigma")
+def suite_csigma(spec: QuadratureSpec = DEFAULT_SPEC,
+                 catalog=None) -> list[dict]:
+    return check_csigma(_lambda_samples(4, seed=37), spec, catalog)
+
+
+def _weyl_lambda(rng) -> rd.SpectralParam:
+    """A rank-two Lam with Re in [0.2, 2) and -Im in [0.1, 1)."""
+    return rd.SpectralParam.of(rng.uniform(0.2, 2.0, 2)
+                               - 1j * rng.uniform(0.1, 1.0, 2))
+
+
+def check_cocycle(samples) -> list[dict]:
+    """Per (name, datum, pair_lams, longest_lams) of samples: one row for
+    partial c multiplicativity over length-additive pairs at pair_lams,
+    then one per Lam of longest_lams for c_sigma(w0) against c_full."""
     rows = []
-    rng = np.random.default_rng(41)
-    for name, datum in (("a2", rd.datum_a2()), ("b2", rd.datum_b2())):
+    for name, datum, pair_lams, longest_lams in samples:
         elements = rd.enumerate_weyl(datum)
         pairs = []
         for u in elements:
@@ -224,10 +246,7 @@ def suite_cocycle() -> list[dict]:
                 if len(u.word) and len(v.word) and rd.is_reduced(datum, uv):
                     pairs.append((u, v, uv))
         worst = 0.0
-        for _ in range(10):
-            lam = rd.SpectralParam.of(
-                rng.uniform(0.2, 2.0, datum.rank)
-                - 1j * rng.uniform(0.1, 1.0, datum.rank))
+        for lam in pair_lams:
             for u, v, uv in pairs:
                 lhs = cfun.c_sigma(datum, uv, lam).value
                 rhs = (cfun.c_sigma(datum, u,
@@ -238,67 +257,77 @@ def suite_cocycle() -> list[dict]:
         row = _row("cocycle", f"{name} pairs={len(pairs)}", rep, 1e-10)
         row["passed"] = worst <= 1e-10
         rows.append(row)
-        # longest element reproduces the full product
-        lam = rd.SpectralParam.of(
-            rng.uniform(0.2, 2.0, datum.rank)
-            - 1j * rng.uniform(0.1, 1.0, datum.rank))
         w0 = rd.longest_element(datum)
-        rep = OracleReport.build(cfun.c_full(datum, lam).value,
-                                 cfun.c_sigma(datum, w0, lam).value, 0)
-        rows.append(_row("cocycle", f"{name} longest=full", rep, 1e-13))
+        for lam in longest_lams:
+            rep = OracleReport.build(cfun.c_full(datum, lam).value,
+                                     cfun.c_sigma(datum, w0, lam).value, 0)
+            rows.append(_row("cocycle", f"{name} longest=full", rep, 1e-13))
     return rows
 
 
-@_register("det-a")
-def suite_det_a() -> list[dict]:
-    """Determinant formula: rank-one reduction and the two-path check."""
+@_register("cocycle")
+def suite_cocycle() -> list[dict]:
+    rng = np.random.default_rng(41)
+    return check_cocycle([
+        (name, datum, [_weyl_lambda(rng) for _ in range(10)],
+         [_weyl_lambda(rng)])
+        for name, datum in (("a2", rd.datum_a2()), ("b2", rd.datum_b2()))])
+
+
+def check_det_a(rank_one_lams, a2_lams, a2_table) -> list[dict]:
+    """Determinant formula: the rank-one reduction to C_sigma at each Lam
+    of rank_one_lams (case "rank-one ..."), then the two-path check of
+    a2_table over the longest A2 element at each Lam of a2_lams."""
     rows = []
-    rng = np.random.default_rng(43)
-    h2 = r1.RankOneSpace(1, 0)
     h2_datum = rd.datum_a1(1, 0)
-    kt = r1.ktype_from_rs(h2, 0, 2)
+    kt = r1.ktype_from_rs(H2, 0, 2)
     table1 = hr.FactorKTypeTable((1,), 1, {(1, 1): kt})
-    for _ in range(5):
-        lam = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
+    for lam in rank_one_lams:
         det = hr.det_A(h2_datum, rd.WeylElement.of(1),
                        rd.SpectralParam.of([lam]), table1)
-        rep = OracleReport.build(r1.C_sigma_minus(h2, kt, lam), det, 0)
+        rep = OracleReport.build(r1.C_sigma_minus(H2, kt, lam), det, 0)
         rows.append(_row("det-a", f"rank-one lam={lam:.4g}", rep, 1e-12))
     a2 = rd.datum_a2()
     w0 = rd.longest_element(a2)
-    kts = [r1.ktype_from_rs(h2, 0, s) for s in (1, 2, 3)]
-    table = hr.FactorKTypeTable((1, 2, 1), 2, {
-        (1, 1): kts[0], (1, 2): kts[1], (2, 1): kts[1], (2, 2): kts[2],
-        (3, 1): kts[0], (3, 2): kts[2]})
-    for _ in range(5):
-        lam = rd.SpectralParam.of(
-            rng.uniform(0.2, 2.0, 2) - 1j * rng.uniform(0.1, 1.0, 2))
-        d1 = hr.det_A(a2, w0, lam, table)
-        d2 = hr.det_A_by_factors(a2, w0, lam, table)
+    for lam in a2_lams:
+        d1 = hr.det_A(a2, w0, lam, a2_table)
+        d2 = hr.det_A_by_factors(a2, w0, lam, a2_table)
         rows.append(_row("det-a", "a2 two-path",
                          OracleReport.build(d1, d2, 0), 1e-10))
     return rows
 
 
+@_register("det-a")
+def suite_det_a() -> list[dict]:
+    rng = np.random.default_rng(43)
+    rank_one_lams = [complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
+                     for _ in range(5)]
+    a2_lams = [_weyl_lambda(rng) for _ in range(5)]
+    kts = [r1.ktype_from_rs(H2, 0, s) for s in (1, 2, 3)]
+    table = hr.FactorKTypeTable((1, 2, 1), 2, {
+        (1, 1): kts[0], (1, 2): kts[1], (2, 1): kts[1], (2, 2): kts[2],
+        (3, 1): kts[0], (3, 2): kts[2]})
+    return check_det_a(rank_one_lams, a2_lams, table)
+
+
+def check_hs_norm(samples) -> list[dict]:
+    """Hilbert-Schmidt norm identity at each (space, s, Lam) of samples,
+    Lam real, for the K-type (r, s) = (0, s)."""
+    rows = []
+    for sp, s, lam in samples:
+        rep = hr.hs_norm_check(sp, r1.ktype_from_rs(sp, 0, s), lam)
+        rows.append(_row(
+            "hs-norm", f"m=({sp.m_alpha},{sp.m_2alpha}) s={s} lam={lam:.3f}",
+            rep, 1e-8))
+    return rows
+
+
 @_register("hs-norm")
 def suite_hs_norm(space=None) -> list[dict]:
-    """Hilbert-Schmidt norm identity at real spectral parameters."""
-    rows = []
     rng = np.random.default_rng(47)
-    spaces = [r1.RankOneSpace(1, 0), r1.RankOneSpace(4, 0)]
-    if space is not None:
-        spaces = [space[1]]
-    for sp in spaces:
-        for s in (1, 2):
-            kt = r1.ktype_from_rs(sp, 0, s)
-            for _ in range(5):
-                lam = float(rng.uniform(0.3, 3.0))
-                rep = hr.hs_norm_check(sp, kt, lam)
-                rows.append(_row(
-                    "hs-norm",
-                    f"m=({sp.m_alpha},{sp.m_2alpha}) s={s} lam={lam:.3f}",
-                    rep, 1e-8))
-    return rows
+    spaces = [space[1]] if space else [H2, r1.RankOneSpace(4, 0)]
+    return check_hs_norm([(sp, s, float(rng.uniform(0.3, 3.0)))
+                          for sp in spaces for s in (1, 2) for _ in range(5)])
 
 
 # suites that read a --ktype; the others run fixed K-type tables

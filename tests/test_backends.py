@@ -80,9 +80,15 @@ class TestSelection:
         assert backend_name() in ("cython", "python")
 
     def test_python_backend_forced(self, monkeypatch):
-        # re-import the selector with the override set
+        # re-import the selector with the override set, in a child that
+        # imports the same sphfun as this process
+        import os
         import subprocess
         import sys
+        import sphfun
+        src = os.path.dirname(os.path.dirname(sphfun.__file__))
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import os; os.environ['SPHFUN_BACKEND']='python'; "
                 "import sphfun; print(sphfun.backend_name())")
         out = subprocess.run([sys.executable, "-c", code],

@@ -188,5 +188,6 @@ class TestIsSimple:
 
     def test_tol_validation(self):
         d = rd.datum_a1(1, 0)
-        with pytest.raises(ValueError):
-            cfun.is_simple(d, rd.SpectralParam.of([1.0]), tol=0.0)
+        for tol in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cfun.is_simple(d, rd.SpectralParam.of([1.0]), tol=tol)

@@ -128,6 +128,16 @@ class TestCEval:
         assert code == 2 and out == ""
         assert "roots must be nonzero" in err
 
+    def test_bad_root_index_exits_2(self, tmp_path):
+        path = tmp_path / "a2_index.json"
+        doc = rd.datum_to_dict(rd.datum_a2())
+        doc["multiplicities"] = [{"root_index": -1, "m_alpha": 2}]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli("c-eval", "--space", str(path),
+                                 "--lambda", "0.9,-0.5")
+        assert code == 2 and out == ""
+        assert "root_index -1" in err
+
     @pytest.mark.parametrize("argv", [
         ("c-eval", "--space", "a2"),
         ("csigma-eval", "--space", "a2", "--word", "1"),
@@ -504,6 +514,24 @@ class TestOptionSurface:
         assert code == 0
         assert (rows_of(loose)[0]["phi_quadrature_re"]
                 != rows_of(default)[0]["phi_quadrature_re"])
+
+    # NaN fails every comparison, so only "0 < tol < inf" rejects it
+    @pytest.mark.parametrize("argv", [
+        ("simple-check", "--space", "h2", "--lambda", "0,1.5", "--tol",
+         "nan"),
+        ("simple-check", "--space", "h2", "--lambda", "0,1.5", "--tol",
+         "inf"),
+        ("verify", "--suite", "c-vs-integral", "--abs-tol", "nan"),
+        ("verify", "--suite", "phi-vs-integral", "--space", "hn:3",
+         "--rel-tol", "nan"),
+        ("verify", "--suite", "csigma", "--rel-tol", "inf"),
+        ("phi-eval", "--space", "h2", "--lambda", "1,0", "--t", "1",
+         "--methods", "quadrature", "--abs-tol", "nan"),
+    ])
+    def test_non_finite_tolerance_exits_2(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert "must be finite and > 0" in err
 
 
 class TestOutput:

@@ -1,6 +1,7 @@
 """Higher-rank composite tests: parameter chain, determinant formula,
 cocycle law and the Hilbert-Schmidt identity."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,8 @@ class TestTableIO:
         assert table.entry(2, 2).s == 3
 
     def test_bad_entry_rejected(self):
+        # (r, s) off the quadratics, then indices outside the word or
+        # below 1, and a (j, i) listed twice on the A2 fixture
         with pytest.raises(ValueError):
             hr.table_from_dict({
                 "word": [1],
@@ -200,3 +203,9 @@ class TestTableIO:
                              "d_alpha": -4.0, "d_2alpha": 0.0,
                              "r": 0, "s": 1}],
             })
+        doc = json.loads((DATA / "a2_table.json").read_text())
+        for j, i in ((4, 1), (1, 0), (3, 2)):
+            extra = dict(doc["entries"][1], j=j, i=i)  # s = 2
+            bad = dict(doc, entries=doc["entries"] + [extra])
+            with pytest.raises(ValueError, match="listed twice or outside"):
+                hr.table_from_dict(bad)

@@ -17,8 +17,8 @@ from sphfun import cfun
 from sphfun import models as md
 from sphfun import rankone as r1
 from sphfun._backend import kernels
-from sphfun.quadrature import (ToleranceNotMetError, exp_sinh_halfline,
-                               trapezoid_doubling)
+from sphfun.quadrature import (QuadratureSpec, ToleranceNotMetError,
+                               exp_sinh_halfline, trapezoid_doubling)
 
 RNG = np.random.default_rng(77)
 
@@ -283,6 +283,14 @@ class TestDeterminism:
         b = (cmath.exp(2j * theta)
              * md.entry_function_sl2(2, lam, z))
         assert a == pytest.approx(b, rel=1e-8)
+
+
+class TestQuadratureSpec:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+    def test_non_finite_tolerance_rejected(self, field, tol):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            QuadratureSpec(**{field: tol})
 
 
 class TestBatchedRules:

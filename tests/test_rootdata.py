@@ -238,3 +238,10 @@ class TestValidationAndIO:
     def test_malformed_document(self):
         with pytest.raises(rd.RootDatumError):
             rd.datum_from_dict({"rank": 2})
+        # a negative index would set the last root's multiplicity, and a
+        # repeated one would override the earlier entry
+        for index in (-1, 3, 1):
+            doc = rd.datum_to_dict(rd.datum_a2())
+            doc["multiplicities"][2]["root_index"] = index
+            with pytest.raises(rd.RootDatumError, match="root_index"):
+                rd.datum_from_dict(doc)
