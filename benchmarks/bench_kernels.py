@@ -1,11 +1,15 @@
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the compiled kernels against the pure-Python fallback, and
+time each branch of the Gauss 2F1.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeat 5] [--scale 1.0]
 
 Times each kernel on a representative workload and prints a table with
 the speedup of the compiled extension.  Falls back to reporting only the
-Python numbers when the extension is not built.
+Python numbers when the extension is not built.  A second table times
+``complexmath.gauss_2f1`` on each of its branches, on the active kernel
+backend: microseconds per call with its per-(a, b, c) constants cached
+(warm) and computed afresh (cold), and the series terms per call.
 """
 
 import argparse
@@ -13,7 +17,7 @@ import time
 
 import numpy as np
 
-from sphfun import _kernels_py
+from sphfun import _kernels_py, complexmath as cm
 
 try:
     from sphfun import _kernels as _kernels_cy
@@ -71,6 +75,66 @@ def workloads(scale):
          for n in (32, 64, 128, 256, 512)]
 
 
+# (branch, a, b, c - a - b, z); the first four are series and connection
+# formula with c - a - b far from an integer
+A, B = 0.3 + 0.2j, 0.9 - 0.4j
+GAUSS_CASES = [
+    ("power series, |z| = 0.5", A, B, 1.3j, 0.5),
+    ("power series, |z| = 0.69", A, B, 1.3j, 0.69),
+    ("connection, 1 - z = 0.2", A, B, 1.3j, 0.8),
+    ("connection, 1 - z = 1e-3", A, B, 1.3j, 0.999),
+    ("log case d = 0", A, B, 0.0, 0.8),
+    ("log case d = 1e-6", A, B, 1e-6, 0.8),
+    ("log case d = 0.1", A, B, 0.1, 0.8),
+    ("log case d = -1 + 1e-6", A, B, -1.0 + 1e-6, 0.8),
+    ("terminating, a = -3", -3.0, B, 1.3j, 0.8),
+]
+
+
+def counted_terms(args):
+    """Series terms of one gauss_2f1 call: the kernel's and those of the
+    connection formula's sum."""
+    terms = []
+    kernel, conn = cm.kernels.hyp2f1_series, cm._connection_sum
+
+    def count(fn):
+        def wrapped(*a):
+            value = fn(*a)
+            terms.append(max(value[1], 0))
+            return value
+        return wrapped
+    cm.kernels.hyp2f1_series = count(kernel)
+    cm._connection_sum = count(conn)
+    try:
+        cm._connection_coeffs.cache_clear()
+        cm.gauss_2f1(*args)
+    finally:
+        cm.kernels.hyp2f1_series, cm._connection_sum = kernel, conn
+    return sum(terms)
+
+
+def gauss_table(repeat, scale):
+    calls = max(1, int(200 * scale))
+    print(f"\ngauss_2f1 by branch ({cm.kernels.BACKEND_NAME} kernels)")
+    print(f"{'branch':<28}{'us warm':>9}{'us cold':>9}{'terms':>7}")
+    for name, a, b, d, z in GAUSS_CASES:
+        args = (a, b, a + b + d, z)
+
+        def warm():
+            for _ in range(calls):
+                cm.gauss_2f1(*args)
+
+        def cold():
+            for _ in range(calls):
+                cm._connection_coeffs.cache_clear()
+                cm.gauss_2f1(*args)
+        cm.gauss_2f1(*args)
+        t_warm = timed(warm, repeat) / calls * 1e6
+        t_cold = timed(cold, repeat) / calls * 1e6
+        print(f"{name:<28}{t_warm:>9.1f}{t_cold:>9.1f}"
+              f"{counted_terms(args):>7}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
@@ -89,6 +153,7 @@ def main():
             print(f"{name:<24}{t_py:>12.4f}{'n/a':>12}{'':>9}")
     if _kernels_cy is None:
         print("\ncompiled extension not built; only the fallback was timed")
+    gauss_table(args.repeat, args.scale)
 
 
 if __name__ == "__main__":

@@ -81,25 +81,35 @@ def hyp2f1_series(a: complex, b: complex, c: complex, z: complex,
                   tol: float, max_terms: int) -> tuple[complex, int]:
     """Raw Gauss series sum_{n} (a)_n (b)_n / ((c)_n n!) z^n.
 
-    Returns (value, terms_used); terms_used == -1 signals that the
-    tolerance was not met within max_terms.
+    Stops at a zero term, where the series terminates, or on the tail
+    bound |term| q / (1 - q) <= tol |sum|, q = max(|r_n|, |z|) < 1, once
+    n >= max(|a|, |b|, |c|) is past the hump of the term ratio
+    r_n = (a+n)(b+n) z / ((c+n)(n+1)), which from there on moves
+    monotonically towards |z|.  Returns (value, terms_used);
+    terms_used == -1 signals that the tolerance was not met within
+    max_terms.
     """
     a = complex(a)
     b = complex(b)
     c = complex(c)
     z = complex(z)
+    az = abs(z)
+    hump = max(abs(a), abs(b), abs(c))
     term = 1.0 + 0j
     total = 1.0 + 0j
-    small_streak = 0
     for n in range(max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        term *= ratio
         total += term
-        if abs(term) <= tol * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 2:
+        if term == 0:
+            return total, n + 1
+        if n >= hump:
+            q = abs(ratio)
+            if q < az:
+                q = az
+            if q < 1.0 and abs(term) * q <= \
+                    tol * (1.0 - q) * max(abs(total), 1e-300):
                 return total, n + 1
-        else:
-            small_streak = 0
     return total, -1
 
 

@@ -16,12 +16,15 @@ import numpy as np
 from ._backend import kernels
 
 POLE_TOL = 1e-12
-SERIES_TOL = 1e-13
-SERIES_RADIUS = 0.9
+SERIES_TOL = 1e-14
+# The power series serves |z| <= SERIES_RADIUS, the connection formula
+# |1 - z| <= 0.5 beyond it; away from z = 1 the series runs on up to
+# |z| <= SERIES_LIMIT
+SERIES_RADIUS = 0.7
+SERIES_LIMIT = 0.9
 MAX_TERMS = 100_000
-DEGENERATE_EPS = 1e-9
 # Entries of each cache of a constant that depends on Lam alone (the
-# connection Gamma ratios here, c_{Lam,delta} and the series terms in
+# connection-formula constants here, c_{Lam,delta} and the series terms in
 # rankone): a caller evaluates one Lam, and -Lam, at many t; the bound
 # keeps a run over many Lam from growing
 CACHE_SIZE = 32
@@ -134,70 +137,204 @@ def _series(a, b, c, z) -> complex:
     return val
 
 
+def _log1p_quotient(u) -> complex:
+    """log(1 + u) / u, 1 at u = 0, accurate for small complex u."""
+    if u == 0:
+        return 1.0
+    if abs(u) < 0.5:
+        return 2.0 * cmath.atanh(u / (2.0 + u)) / u
+    return cmath.log(1.0 + u) / u
+
+
+def _expm1_quotient(v) -> complex:
+    """expm1(v) / v, 1 at v = 0, accurate for small complex v."""
+    if v == 0:
+        return 1.0
+    half = math.sin(0.5 * v.imag)
+    return complex(math.expm1(v.real) * math.cos(v.imag) - 2.0 * half * half,
+                   math.exp(v.real) * math.sin(v.imag)) / v
+
+
+# B_2j / (2j (2j - 1)), the coefficients of x^{1-2j} in Stirling's series
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+             -691 / 360360, 1 / 156)
+
+
+def _log_gamma_step(x: complex, eps: complex) -> complex:
+    """(log Gamma(x + eps) - log Gamma(x)) / eps, psi(x) at eps = 0,
+    accurate relative to eps, up to a multiple of 2 pi i / eps: the
+    recurrence up to |x| >= 12, then the difference of Stirling's series.
+    Each difference is formed without cancellation: the recurrence's
+    product P = prod_j (1 + eps/(x+j)) as e = (P - 1)/eps, and
+    (x+eps)^{-p} - x^{-p} as -eps y y' sum_{i<p} y'^i y^{p-1-i} with
+    y = 1/x, y' = 1/(x+eps)."""
+    e = 0j
+    while abs(x) < 12.0 or x.real < 0.0:
+        e += (1.0 + eps * e) / x
+        x += 1.0
+    y, yp = 1.0 / x, 1.0 / (x + eps)
+    y2, yp2 = y * y, yp * yp
+    stirling, s, yp_pow = 0j, 1.0, yp
+    for coeff in _STIRLING:
+        stirling += coeff * s
+        s = y2 * s + yp_pow * (y + yp)
+        yp_pow *= yp2
+    return ((x - 0.5) * y * _log1p_quotient(eps * y) + cmath.log(x + eps)
+            - 1.0 - y * yp * stirling - e * _log1p_quotient(eps * e))
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def _connection_coeffs(a, b, c) -> tuple[complex, complex]:
-    """The two Gamma ratios of the z -> 1-z connection formula."""
+def _connection_coeffs(a, b, c):
+    """Constants (m, eps, finite, w0, h0, R0) of the z -> 1-z connection
+    formula for c - a - b = m + eps, m = round(Re(c - a - b)) >= 0:
+
+        F(a, b; c; 1 - zc) = sum_{n<m} finite[n] zc^n
+            + zc^m sum_k w_k zc^k (zc^eps h_k + expm1(eps log zc) / eps).
+
+    It is continuous in eps, and at eps = 0 it is the logarithmic case,
+    DLMF 15.8.10.  The plain formula's two terms carry Gamma(d) and
+    Gamma(-d); taken through Gamma(d) Gamma(1 - d) = pi/sin(pi d) they
+    share one factor, so their difference is formed before it is summed:
+    the step from one term to the other is R_k = 1 + eps h_k, the ratio
+
+        Gamma(a+m+k+eps) Gamma(b+m+k+eps) Gamma(m+k+1) Gamma(k+1-eps)
+        / (Gamma(a+m+k) Gamma(b+m+k) Gamma(m+k+1+eps) Gamma(k+1)).
+
+    R_0 = exp(eps G_0) and h_0 = expm1(eps G_0) / eps, with G_0 a sum of
+    log-Gamma steps; _connection_sum carries w_k, R_k and h_k on by their
+    rational recurrences.  Raises PoleError when Gamma(c - a) or
+    Gamma(c - b) is at a pole (side "denominator"); _gauss_2f1_impl
+    sends m < 0 and an exact pole to Euler's transformation first.
+    """
     d = c - a - b
-    return _coeff((c, d), (c - a, c - b)), _coeff((c, -d), (a, b))
+    m = round(d.real)
+    eps = d - m
+    finite = []
+    if m:
+        finite.append(gamma_ratio((c, d), (c - a, c - b)))
+        for n in range(m - 1):
+            finite.append(finite[-1] * (a + n) * (b + n)
+                          / ((1.0 - d + n) * (n + 1.0)))
+    w0 = -1.0 if m % 2 == 0 else 1.0
+    for n in range(m):
+        w0 *= (a + n) * (b + n)
+    w0 *= gamma_ratio((c, 1.0 + eps), (c - a, c - b, m + 1.0))
+    g0 = (_log_gamma_step(a + m, eps) + _log_gamma_step(b + m, eps)
+          - _log_gamma_step(m + 1.0, eps) - _log_gamma_step(1.0, -eps))
+    return (m, eps, tuple(finite), w0, g0 * _expm1_quotient(eps * g0),
+            cmath.exp(eps * g0))
+
+
+def _connection_sum(x1, x2, m, eps, term, h, r, zc, zc_d, zc_m, log_part):
+    """sum_k w_k zc^k (zc^d R_k - zc^m) / eps from term = w_0, h = h_0,
+    r = R_0, with x1 = a+m, x2 = b+m and log_part = (zc^d - zc^m) / eps.
+    While R_k is near 1 each term is formed from h_k = (R_k - 1) / eps as
+    w_k zc^k (zc^d h_k + log_part), otherwise from R_k.  Stops on the
+    kernel's tail bound, taken on the sum of the moduli of the two parts.
+    Returns (value, terms_used)."""
+    azc = abs(zc)
+    hump = max(abs(x1), abs(x2), abs(eps))
+    log_size, zc_m_eps = abs(log_part), zc_m / eps if eps else 0j
+    zc_d_eps, zc_m_size = zc_d / eps if eps else 0j, abs(zc_m_eps)
+    total = 0j
+    for k in range(MAX_TERMS):
+        if abs(eps * h) < 0.5:
+            part = zc_d * h
+            total += term * (part + log_part)
+            size = abs(part) + log_size
+        else:
+            part = zc_d_eps * r
+            total += term * (part - zc_m_eps)
+            size = abs(part) + zc_m_size
+        x3, x4, num = m + k + 1.0, k + 1.0, x1 * x2
+        x4_eps = x4 - eps
+        ratio = num * zc / (x4_eps * x3)
+        if k >= hump:
+            q = abs(ratio)
+            if q < azc:
+                q = azc
+            if q < 1.0 and abs(term) * size * q <= \
+                    SERIES_TOL * (1.0 - q) * max(abs(total), 1e-300):
+                return total, k + 1
+        # (R_{k+1} / R_k - 1) / eps in closed form
+        step = ((x1 + x2 + eps) * x3 * x4_eps - num * (x3 + x4)) \
+            / (num * (x3 + eps) * x4)
+        h += step * r
+        r *= 1.0 + eps * step
+        term *= ratio
+        x1 += 1.0
+        x2 += 1.0
+    raise HypConvergenceError(
+        f"2F1 connection sum did not converge for 1 - z = {zc}")
 
 
 def _transform_near_one(a, b, c, zc, log_zc) -> complex:
     # z -> 1-z connection formula, zc = 1-z and log zc given for accuracy
-    d = c - a - b
-    coeff1, coeff2 = _connection_coeffs(a, b, c)
-    part1 = coeff1 * _series(a, b, 1.0 - d, zc) if coeff1 != 0 else 0j
-    part2 = 0j
-    if coeff2 != 0:
-        part2 = (cmath.exp(d * log_zc) * coeff2
-                 * _series(c - a, c - b, 1.0 + d, zc))
-    return part1 + part2
+    m, eps, finite, w0, h0, r0 = _connection_coeffs(a, b, c)
+    head = 0j
+    for coeff in reversed(finite):
+        head = head * zc + coeff
+    # (zc^d - zc^m) / eps by expm1 where the difference would cancel;
+    # zc^eps alone may leave the double range
+    zc_d = cmath.exp((m + eps) * log_zc)
+    zc_m = cmath.exp(m * log_zc)
+    v = eps * log_zc
+    if abs(v) < 0.5:
+        log_part = zc_m * log_zc * _expm1_quotient(v)
+    else:
+        log_part = (zc_d - zc_m) / eps
+    value, _ = _connection_sum(a + m, b + m, m, eps, w0, h0, r0, zc, zc_d,
+                               zc_m, log_part)
+    return head + value
+
+
+def _is_nonpos_int(p: complex) -> bool:
+    return p.imag == 0.0 and p.real <= 0.0 and p.real == round(p.real)
 
 
 def _gauss_2f1_impl(a, b, c, z, zc, log_zc=None) -> complex:
     a, b, c = complex(a), complex(b), complex(c)
     if distance_to_nonpos_int(c) <= POLE_TOL:
         raise PoleError(c, f"2F1 parameter pole at c = {c}")
-    for p, name in ((a, "a"), (b, "b")):
-        if p.imag == 0.0 and p.real <= 0.0 and p.real == round(p.real):
-            # terminating series when a (or b) = -m: with tol = 0 the
-            # kernel stops after its first two zero terms, in m + 2 steps
+    for p in (a, b):
+        if _is_nonpos_int(p):
+            # terminating series when a (or b) = -m: the kernel stops at
+            # its first zero term, after m + 1 steps
             return kernels.hyp2f1_series(a, b, c, z, 0.0,
-                                         int(-p.real) + 2)[0]
+                                         int(-p.real) + 1)[0]
     az = abs(z)
     if az > 1.0 + 1e-14:
         raise HypDomainError(f"|z| = {az} > 1 not supported")
-    if az <= SERIES_RADIUS:
-        return _series(a, b, c, z)
-    if zc == 0 and log_zc is None:
-        # exactly at the boundary point; for a nonzero complement the
-        # connection formula below keeps the genuine zc^{c-a-b} term
-        return gauss_2f1_at_one(a, b, c)
-    if abs(zc) <= 0.5:
+    if az > SERIES_RADIUS and abs(zc) <= 0.5:
+        if zc == 0 and log_zc is None:
+            # exactly at the boundary point; for a nonzero complement the
+            # connection formula below keeps the genuine zc^{c-a-b} term
+            return gauss_2f1_at_one(a, b, c)
         log_zc = cmath.log(zc) if log_zc is None else log_zc
         d = c - a - b
-        if distance_to_nonpos_int(d) > DEGENERATE_EPS * 10 and \
-                distance_to_nonpos_int(-d) > DEGENERATE_EPS * 10:
-            return _transform_near_one(a, b, c, zc, log_zc)
-        # near-degenerate c-a-b: perturb c symmetrically and average,
-        # with a consistency check on the two evaluations
-        vp = _transform_near_one(a, b, c + DEGENERATE_EPS, zc, log_zc)
-        vm = _transform_near_one(a, b, c - DEGENERATE_EPS, zc, log_zc)
-        avg = 0.5 * (vp + vm)
-        if abs(vp - vm) > 1e-4 * max(abs(avg), 1e-300):
-            raise HypConvergenceError(
-                "degenerate-case perturbation inconsistent "
-                f"(spread {abs(vp - vm):.3e} at z = {z})")
-        return avg
+        if round(d.real) < 0 or _is_nonpos_int(c - a) or \
+                _is_nonpos_int(c - b):
+            # Euler's transformation F(a, b; c; z) = zc^d F(c-a, c-b; c; z)
+            # turns d into -d, and c - a or c - b = -j into a terminating
+            # series
+            return cmath.exp(d * log_zc) * _gauss_2f1_impl(
+                c - a, c - b, c, z, zc, log_zc)
+        return _transform_near_one(a, b, c, zc, log_zc)
+    if az <= SERIES_LIMIT:
+        return _series(a, b, c, z)
     raise HypDomainError(
-        f"z = {z} outside supported region (|z|<=0.9 or near 1)")
+        f"z = {z} outside supported region "
+        f"(|z| <= {SERIES_LIMIT} or |1 - z| <= 0.5)")
 
 
 def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Gauss hypergeometric 2F1(a,b;c;z) for |z| <= 1.
 
-    Power series for |z| <= 0.9; the z -> 1-z connection formula near 1
-    (the regime needed for arguments tanh^2 t); terminating sum when a or
-    b is a non-positive integer.
+    Power series for |z| <= SERIES_RADIUS; beyond it the z -> 1-z
+    connection formula for |1 - z| <= 0.5 (the regime of the arguments
+    tanh^2 t), in one form for every c - a - b, integer or not, and the
+    series again elsewhere up to |z| <= SERIES_LIMIT; terminating sum
+    when a or b is a non-positive integer.
     """
     z = complex(z)
     return _gauss_2f1_impl(a, b, c, z, 1.0 - z)

@@ -258,7 +258,7 @@ def test_criterion_11_cocycle_law():
     pair_rows = [row for row in rows if "pairs=" in row["case"]]
     pairs_ok = all(row["passed"] and not row["case"].endswith("pairs=0")
                    for row in pair_rows)
-    # a pair row holds 1 + worst defect; passed compares the exact defect
+    # a pair row's abs_err is its datum's worst defect
     worst_pair = max(row["abs_err"] for row in pair_rows)
     worst_longest = max(rel_to_closed(row) for row in rows
                         if row["case"].endswith("longest=full"))

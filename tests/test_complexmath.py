@@ -202,7 +202,7 @@ class TestGauss2F1:
     def test_series_transform_seam(self):
         # both evaluation branches agree in the overlap annulus
         a, b, c = 0.8 - 0.3j, 1.4 + 0.2j, 2.1 + 0.5j
-        for z in (0.905, 0.95, 0.99):
+        for z in (0.705, 0.8, 0.95, 0.99):
             direct, n = cm.kernels.hyp2f1_series(a, b, c, z, 1e-15, 10 ** 6)
             assert n > 0
             assert cm.gauss_2f1(a, b, c, z) == pytest.approx(
@@ -249,17 +249,105 @@ class TestGauss2F1:
             assert abs(lhs) < 1e-10
 
 
+class TestGauss2F1MatchesMpmath:
+    """The three 2F1 entry points against mpmath hyp2f1 at 40 digits, plus
+    the digits 1 - z needs, on the power series and the connection
+    formula, with c - a - b at and near 0, +-1 and +-2 and with
+    terminating a."""
+
+    def test_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        def cplx(re, im):
+            return st.builds(complex, st.floats(*re), st.floats(*im))
+
+        phase = st.floats(0.0, 2.0 * math.pi).map(lambda p: cmath.exp(1j * p))
+        near = st.builds(lambda r, u: r * u, st.floats(1e-12, 0.3), phase)
+
+        @st.composite
+        def points(draw):
+            a = draw(cplx((-2.0, 3.0), (-1.5, 1.5)))
+            b = draw(cplx((-2.0, 3.0), (-1.5, 1.5)))
+            k = draw(st.sampled_from([None, None, None, 0, 1, 2, 4]))
+            if k is not None:
+                a = complex(-k)
+            offset = draw(st.one_of(st.just(0j), near,
+                                    cplx((-0.5, 0.5), (-3.0, 3.0))))
+            c = a + b + draw(st.sampled_from([0, 1, -1, 2, -2])) + offset
+            hyp.assume(cm.distance_to_nonpos_int(c) > 0.05)
+            kind = draw(st.sampled_from(["series", "complement", "log"]))
+            if kind == "series":
+                arg = draw(st.floats(0.0, cm.SERIES_RADIUS)) * draw(phase)
+            elif kind == "complement":
+                arg = draw(st.floats(0.0, 0.5, exclude_min=True)) \
+                    * draw(phase)
+                hyp.assume(cm.SERIES_RADIUS < abs(1.0 - arg) <= 1.0)
+            else:
+                # below -708 the complement leaves the double range
+                arg = -draw(st.floats(math.log(2.0), 760.0))
+            return kind, a, b, c, arg
+
+        def rankone_h2(lam, t):
+            # the 2F1 phi_tau evaluates on H2 for the trivial K-type
+            a, b = (0.5 - 1j * lam) / 2, (1.5 - 1j * lam) / 2
+            if lam.imag > 0:  # Euler's transformation, as in phi_tau
+                a, b = 1.0 - a, 1.0 - b
+            return "log", a, b, 1.0 + 0j, -2.0 * float(cm.log_cosh(t))
+
+        @hyp.settings(derandomize=True, deadline=None, database=None,
+                      max_examples=150)
+        @hyp.given(points())
+        # 2.1e-7 off before the logarithmic case
+        @hyp.example(rankone_h2(0j, 3.0))
+        # 6.8e-13 off when the series stopped on two small terms at z = 0.89
+        @hyp.example(rankone_h2(0.7 + 0.2j, 1.8))
+        @hyp.example(rankone_h2(0.7 - 0.2j, 1.8))
+        # c - a = -1: Euler's transformation to a terminating series
+        @hyp.example(("complement", 1.25 + 0j, -1.5 + 0j, 0.25 + 0j, 0.1))
+        def check(point):
+            kind, a, b, c, arg = point
+            # digits for 1 - z to hold its complement
+            log_zc = {"series": 0.0, "complement": math.log(abs(arg) or 1.0),
+                      "log": arg}[kind]
+            with mp.workdps(40 + int(-log_zc / math.log(10.0))):
+                z = {"series": mp.mpc(arg), "complement": 1 - mp.mpc(arg),
+                     "log": 1 - mp.exp(arg)}[kind]
+                ref = mp.hyp2f1(a, b, c, z)
+                hyp.assume(0 < abs(ref) < 1e250)
+                fn = {"series": cm.gauss_2f1,
+                      "complement": cm.gauss_2f1_complement,
+                      "log": cm.gauss_2f1_log_complement}[kind]
+                got = fn(a, b, c, arg)
+                if a.real <= 0.0 and a == round(a.real):
+                    # a terminating sum in powers of z: its rounding is
+                    # relative to the sum of the moduli of its terms
+                    scale = sum(abs(mp.rf(a, n) * mp.rf(b, n) * z ** n
+                                    / (mp.rf(c, n) * mp.factorial(n)))
+                                for n in range(int(-a.real) + 1))
+                else:
+                    scale = abs(ref)
+                # the phase d log(1 - z) is formed in doubles
+                tol = 1e-12 + 4e-16 * abs((c - a - b) * log_zc)
+                assert abs(got - complex(ref)) <= tol * float(scale)
+
+        check()
+
+
 class TestConnectionCache:
-    # the connection formula's Gamma ratios are cached per (a, b, c)
+    # the connection formula's constants are cached per (a, b, c)
     @pytest.fixture(autouse=True)
     def cleared(self):
         cm._connection_coeffs.cache_clear()
         yield
         cm._connection_coeffs.cache_clear()
 
-    @staticmethod
-    def bits(values):
-        return [(v.real.hex(), v.imag.hex()) for v in values]
+    @classmethod
+    def bits(cls, values):
+        if isinstance(values, tuple):
+            return [cls.bits(v) for v in values]
+        return complex(values).real.hex(), complex(values).imag.hex()
 
     PLUS = (0.25 + 0j, 0.75 + 0.5j, 2.0 + 0j)
     MINUS = (complex(0.25, -0.0), 0.75 + 0.5j, complex(2.0, -0.0))
@@ -289,10 +377,15 @@ class TestConnectionCache:
         assert first > 0 and len(calls) == first
 
     def test_pole_raises_on_every_call(self):
-        # Gamma(c) in the first numerator: c = -1 is a pole
-        for _ in range(3):
-            with pytest.raises(cm.PoleError):
-                cm._connection_coeffs(0.25 + 0j, 0.5 + 0j, -1.0 + 0j)
+        # Gamma(c) in a numerator: c = -1 is a pole; Gamma(c - a) in a
+        # denominator: c - a = -1, with c - a - b = 0.5
+        for args, side in (((0.25 + 0j, 0.5 + 0j, -1.0 + 0j), "numerator"),
+                           ((1.25 + 0j, -1.5 + 0j, 0.25 + 0j),
+                            "denominator")):
+            for _ in range(3):
+                with pytest.raises(cm.PoleError) as exc:
+                    cm._connection_coeffs(*args)
+                assert exc.value.side == side
         assert cm._connection_coeffs.cache_info().currsize == 0
 
 

@@ -183,6 +183,21 @@ class TestPhiTau:
 
         check()
 
+    def test_phi_near_lambda_zero_matches_mpmath(self):
+        # c - a - b = i Lam: within 1e-12 relative for |Lam| <= 1e-3 and t
+        # in [0.5, 20] on every catalog K-type; Lam = +-i on the rho = 2
+        # spaces puts c - a - b at -+1
+        mp = pytest.importorskip("mpmath")
+        lams = [0j, 1e-8 + 0j, 1e-6 * cmath.exp(0.7j), -1e-6j,
+                1e-4 * cmath.exp(-0.5j), 1e-3 + 0j, 1e-3j, -1e-3j]
+        for rec in CATALOG:
+            sp, kt = rec["space"], rec["ktype"]
+            for lam in lams + ([1j, -1j] if sp.rho == 2 else []):
+                for t in (0.5, 1.0, 1.5, 3.0, 8.0, 20.0):
+                    want = mp_phi_and_limit(mp, sp, kt, lam, t)[0]
+                    assert r1.phi_tau(sp, kt, lam, t) == pytest.approx(
+                        want, rel=1e-12, abs=0)
+
 
 class TestSeries:
     def test_leading_coefficient(self):
@@ -507,8 +522,8 @@ class TestPerLambdaCaches:
                             lambda *args: calls.append(1) or kernel(*args))
         return calls
 
-    # 0.9 - 0.3i takes the connection formula for t > 1.82; at Lam = 0
-    # c - a - b = 0 and the degenerate branch runs
+    # 0.9 - 0.3i takes the connection formula for t > 1.21; at Lam = 0
+    # c - a - b = 0, the connection formula's logarithmic case
     @pytest.mark.parametrize("lam", [0.9 - 0.3j, 0j])
     def test_scalar_phi_calls_share_the_set_up(self, monkeypatch, lam):
         # 12 calls need no more set-up than one call on each 2F1 branch
