@@ -88,31 +88,34 @@ def clgamma(z):
 
 
 def hyp2f1_series(a, b, c, z, double tol, int max_terms):
-    """Raw Gauss series; returns (value, terms_used), -1 on non-convergence.
-    Same stopping rule as the pure-Python twin."""
+    """Raw Gauss series; returns (value, terms_used, largest |term|),
+    terms_used -1 on non-convergence.  Same stopping rule as the
+    pure-Python twin."""
     cdef double complex ca = complex(a), cb = complex(b)
     cdef double complex cc = complex(c), cz = complex(z)
     cdef double complex term = 1.0, total = 1.0, ratio
     cdef double az = hypot(cz.real, cz.imag)
     cdef double hump = max(hypot(ca.real, ca.imag), hypot(cb.real, cb.imag),
                            hypot(cc.real, cc.imag))
-    cdef double q, mag
+    cdef double q, mag, size, largest = 1.0
     cdef int n
     for n in range(max_terms):
         ratio = (ca + n) * (cb + n) / ((cc + n) * (n + 1.0)) * cz
         term = term * ratio
         total = total + term
         if term.real == 0.0 and term.imag == 0.0:
-            return total, n + 1
+            return total, n + 1, largest
+        size = hypot(term.real, term.imag)
+        if size > largest:
+            largest = size
         if n >= hump:
             q = max(hypot(ratio.real, ratio.imag), az)
             mag = hypot(total.real, total.imag)
             if mag < 1e-300:
                 mag = 1e-300
-            if q < 1.0 and hypot(term.real, term.imag) * q <= \
-                    tol * (1.0 - q) * mag:
-                return total, n + 1
-    return total, -1
+            if q < 1.0 and size * q <= tol * (1.0 - q) * mag:
+                return total, n + 1, largest
+    return total, -1, largest
 
 
 def hc_gamma_coeffs(int m_alpha, int m_2alpha, lam, int n_max):

@@ -78,16 +78,16 @@ def clgamma(z: complex) -> complex:
 
 
 def hyp2f1_series(a: complex, b: complex, c: complex, z: complex,
-                  tol: float, max_terms: int) -> tuple[complex, int]:
+                  tol: float, max_terms: int) -> tuple[complex, int, float]:
     """Raw Gauss series sum_{n} (a)_n (b)_n / ((c)_n n!) z^n.
 
     Stops at a zero term, where the series terminates, or on the tail
     bound |term| q / (1 - q) <= tol |sum|, q = max(|r_n|, |z|) < 1, once
     n >= max(|a|, |b|, |c|) is past the hump of the term ratio
     r_n = (a+n)(b+n) z / ((c+n)(n+1)), which from there on moves
-    monotonically towards |z|.  Returns (value, terms_used);
-    terms_used == -1 signals that the tolerance was not met within
-    max_terms.
+    monotonically towards |z|.  Returns (value, terms_used, largest
+    |term|); terms_used == -1 signals that the tolerance was not met
+    within max_terms.
     """
     a = complex(a)
     b = complex(b)
@@ -97,20 +97,24 @@ def hyp2f1_series(a: complex, b: complex, c: complex, z: complex,
     hump = max(abs(a), abs(b), abs(c))
     term = 1.0 + 0j
     total = 1.0 + 0j
+    largest = 1.0
     for n in range(max_terms):
         ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         term *= ratio
         total += term
         if term == 0:
-            return total, n + 1
+            return total, n + 1, largest
+        size = abs(term)
+        if size > largest:
+            largest = size
         if n >= hump:
             q = abs(ratio)
             if q < az:
                 q = az
-            if q < 1.0 and abs(term) * q <= \
+            if q < 1.0 and size * q <= \
                     tol * (1.0 - q) * max(abs(total), 1e-300):
-                return total, n + 1
-    return total, -1
+                return total, n + 1, largest
+    return total, -1, largest
 
 
 def hc_gamma_coeffs(m_alpha: int, m_2alpha: int, lam: complex,

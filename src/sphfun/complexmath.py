@@ -23,6 +23,14 @@ SERIES_TOL = 1e-14
 SERIES_RADIUS = 0.7
 SERIES_LIMIT = 0.9
 MAX_TERMS = 100_000
+# Rounding leaves each series sum off by about 1e-16 times its largest
+# term.  Beyond this ratio of the largest term to the sum (large |Lam|,
+# where the terms grow to about exp(2 sqrt|a b z|) before they cancel)
+# fewer than 10 digits would hold, and the sum raises instead.  Near a
+# zero of an oscillating 2F1 the ratio is large for a legitimate value:
+# over the rank1-grid inputs of 81 seeds it reaches 3.5e3, and 0.1% of
+# the sums exceed 100
+CANCELLATION_LIMIT = 1e6
 # Entries of each cache of a constant that depends on Lam alone (the
 # connection-formula constants here, c_{Lam,delta} and the series terms in
 # rankone): a caller evaluates one Lam, and -Lam, at many t; the bound
@@ -129,12 +137,24 @@ def log_sinh(t):
     return t - math.log(2.0) + np.log(-np.expm1(-2.0 * t))
 
 
-def _series(a, b, c, z) -> complex:
-    val, n = kernels.hyp2f1_series(a, b, c, z, SERIES_TOL, MAX_TERMS)
-    if n < 0:
+def _checked(result, where, arg, head=0j) -> complex:
+    # head plus the value of a sum (value, terms_used, largest term)
+    # that converged and did not cancel against it; the error names the
+    # sum and its argument
+    value, terms, largest = result
+    if terms < 0:
+        raise HypConvergenceError(f"2F1 {where} {arg} did not converge")
+    value += head
+    if max(largest, abs(head)) > CANCELLATION_LIMIT * abs(value):
         raise HypConvergenceError(
-            f"2F1 series did not converge for z = {z}")
-    return val
+            f"2F1 {where} {arg} cancels: largest term {largest:.3g}, "
+            f"sum {abs(value):.3g}")
+    return value
+
+
+def _series(a, b, c, z) -> complex:
+    result = kernels.hyp2f1_series(a, b, c, z, SERIES_TOL, MAX_TERMS)
+    return _checked(result, "series at z =", z)
 
 
 def _log1p_quotient(u) -> complex:
@@ -204,7 +224,7 @@ def _connection_coeffs(a, b, c):
     log-Gamma steps; _connection_sum carries w_k, R_k and h_k on by their
     rational recurrences.  Raises PoleError when Gamma(c - a) or
     Gamma(c - b) is at a pole (side "denominator"); _gauss_2f1_impl
-    sends m < 0 and an exact pole to Euler's transformation first.
+    sends m < 0 and such a pole to Euler's transformation first.
     """
     d = c - a - b
     m = round(d.real)
@@ -225,27 +245,23 @@ def _connection_coeffs(a, b, c):
             cmath.exp(eps * g0))
 
 
-def _connection_sum(x1, x2, m, eps, term, h, r, zc, zc_d, zc_m, log_part):
-    """sum_k w_k zc^k (zc^d R_k - zc^m) / eps from term = w_0, h = h_0,
-    r = R_0, with x1 = a+m, x2 = b+m and log_part = (zc^d - zc^m) / eps.
-    While R_k is near 1 each term is formed from h_k = (R_k - 1) / eps as
-    w_k zc^k (zc^d h_k + log_part), otherwise from R_k.  Stops on the
-    kernel's tail bound, taken on the sum of the moduli of the two parts.
-    Returns (value, terms_used)."""
+def _connection_sum(x1, x2, m, eps, term, h, r, zc, zc_d, log_part):
+    """sum_k w_k zc^k (zc^d h_k + log_part) from term = w_0, h = h_0 and
+    r = R_0, with x1 = a+m, x2 = b+m, zc_d = zc^d and log_part =
+    (zc^d - zc^m) / eps.  Stops on the kernel's tail bound, taken on
+    |w_k zc^k| (|zc^d h_k| + |log_part|).  Returns (value, terms_used,
+    largest such modulus), as kernels.hyp2f1_series does."""
     azc = abs(zc)
     hump = max(abs(x1), abs(x2), abs(eps))
-    log_size, zc_m_eps = abs(log_part), zc_m / eps if eps else 0j
-    zc_d_eps, zc_m_size = zc_d / eps if eps else 0j, abs(zc_m_eps)
+    log_size = abs(log_part)
     total = 0j
+    largest = 0.0
     for k in range(MAX_TERMS):
-        if abs(eps * h) < 0.5:
-            part = zc_d * h
-            total += term * (part + log_part)
-            size = abs(part) + log_size
-        else:
-            part = zc_d_eps * r
-            total += term * (part - zc_m_eps)
-            size = abs(part) + zc_m_size
+        part = zc_d * h
+        total += term * (part + log_part)
+        size = abs(term) * (abs(part) + log_size)
+        if size > largest:
+            largest = size
         x3, x4, num = m + k + 1.0, k + 1.0, x1 * x2
         x4_eps = x4 - eps
         ratio = num * zc / (x4_eps * x3)
@@ -253,9 +269,9 @@ def _connection_sum(x1, x2, m, eps, term, h, r, zc, zc_d, zc_m, log_part):
             q = abs(ratio)
             if q < azc:
                 q = azc
-            if q < 1.0 and abs(term) * size * q <= \
+            if q < 1.0 and size * q <= \
                     SERIES_TOL * (1.0 - q) * max(abs(total), 1e-300):
-                return total, k + 1
+                return total, k + 1, largest
         # (R_{k+1} / R_k - 1) / eps in closed form
         step = ((x1 + x2 + eps) * x3 * x4_eps - num * (x3 + x4)) \
             / (num * (x3 + eps) * x4)
@@ -264,8 +280,7 @@ def _connection_sum(x1, x2, m, eps, term, h, r, zc, zc_d, zc_m, log_part):
         term *= ratio
         x1 += 1.0
         x2 += 1.0
-    raise HypConvergenceError(
-        f"2F1 connection sum did not converge for 1 - z = {zc}")
+    return total, -1, largest
 
 
 def _transform_near_one(a, b, c, zc, log_zc) -> complex:
@@ -283,9 +298,25 @@ def _transform_near_one(a, b, c, zc, log_zc) -> complex:
         log_part = zc_m * log_zc * _expm1_quotient(v)
     else:
         log_part = (zc_d - zc_m) / eps
-    value, _ = _connection_sum(a + m, b + m, m, eps, w0, h0, r0, zc, zc_d,
-                               zc_m, log_part)
-    return head + value
+    result = _connection_sum(a + m, b + m, m, eps, w0, h0, r0, zc, zc_d,
+                             log_part)
+    return _checked(result, "connection sum at 1 - z =", zc, head)
+
+
+def _terminating_near_one(j, b, c, z, zc, log_zc) -> complex:
+    # F(a, b; c; z) for c - a = -j: zc^{-j-b} F(-j, c-b; c; z) by Euler's
+    # transformation, the terminating series in powers of zc = 1 - z for
+    # relative accuracy near z = 1, DLMF 15.8.7:
+    # (b)_j / (c)_j F(-j, c-b; 1-j-b; zc); in powers of z where 1 - j - b
+    # is a pole.  Formed from b itself: c - (c - b) would cancel
+    e = 1.0 - j - b
+    if distance_to_nonpos_int(e) <= POLE_TOL:
+        value = kernels.hyp2f1_series(-j, c - b, c, z, 0.0, j + 1)[0]
+    else:
+        value = kernels.hyp2f1_series(-j, c - b, e, zc, 0.0, j + 1)[0]
+        for n in range(j):
+            value *= (b + n) / (c + n)
+    return cmath.exp(-(j + b) * log_zc) * value
 
 
 def _is_nonpos_int(p: complex) -> bool:
@@ -311,12 +342,16 @@ def _gauss_2f1_impl(a, b, c, z, zc, log_zc=None) -> complex:
             # connection formula below keeps the genuine zc^{c-a-b} term
             return gauss_2f1_at_one(a, b, c)
         log_zc = cmath.log(zc) if log_zc is None else log_zc
+        # Euler's transformation F(a, b; c; z) = zc^d F(c-a, c-b; c; z)
+        # turns c - a or c - b = -j, taken as exact within POLE_TOL (the
+        # poles of the connection formula's Gamma(c - a) Gamma(c - b)),
+        # into a terminating series, and d into -d
+        for p, other in ((c - a, b), (c - b, a)):
+            if distance_to_nonpos_int(p) <= POLE_TOL:
+                return _terminating_near_one(-round(p.real), other, c, z,
+                                             zc, log_zc)
         d = c - a - b
-        if round(d.real) < 0 or _is_nonpos_int(c - a) or \
-                _is_nonpos_int(c - b):
-            # Euler's transformation F(a, b; c; z) = zc^d F(c-a, c-b; c; z)
-            # turns d into -d, and c - a or c - b = -j into a terminating
-            # series
+        if round(d.real) < 0:
             return cmath.exp(d * log_zc) * _gauss_2f1_impl(
                 c - a, c - b, c, z, zc, log_zc)
         return _transform_near_one(a, b, c, zc, log_zc)

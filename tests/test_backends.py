@@ -51,10 +51,11 @@ class TestParity:
             b = complex(RNG.uniform(-2, 2), RNG.uniform(-1, 1))
             c = complex(RNG.uniform(1, 3), RNG.uniform(-1, 1))
             z = complex(RNG.uniform(-0.8, 0.8), RNG.uniform(-0.4, 0.4))
-            va, na = py_kernels.hyp2f1_series(a, b, c, z, 1e-13, 10000)
-            vb, nb = cy_kernels.hyp2f1_series(a, b, c, z, 1e-13, 10000)
+            va, na, la = py_kernels.hyp2f1_series(a, b, c, z, 1e-13, 10000)
+            vb, nb, lb = cy_kernels.hyp2f1_series(a, b, c, z, 1e-13, 10000)
             assert na == nb
             assert vb == pytest.approx(va, rel=1e-13)
+            assert lb == pytest.approx(la, rel=1e-13)
 
     def test_hc_gamma_coeffs(self):
         for (m, m2) in ((1, 0), (2, 0), (2, 1), (4, 3)):

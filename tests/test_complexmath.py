@@ -202,11 +202,24 @@ class TestGauss2F1:
     def test_series_transform_seam(self):
         # both evaluation branches agree in the overlap annulus
         a, b, c = 0.8 - 0.3j, 1.4 + 0.2j, 2.1 + 0.5j
-        for z in (0.705, 0.8, 0.95, 0.99):
-            direct, n = cm.kernels.hyp2f1_series(a, b, c, z, 1e-15, 10 ** 6)
+        for z in (0.705, 0.8, 0.905, 0.95, 0.99):
+            direct, n, _ = cm.kernels.hyp2f1_series(a, b, c, z, 1e-15,
+                                                    10 ** 6)
             assert n > 0
             assert cm.gauss_2f1(a, b, c, z) == pytest.approx(
                 direct, rel=1e-11)
+
+    @pytest.mark.parametrize("lam,t", [(300.0, 0.3), (1000 + 0.2j, 1.5)])
+    def test_cancelling_sum_raises(self, lam, t):
+        # the 2F1 of phi_tau on H2 at large |Lam|: the power series
+        # (t = 0.3) and the connection sum (t = 1.5) grow to terms 1e16
+        # and 3e15 times their sum, which was 3.7e21 and 9e2 relative off
+        a, b = (0.5 - 1j * lam) / 2, (1.5 - 1j * lam) / 2
+        if lam.imag > 0:  # Euler's transformation, as in phi_tau
+            a, b = 1.0 - a, 1.0 - b
+        with pytest.raises(cm.HypConvergenceError, match="cancels"):
+            cm.gauss_2f1_log_complement(a, b, 1.0,
+                                        -2.0 * float(cm.log_cosh(t)))
 
     def test_polynomial_case(self):
         # a = -2 terminates; valid at any z including z > 0.9
@@ -306,6 +319,14 @@ class TestGauss2F1MatchesMpmath:
         @hyp.example(rankone_h2(0.7 - 0.2j, 1.8))
         # c - a = -1: Euler's transformation to a terminating series
         @hyp.example(("complement", 1.25 + 0j, -1.5 + 0j, 0.25 + 0j, 0.1))
+        # c - a = -1 + 1e-13, within POLE_TOL: the same series, where the
+        # Gamma(c - a) of the connection formula raised PoleError
+        @hyp.example(("complement", 1.25 - 1e-13 + 0j, -1.5 + 0j,
+                      0.25 + 0j, 0.1))
+        # c - a = -1 with F(1) = b / c = 4e-8: summed in powers of z it
+        # cancels, 3.8e-11 off; the plain connection formula with its
+        # Gamma(c - a) term dropped was 3e-9 off
+        @hyp.example(("complement", 1.25 + 0j, 1e-8 + 0j, 0.25 + 0j, 1e-6))
         def check(point):
             kind, a, b, c, arg = point
             # digits for 1 - z to hold its complement
