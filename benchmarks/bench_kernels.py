@@ -9,7 +9,12 @@ the speedup of the compiled extension.  Falls back to reporting only the
 Python numbers when the extension is not built.  A second table times
 ``complexmath.gauss_2f1`` on each of its branches, on the active kernel
 backend: microseconds per call with its per-(a, b, c) constants cached
-(warm) and computed afresh (cold), and the series terms per call.
+(warm) and computed afresh (cold), and the series terms per call.  A
+third times ``cfun.c_full`` and ``c_sigma`` at the longest element on A2
+and B2, and ``verify.check_cocycle`` on the cocycle suite's samples, with
+the single-root factor cache cleared before each call (cold) and kept
+(warm): the time per call, the factors each call asks for and how many
+of them it evaluates.
 """
 
 import argparse
@@ -17,7 +22,8 @@ import time
 
 import numpy as np
 
-from sphfun import _kernels_py, complexmath as cm
+from sphfun import _kernels_py, cfun, complexmath as cm, rootdata as rd, \
+    verify
 
 try:
     from sphfun import _kernels as _kernels_cy
@@ -135,6 +141,53 @@ def gauss_table(repeat, scale):
               f"{counted_terms(args):>7}")
 
 
+def factor_table(repeat, scale):
+    lam = rd.SpectralParam.of([0.9 - 0.5j, 0.4 - 0.7j])
+    cases = []
+    for name, d in (("A2", rd.datum_a2()), ("B2", rd.datum_b2())):
+        w0 = rd.longest_element(d)
+        cases += [(f"c_full, {name}", "us",
+                   lambda d=d: cfun.c_full(d, lam)),
+                  (f"c_sigma(w0), {name}", "us",
+                   lambda d=d, w0=w0: cfun.c_sigma(d, w0, lam))]
+    samples = verify._cocycle_samples()
+    cases.append(("check_cocycle", "ms",
+                  lambda: verify.check_cocycle(samples)))
+    cache = cfun._log_factor_quotient
+
+    def evaluated(fn):
+        # (factors asked for, factors evaluated) by one call
+        before = cache.cache_info()
+        fn()
+        after = cache.cache_info()
+        misses = after.misses - before.misses
+        return after.hits - before.hits + misses, misses
+
+    print(f"\nsingle-root factors ({cm.kernels.BACKEND_NAME} kernels)")
+    print(f"{'call':<22}{'unit':>5}{'cold':>9}{'warm':>9}{'factors':>9}"
+          f"{'eval cold':>11}{'eval warm':>11}")
+    for name, unit, fn in cases:
+        to_unit, calls = {"us": (1e6, 200), "ms": (1e3, 5)}[unit]
+        calls = max(1, int(calls * scale))
+
+        def warm():
+            for _ in range(calls):
+                fn()
+
+        def cold():
+            for _ in range(calls):
+                cache.cache_clear()
+                fn()
+        fn()
+        t_warm = timed(warm, repeat) / calls * to_unit
+        _, eval_warm = evaluated(fn)
+        t_cold = timed(cold, repeat) / calls * to_unit
+        cache.cache_clear()
+        asked, eval_cold = evaluated(fn)
+        print(f"{name:<22}{unit:>5}{t_cold:>9.1f}{t_warm:>9.1f}{asked:>9}"
+              f"{eval_cold:>11}{eval_warm:>11}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
@@ -154,6 +207,7 @@ def main():
     if _kernels_cy is None:
         print("\ncompiled extension not built; only the fallback was timed")
     gauss_table(args.repeat, args.scale)
+    factor_table(args.repeat, args.scale)
 
 
 if __name__ == "__main__":

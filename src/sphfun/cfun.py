@@ -63,12 +63,23 @@ def _factor_arguments(w: complex, m: int, m2: int):
     return w, (0.5 * (0.5 * m + 1.0 + w), 0.5 * (0.5 * m + m2 + w))
 
 
+# c_full, c_sigma and the identities built on them meet the same few
+# factor arguments many times: the Weyl orbit of one lam gives at most
+# 2 n_positive of them.  Equal w that differ in the sign of a zero part
+# share an entry; a fresh call gives them the same bits.  A pole raises
+# PoleError, which is never cached, so it is screened and raised afresh on
+# every call, with that call's root_index
+@lru_cache(maxsize=cm.CACHE_SIZE)
+def _log_factor_quotient(w: complex, m: int, m2: int) -> complex:
+    num, dens = _factor_arguments(w, m, m2)
+    return cm.log_gamma_quotient((0.5 * (m + m2 + 1.0), num), dens,
+                                 (0.5 * m + m2 - w) * _LOG2)
+
+
 def _log_verbatim_factor(w: complex, m: int, m2: int,
                          root_index: int | None = None) -> complex:
-    num, dens = _factor_arguments(w, m, m2)
     try:
-        return cm.log_gamma_quotient((0.5 * (m + m2 + 1.0), num), dens,
-                                     (0.5 * m + m2 - w) * _LOG2)
+        return _log_factor_quotient(w, m, m2)
     except cm.PoleError as exc:
         raise CPoleError(exc.side, exc.z, root_index) from None
 

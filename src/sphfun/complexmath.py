@@ -33,8 +33,9 @@ MAX_TERMS = 100_000
 CANCELLATION_LIMIT = 1e6
 # Entries of each cache of a constant that depends on Lam alone (the
 # connection-formula constants here, c_{Lam,delta} and the series terms in
-# rankone): a caller evaluates one Lam, and -Lam, at many t; the bound
-# keeps a run over many Lam from growing
+# rankone, the single-root factors of cfun): a caller evaluates one Lam,
+# and -Lam, at many t, or the at most 2 n_positive factors of one lam's
+# Weyl orbit many times; the bound keeps a run over many Lam from growing
 CACHE_SIZE = 32
 
 

@@ -265,13 +265,18 @@ def check_cocycle(samples) -> list[dict]:
     return rows
 
 
+def _cocycle_samples() -> list[tuple]:
+    """The cocycle suite's fixed samples: per datum, ten Lam for the pairs
+    and one for the longest element."""
+    rng = np.random.default_rng(41)
+    return [(name, datum, [_weyl_lambda(rng) for _ in range(10)],
+             [_weyl_lambda(rng)])
+            for name, datum in (("a2", rd.datum_a2()), ("b2", rd.datum_b2()))]
+
+
 @_register("cocycle")
 def suite_cocycle() -> list[dict]:
-    rng = np.random.default_rng(41)
-    return check_cocycle([
-        (name, datum, [_weyl_lambda(rng) for _ in range(10)],
-         [_weyl_lambda(rng)])
-        for name, datum in (("a2", rd.datum_a2()), ("b2", rd.datum_b2()))])
+    return check_cocycle(_cocycle_samples())
 
 
 def check_det_a(rank_one_lams, a2_lams, a2_table) -> list[dict]:
