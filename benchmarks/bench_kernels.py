@@ -1,20 +1,19 @@
-"""Benchmark the compiled kernels against the pure-Python fallback, and
-time each branch of the Gauss 2F1.
+"""Time the scalar kernels, each branch of the Gauss 2F1 and the
+single-root c-factors.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeat 5] [--scale 1.0]
 
-Times each kernel on a representative workload and prints a table with
-the speedup of the compiled extension.  Falls back to reporting only the
-Python numbers when the extension is not built.  A second table times
-``complexmath.gauss_2f1`` on each of its branches, on the active kernel
-backend: microseconds per call with its per-(a, b, c) constants cached
+The first table (L0) times each kernel of ``sphfun._kernels_py`` on a
+representative workload: microseconds per call, best of the repeats.  A
+second table (L1) times ``complexmath.gauss_2f1`` on each of its
+branches: microseconds per call with its per-(a, b, c) constants cached
 (warm) and computed afresh (cold), and the series terms per call.  A
-third times ``cfun.c_full`` and ``c_sigma`` at the longest element on A2
-and B2, and ``verify.check_cocycle`` on the cocycle suite's samples, with
-the single-root factor cache cleared before each call (cold) and kept
-(warm): the time per call, the factors each call asks for and how many
-of them it evaluates.
+third (L2/L4) times ``cfun.c_full`` and ``c_sigma`` at the longest
+element on A2 and B2, and ``verify.check_cocycle`` on the cocycle
+suite's samples, with the single-root factor cache cleared before each
+call (cold) and kept (warm): the time per call, the factors each call
+asks for and how many of them it evaluates.
 """
 
 import argparse
@@ -24,11 +23,6 @@ import numpy as np
 
 from sphfun import _kernels_py, cfun, complexmath as cm, rootdata as rd, \
     verify
-
-try:
-    from sphfun import _kernels as _kernels_cy
-except ImportError:
-    _kernels_cy = None
 
 
 def timed(fn, repeat):
@@ -41,6 +35,8 @@ def timed(fn, repeat):
 
 
 def workloads(scale):
+    """(name, calls, fn) of each kernel workload; fn makes the calls."""
+    k = _kernels_py
     rng = np.random.default_rng(2024)
     n_gamma = int(20000 * scale)
     zs = [complex(a, b) for a, b in zip(rng.uniform(0.6, 8, n_gamma),
@@ -50,34 +46,28 @@ def workloads(scale):
                  complex(rng.uniform(0.2, 2), rng.uniform(-1, 1)),
                  complex(rng.uniform(2.2, 4), rng.uniform(-1, 1)),
                  rng.uniform(-0.85, 0.85)) for _ in range(n_hyp)]
-
-    def lgamma_grid(k):
-        return lambda: [k.clgamma(z) for z in zs]
-
-    def hyp_grid(k):
-        return lambda: [k.hyp2f1_series(a, b, c, z, 1e-13, 100000)
-                        for (a, b, c, z) in hyp_args]
-
-    def recursion(k):
-        return lambda: [k.hc_gamma_coeffs(m, m2, 0.9 - 0.4j, 60)
-                        for (m, m2) in ((1, 0), (2, 0), (2, 1), (4, 3))
-                        for _ in range(int(50 * scale))]
-
+    recursions = [(m, m2) for (m, m2) in ((1, 0), (2, 0), (2, 1), (4, 3))
+                  for _ in range(int(50 * scale))]
     # the sizes the quadrature oracles use: one `sphfun verify --suite
     # all` makes 163 circle-sum calls over 2053 radii in all, up to 64
     # radii a call, at 32 to 512 nodes
     radii = np.linspace(0.05, 0.9, 16)
+    n_circle = int(125 * scale)
 
     def circle(nodes):
-        return lambda k: lambda: [
-            k.poisson_circle_sum(radii, 0.8 - 0.3j, j % 3, nodes)
-            for j in range(int(125 * scale))]
+        return lambda: [k.poisson_circle_sum(radii, 0.8 - 0.3j, j % 3, nodes)
+                        for j in range(n_circle)]
 
     return [
-        ("log-gamma scalar grid", lgamma_grid),
-        ("2F1 series grid", hyp_grid),
-        ("series recursion", recursion),
-    ] + [(f"circle sum, {n} nodes", circle(n))
+        ("log-gamma scalar grid", n_gamma,
+         lambda: [k.clgamma(z) for z in zs]),
+        ("2F1 series grid", n_hyp,
+         lambda: [k.hyp2f1_series(a, b, c, z, 1e-13, 100000)
+                  for (a, b, c, z) in hyp_args]),
+        ("series recursion", len(recursions),
+         lambda: [k.hc_gamma_coeffs(m, m2, 0.9 - 0.4j, 60)
+                  for (m, m2) in recursions]),
+    ] + [(f"circle sum, {n} nodes", n_circle, circle(n))
          for n in (32, 64, 128, 256, 512)]
 
 
@@ -121,7 +111,7 @@ def counted_terms(args):
 
 def gauss_table(repeat, scale):
     calls = max(1, int(200 * scale))
-    print(f"\ngauss_2f1 by branch ({cm.kernels.BACKEND_NAME} kernels)")
+    print("\ngauss_2f1 by branch")
     print(f"{'branch':<28}{'us warm':>9}{'us cold':>9}{'terms':>7}")
     for name, a, b, d, z in GAUSS_CASES:
         args = (a, b, a + b + d, z)
@@ -163,7 +153,7 @@ def factor_table(repeat, scale):
         misses = after.misses - before.misses
         return after.hits - before.hits + misses, misses
 
-    print(f"\nsingle-root factors ({cm.kernels.BACKEND_NAME} kernels)")
+    print("\nsingle-root factors")
     print(f"{'call':<22}{'unit':>5}{'cold':>9}{'warm':>9}{'factors':>9}"
           f"{'eval cold':>11}{'eval warm':>11}")
     for name, unit, fn in cases:
@@ -194,18 +184,9 @@ def main():
     ap.add_argument("--scale", type=float, default=1.0)
     args = ap.parse_args()
 
-    print(f"{'kernel':<24}{'python (s)':>12}{'cython (s)':>12}"
-          f"{'speedup':>9}")
-    for name, make in workloads(args.scale):
-        t_py = timed(make(_kernels_py), args.repeat)
-        if _kernels_cy is not None:
-            t_cy = timed(make(_kernels_cy), args.repeat)
-            print(f"{name:<24}{t_py:>12.4f}{t_cy:>12.4f}"
-                  f"{t_py / t_cy:>8.1f}x")
-        else:
-            print(f"{name:<24}{t_py:>12.4f}{'n/a':>12}{'':>9}")
-    if _kernels_cy is None:
-        print("\ncompiled extension not built; only the fallback was timed")
+    print(f"{'kernel':<24}{'us/call':>10}")
+    for name, calls, fn in workloads(args.scale):
+        print(f"{name:<24}{timed(fn, args.repeat) / calls * 1e6:>10.2f}")
     gauss_table(args.repeat, args.scale)
     factor_table(args.repeat, args.scale)
 

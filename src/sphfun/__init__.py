@@ -9,7 +9,5 @@ their asymptotics), ``models`` (matrix / ball realizations and quadrature
 oracles), ``higherrank`` (cocycle and determinant composites), ``cli``.
 """
 
-from ._backend import backend_name
-
 __version__ = "0.1.0"
-__all__ = ["backend_name", "__version__"]
+__all__ = ["__version__"]

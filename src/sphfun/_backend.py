@@ -1,21 +1,8 @@
-"""Kernel backend selection.
+"""``sphfun._kernels_py`` under the name ``kernels``.
 
-Imports the compiled extension ``sphfun._kernels`` when present, otherwise
-the pure-Python twin ``sphfun._kernels_py``.  Set SPHFUN_BACKEND=python to
-force the fallback (useful for benchmarking and debugging).
+The library imports the kernels from here.  The module stays only because
+``perfbench/tracer.py`` resolves the kernels it hooks as
+``sphfun._backend.kernels``.
 """
 
-import os
-
-if os.environ.get("SPHFUN_BACKEND", "").lower() == "python":
-    from . import _kernels_py as kernels
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
-
-
-def backend_name() -> str:
-    """Name of the active kernel backend: 'cython' or 'python'."""
-    return kernels.BACKEND_NAME
+from . import _kernels_py as kernels

@@ -1,21 +1,20 @@
-"""Hot numeric kernels, pure-Python/NumPy edition.
+"""Hot numeric kernels, in pure Python and NumPy.
 
-This module is the fallback twin of the compiled extension
-``sphfun._kernels``.  Both expose the same names with the same semantics;
-``sphfun._backend`` picks whichever is importable.  Everything here is a
+The one implementation of ``clgamma``, ``hyp2f1_series``,
+``hc_gamma_coeffs`` and ``poisson_circle_sum``.  Everything here is a
 pure function of its arguments.
 
 The log-Gamma kernel uses a 15-term Lanczos rational approximation
 (g = 607/128) with reflection into the left half plane, good to roughly
-1e-14 relative accuracy away from the poles.
+1e-14 relative accuracy.  The reflection takes sin(pi z) after removing
+the nearest integer from z exactly, so that no rounding of pi z is
+magnified next to the poles.
 """
 
 import cmath
 import math
 
 import numpy as np
-
-BACKEND_NAME = "python"
 
 _LANCZOS_G = 4.7421875  # 607/128
 _LANCZOS = (
@@ -48,10 +47,15 @@ def _lanczos_sum(z: complex) -> complex:
     return s
 
 
-def _log_sin(w: complex) -> complex:
-    # log sin w, stable for large |Im w| where sin overflows
-    if abs(w.imag) < 34.0:
-        return cmath.log(cmath.sin(w))
+def _log_sin(z: complex) -> complex:
+    # log sin(pi z), stable for large |Im pi z| where sin overflows
+    if abs(math.pi * z.imag) < 34.0:
+        # sin(pi z) = (-1)^n sin(pi (z - n)); z - n is exact, and the
+        # components are scaled one by one so that a -0 Im z is kept
+        n = round(z.real)
+        s = cmath.sin(complex(math.pi * (z.real - n), math.pi * z.imag))
+        return cmath.log(-s if n % 2 else s)
+    w = math.pi * z
     if w.imag > 0.0:
         # sin w = -e^{-iw}/(2i) (1 - e^{2iw})
         return (-1j * w + complex(-math.log(2.0), 0.5 * math.pi)
@@ -66,7 +70,7 @@ def clgamma(z: complex) -> complex:
     if z.real < 0.5:
         # reflection; the whole turns of 2 pi i undo those of _log_sin and
         # pick the principal branch (Hare, J. Algorithms 25 (1997), 221-236)
-        log_sin = _log_sin(math.pi * z)
+        log_sin = _log_sin(z)
         turns = (round(log_sin.imag / _TWO_PI)
                  + math.copysign(1.0, z.imag)
                  * math.floor(0.5 * z.real + 0.25))

@@ -1,9 +1,10 @@
 """Complex special-function layer: Gamma, log-Gamma, Gauss 2F1 and the
 overflow-free log_cosh / log_sinh of a real t.
 
-Thin validating wrappers around the kernel backend.  All pole screening
-(each Gamma argument passes ``_pole_free`` once) and domain logic lives
-here so the compiled and pure-Python kernels stay interchangeable.
+Thin validating wrappers around the scalar kernels of
+``sphfun._kernels_py``.  All pole screening (each Gamma argument passes
+``_pole_free`` once) and domain logic lives here, so the kernels stay
+pure functions of their arguments.
 """
 
 import cmath

@@ -157,6 +157,24 @@ class TestLogGamma:
             ref = self.mpmath_loggamma(z)
             assert cm.log_gamma(z) == pytest.approx(ref, rel=1e-11, abs=1e-11)
 
+    def test_reflection_matches_mpmath_near_poles(self):
+        # the reflected branch, where sin(pi z) is taken after removing the
+        # nearest integer from z: the principal branch on and just above
+        # the negative half-integers, and the relative accuracy next to
+        # the poles -k, where a rounding of pi z would be divided by the
+        # distance
+        points = [complex(-k - 0.5, y) for k in range(41)
+                  for y in (0.0, 1e-9, 1e-6)]
+        points += [complex(-k + d, 0.0) for k in range(41)
+                   for d in (1e-10, -1e-10, 1e-4)]
+        for z in points:
+            ref = self.mpmath_loggamma(z)
+            assert abs(cm.log_gamma(z) - ref) <= 1e-14 * max(abs(ref), 1.0)
+        # the lower edge of the cut is the conjugate of the upper one
+        for x in [-k - 0.5 for k in range(41)] + [-2.3, -7.25, 0.2, 0.45]:
+            assert cm.log_gamma(complex(x, -0.0)) == \
+                cm.log_gamma(complex(x, 0.0)).conjugate()
+
     def test_quotient_reports_pole_side(self, monkeypatch):
         # every argument is screened, numerators first, before the kernel
         # evaluates any

@@ -30,16 +30,14 @@ def test_pole_rule_lives_in_complexmath():
     assert users == {"complexmath.py"}
 
 
-def test_kernel_twins_share_an_interface_the_library_calls():
-    # read from the .pyx source, so the check runs without Cython
-    pyx = (PACKAGE / "_kernels.pyx").read_text(encoding="utf-8")
-    compiled = set(re.findall(r"^def (?!_)(\w+)\(", pyx, re.MULTILINE))
-    fallback = {name for name, fn in inspect.getmembers(
-                    _kernels_py, inspect.isfunction)
-                if fn.__module__ == _kernels_py.__name__
-                and not name.startswith("_")}
-    assert compiled == fallback
+def test_every_kernel_is_called_by_the_library():
+    # a public kernel that no module calls as kernels.<name>( is dead code
+    public = {name for name, fn in inspect.getmembers(
+                  _kernels_py, inspect.isfunction)
+              if fn.__module__ == _kernels_py.__name__
+              and not name.startswith("_")}
+    assert public
     library = "".join(p.read_text(encoding="utf-8") for p in SOURCES)
-    uncalled = {name for name in fallback
+    uncalled = {name for name in public
                 if not re.search(rf"\bkernels\.{name}\(", library)}
     assert not uncalled
