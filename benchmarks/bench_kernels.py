@@ -1,5 +1,5 @@
-"""Time the scalar kernels, each branch of the Gauss 2F1 and the
-single-root c-factors.
+"""Time the scalar kernels, each branch of the Gauss 2F1, the closed
+form phi_tau, the single-root c-factors and the command-line parser.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeat 5] [--scale 1.0]
@@ -9,20 +9,26 @@ representative workload: microseconds per call, best of the repeats.  A
 second table (L1) times ``complexmath.gauss_2f1`` on each of its
 branches: microseconds per call with its per-(a, b, c) constants cached
 (warm) and computed afresh (cold), and the series terms per call.  A
-third (L2/L4) times ``cfun.c_full`` and ``c_sigma`` at the longest
-element on A2 and B2, and ``verify.check_cocycle`` on the cocycle
-suite's samples, with the single-root factor cache cleared before each
-call (cold) and kept (warm): the time per call, the factors each call
-asks for and how many of them it evaluates.
+third (L2) times ``rankone.phi_tau`` over the rank1-grid t-grid at one
+Lam: microseconds per call with the closed-form and 2F1 plans cleared
+before each sweep of the grid (cold) and kept (warm).  A fourth (L2/L4)
+times ``cfun.c_full`` and ``c_sigma`` at the longest element on A2 and
+B2, and ``verify.check_cocycle`` on the cocycle suite's samples, with the
+single-root factor cache cleared before each call (cold) and kept
+(warm): the time per call, the factors each call asks for and how many
+of them it evaluates.  The last (L5) times ``cli.build_parser`` for each
+command and for all of them, and one in-process ``cli.main`` call.
 """
 
 import argparse
+import contextlib
+import io
 import time
 
 import numpy as np
 
-from sphfun import _kernels_py, cfun, complexmath as cm, rootdata as rd, \
-    verify
+from sphfun import _kernels_py, cfun, cli, complexmath as cm, \
+    rankone as r1, rootdata as rd, verify
 
 
 def timed(fn, repeat):
@@ -102,7 +108,7 @@ def counted_terms(args):
     cm.kernels.hyp2f1_series = count(kernel)
     cm._connection_sum = count(conn)
     try:
-        cm._connection_coeffs.cache_clear()
+        cm._plan.cache_clear()
         cm.gauss_2f1(*args)
     finally:
         cm.kernels.hyp2f1_series, cm._connection_sum = kernel, conn
@@ -122,13 +128,39 @@ def gauss_table(repeat, scale):
 
         def cold():
             for _ in range(calls):
-                cm._connection_coeffs.cache_clear()
+                cm._plan.cache_clear()
                 cm.gauss_2f1(*args)
         cm.gauss_2f1(*args)
         t_warm = timed(warm, repeat) / calls * 1e6
         t_cold = timed(cold, repeat) / calls * 1e6
         print(f"{name:<28}{t_warm:>9.1f}{t_cold:>9.1f}"
               f"{counted_terms(args):>7}")
+
+
+# the t-grid of the rank1-grid workload: both 2F1 branches
+T_GRID = (0.05, 0.2, 0.5, 0.9, 1.4, 1.8, 2.5, 3.0, 5.0, 8.0, 12.0, 20.0)
+
+
+def phi_table(repeat, scale):
+    space = r1.RankOneSpace(2, 0)
+    kt = r1.catalog_lookup(r1.load_ktype_catalog(), "s1r0", space)
+    sweeps = max(1, int(50 * scale))
+
+    def sweep(clear):
+        def run():
+            for _ in range(sweeps):
+                if clear:
+                    r1._closed_form_plan.cache_clear()
+                    cm._plan.cache_clear()
+                for t in T_GRID:
+                    r1.phi_tau(space, kt, 0.9 - 0.3j, t)
+        return run
+    print("\nphi_tau over the rank1-grid t-grid")
+    print(f"{'call':<28}{'us cold':>9}{'us warm':>9}")
+    per_call = [timed(sweep(clear), repeat) / (sweeps * len(T_GRID)) * 1e6
+                for clear in (True, False)]
+    print(f"{'phi_tau, Lam = 0.9 - 0.3i':<28}{per_call[0]:>9.1f}"
+          f"{per_call[1]:>9.1f}")
 
 
 def factor_table(repeat, scale):
@@ -178,6 +210,25 @@ def factor_table(repeat, scale):
               f"{eval_cold:>11}{eval_warm:>11}")
 
 
+def cli_table(repeat, scale):
+    calls = max(1, int(200 * scale))
+    print("\ncommand line")
+    print(f"{'call':<34}{'unit':>5}{'time':>9}")
+    for command in [None, *cli.COMMANDS]:
+        t = timed(lambda: [cli.build_parser(command)
+                           for _ in range(calls)], repeat)
+        name = f"build_parser({command or ''})"
+        print(f"{name:<34}{'us':>5}{t / calls * 1e6:>9.1f}")
+    argv = ["simple-check", "--space", "h2", "--lambda", "0,1.5"]
+
+    def run():
+        for _ in range(calls):
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+    print(f"{'main(simple-check)':<34}{'ms':>5}"
+          f"{timed(run, repeat) / calls * 1e3:>9.3f}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
@@ -188,7 +239,9 @@ def main():
     for name, calls, fn in workloads(args.scale):
         print(f"{name:<24}{timed(fn, args.repeat) / calls * 1e6:>10.2f}")
     gauss_table(args.repeat, args.scale)
+    phi_table(args.repeat, args.scale)
     factor_table(args.repeat, args.scale)
+    cli_table(args.repeat, args.scale)
 
 
 if __name__ == "__main__":

@@ -593,13 +593,24 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the command line.  For the name of a command it holds
+    that subcommand alone, all that a call naming it can parse, and its
+    usage line still lists every command; otherwise every subcommand.  It
+    is built per call: a process parses one command line."""
     ap = argparse.ArgumentParser(
         prog="sphfun",
         description="c-functions and spherical functions on rank-one "
                     "symmetric spaces, with quadrature verification")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, summary, rules) in COMMANDS.items():
+    if command in COMMANDS:
+        names = [command]
+        sub = ap.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(COMMANDS))
+    else:
+        names = list(COMMANDS)
+        sub = ap.add_subparsers(dest="command", required=True)
+    for name in names:
+        _, summary, rules = COMMANDS[name]
         p = sub.add_parser(name, help=summary)
         # argparse reads a word that starts with "-" as an option unless it
         # is a plain number; no option name starts with "-<digit>" or
@@ -628,8 +639,9 @@ def check_options(args) -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -32,8 +32,8 @@ MAX_TERMS = 100_000
 # over the rank1-grid inputs of 81 seeds it reaches 3.5e3, and 0.1% of
 # the sums exceed 100
 CANCELLATION_LIMIT = 1e6
-# Entries of each cache of a constant that depends on Lam alone (the
-# connection-formula constants here, c_{Lam,delta} and the series terms in
+# Entries of each cache of a constant that depends on Lam alone (the 2F1
+# plans here, the closed-form plans, c_{Lam,delta} and the series terms in
 # rankone, the single-root factors of cfun): a caller evaluates one Lam,
 # and -Lam, at many t, or the at most 2 n_positive factors of one lam's
 # Weyl orbit many times; the bound keeps a run over many Lam from growing
@@ -205,7 +205,6 @@ def _log_gamma_step(x: complex, eps: complex) -> complex:
             - 1.0 - y * yp * stirling - e * _log1p_quotient(eps * e))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _connection_coeffs(a, b, c):
     """Constants (m, eps, finite, w0, h0, R0) of the z -> 1-z connection
     formula for c - a - b = m + eps, m = round(Re(c - a - b)) >= 0:
@@ -225,8 +224,9 @@ def _connection_coeffs(a, b, c):
     R_0 = exp(eps G_0) and h_0 = expm1(eps G_0) / eps, with G_0 a sum of
     log-Gamma steps; _connection_sum carries w_k, R_k and h_k on by their
     rational recurrences.  Raises PoleError when Gamma(c - a) or
-    Gamma(c - b) is at a pole (side "denominator"); _gauss_2f1_impl
-    sends m < 0 and such a pole to Euler's transformation first.
+    Gamma(c - b) is at a pole (side "denominator"); _Plan sends m < 0
+    and such a pole to Euler's transformation first, and keeps these
+    constants for its (a, b, c).
     """
     d = c - a - b
     m = round(d.real)
@@ -285,9 +285,10 @@ def _connection_sum(x1, x2, m, eps, term, h, r, zc, zc_d, log_part):
     return total, -1, largest
 
 
-def _transform_near_one(a, b, c, zc, log_zc) -> complex:
-    # z -> 1-z connection formula, zc = 1-z and log zc given for accuracy
-    m, eps, finite, w0, h0, r0 = _connection_coeffs(a, b, c)
+def _transform_near_one(a, b, c, zc, log_zc, coeffs) -> complex:
+    # z -> 1-z connection formula, zc = 1-z and log zc given for accuracy,
+    # coeffs = _connection_coeffs(a, b, c)
+    m, eps, finite, w0, h0, r0 = coeffs
     head = 0j
     for coeff in reversed(finite):
         head = head * zc + coeff
@@ -325,38 +326,71 @@ def _is_nonpos_int(p: complex) -> bool:
     return p.imag == 0.0 and p.real <= 0.0 and p.real == round(p.real)
 
 
+class _Plan:
+    """What _gauss_2f1_impl decides from (a, b, c) alone, once per
+    (a, b, c) through the cache _plan: the pole at c (raised, never
+    cached), the terms of a terminating series (a or b = -n, n + 1 terms,
+    the kernel stopping at its first zero term; 0 otherwise), and, formed
+    by the first call on the connection branch, that branch's choice.
+    Each call forms its values from its own parameters: equal keys may
+    differ in the sign of a zero part."""
+
+    __slots__ = ("terms", "choice")
+
+    def __init__(self, a, b, c):
+        if distance_to_nonpos_int(c) <= POLE_TOL:
+            raise PoleError(c, f"2F1 parameter pole at c = {c}")
+        self.terms = next((int(-p.real) + 1 for p in (a, b)
+                           if _is_nonpos_int(p)), 0)
+        self.choice = None
+
+    @staticmethod
+    def _choose(a, b, c):
+        # Euler's transformation F(a, b; c; z) = zc^d F(c-a, c-b; c; z)
+        # turns c - a or c - b = -j, taken as exact within POLE_TOL (the
+        # poles of the connection formula's Gamma(c - a) Gamma(c - b)),
+        # into a terminating series (j and whether b is the one at the
+        # pole), and d into -d (the plan of the transformed parameters)
+        for p, swap in ((c - a, False), (c - b, True)):
+            if distance_to_nonpos_int(p) <= POLE_TOL:
+                return "terminating", (-round(p.real), swap)
+        if round((c - a - b).real) < 0:
+            return "euler", _Plan(c - a, c - b, c)
+        return "connection", _connection_coeffs(a, b, c)
+
+    def near_one(self, a, b, c, z, zc, log_zc) -> complex:
+        """F(a, b; c; z) on the connection branch, |1 - z| <= 0.5."""
+        if self.choice is None:
+            self.choice = self._choose(a, b, c)
+        kind, arg = self.choice
+        if kind == "terminating":
+            j, swap = arg
+            return _terminating_near_one(j, a if swap else b, c, z, zc,
+                                         log_zc)
+        if kind == "euler":
+            return cmath.exp((c - a - b) * log_zc) * arg.near_one(
+                c - a, c - b, c, z, zc, log_zc)
+        return _transform_near_one(a, b, c, zc, log_zc, arg)
+
+
+_plan = lru_cache(maxsize=CACHE_SIZE)(_Plan)
+
+
 def _gauss_2f1_impl(a, b, c, z, zc, log_zc=None) -> complex:
     a, b, c = complex(a), complex(b), complex(c)
-    if distance_to_nonpos_int(c) <= POLE_TOL:
-        raise PoleError(c, f"2F1 parameter pole at c = {c}")
-    for p in (a, b):
-        if _is_nonpos_int(p):
-            # terminating series when a (or b) = -m: the kernel stops at
-            # its first zero term, after m + 1 steps
-            return kernels.hyp2f1_series(a, b, c, z, 0.0,
-                                         int(-p.real) + 1)[0]
+    plan = _plan(a, b, c)
+    if plan.terms:
+        return kernels.hyp2f1_series(a, b, c, z, 0.0, plan.terms)[0]
     az = abs(z)
     if az > 1.0 + 1e-14:
         raise HypDomainError(f"|z| = {az} > 1 not supported")
     if az > SERIES_RADIUS and abs(zc) <= 0.5:
         if zc == 0 and log_zc is None:
             # exactly at the boundary point; for a nonzero complement the
-            # connection formula below keeps the genuine zc^{c-a-b} term
+            # connection formula keeps the genuine zc^{c-a-b} term
             return gauss_2f1_at_one(a, b, c)
         log_zc = cmath.log(zc) if log_zc is None else log_zc
-        # Euler's transformation F(a, b; c; z) = zc^d F(c-a, c-b; c; z)
-        # turns c - a or c - b = -j, taken as exact within POLE_TOL (the
-        # poles of the connection formula's Gamma(c - a) Gamma(c - b)),
-        # into a terminating series, and d into -d
-        for p, other in ((c - a, b), (c - b, a)):
-            if distance_to_nonpos_int(p) <= POLE_TOL:
-                return _terminating_near_one(-round(p.real), other, c, z,
-                                             zc, log_zc)
-        d = c - a - b
-        if round(d.real) < 0:
-            return cmath.exp(d * log_zc) * _gauss_2f1_impl(
-                c - a, c - b, c, z, zc, log_zc)
-        return _transform_near_one(a, b, c, zc, log_zc)
+        return plan.near_one(a, b, c, z, zc, log_zc)
     if az <= SERIES_LIMIT:
         return _series(a, b, c, z)
     raise HypDomainError(

@@ -217,10 +217,12 @@ def _hyp_parameters(space: RankOneSpace, kt: KTypeRankOne, Lam: complex):
     return l, a, b, c
 
 
-def _closed_form(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
-                 t: float, limit: bool) -> complex:
-    """phi(t) = c_{Lam,delta} tanh^s t cosh^l t F(a, b; c; tanh^2 t), or,
-    with limit, (2 cosh t)^{-l} phi(t), in which the cosh powers cancel.
+@lru_cache(maxsize=cm.CACHE_SIZE)
+def _closed_form_plan(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
+                      limit: bool) -> tuple:
+    """The part of _closed_form that t does not change, the K-type
+    validated: (a, b, c) of its 2F1, the cosh power and, with limit,
+    2^{-l}.
 
     For Im Lam > 0 that 2F1 grows like cosh^{2 Im Lam} t while cosh^l t
     decays, and at large t each alone over- or underflows.  There Euler's
@@ -228,21 +230,29 @@ def _closed_form(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
     (c - a - b = i Lam, 1 - z = sech^2 t) moves the growth into the cosh
     power, -i Lam - rho for phi, and leaves a bounded 2F1.
     """
-    if not t >= 0:
-        raise ValueError("t must be >= 0")
     validate_ktype(space, kt)
     l, a, b, c = _hyp_parameters(space, kt, Lam)
+    power = 0 if limit else l
+    if complex(Lam).imag > 0:
+        a, b, power = c - a, c - b, power - 2j * complex(Lam)
+    return a, b, c, power, cmath.exp(-l * math.log(2.0)) if limit else None
+
+
+def _closed_form(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
+                 t: float, limit: bool) -> complex:
+    """phi(t) = c_{Lam,delta} tanh^s t cosh^l t F(a, b; c; tanh^2 t), or,
+    with limit, (2 cosh t)^{-l} phi(t), in which the cosh powers cancel."""
+    if not t >= 0:
+        raise ValueError("t must be >= 0")
+    a, b, c, power, scale = _closed_form_plan(space, kt, Lam, limit)
     value = 1.0 + 0j if kt.s == 0 else 0j
     if t > 0:
-        power = 0 if limit else l
-        if complex(Lam).imag > 0:
-            a, b, power = c - a, c - b, power - 2j * complex(Lam)
         const = c_lambda_delta(space, kt, Lam) * math.tanh(t) ** kt.s
         lc = cm.log_cosh(t)
         # z = tanh^2 t is within rounding of 1: pass log(1 - z) = -2 log cosh t
         hyp = cm.gauss_2f1_log_complement(a, b, c, -2.0 * lc)
         value = const * cmath.exp(power * lc) * hyp if power else const * hyp
-    return cmath.exp(-l * math.log(2.0)) * value if limit else value
+    return scale * value if limit else value
 
 
 def phi_tau(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,

@@ -7,15 +7,17 @@ import json
 import math
 import re
 import shlex
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from sphfun import cfun
+from sphfun import cfun, cli
 from sphfun import rankone as r1
 from sphfun import rootdata as rd
-from sphfun.cli import COMMANDS, main, parse_complex, parse_grid, parse_space
+from sphfun.cli import (COMMANDS, OPTIONS, main, parse_complex, parse_grid,
+                        parse_space)
 
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
@@ -31,6 +33,12 @@ def run_cli(*argv):
 
 def rows_of(csv_text):
     return list(csv.DictReader(io.StringIO(csv_text)))
+
+
+def lists_command(help_text, name):
+    """Whether help_text lists the command with its summary."""
+    entry = f"{name} {COMMANDS[name][1]}"
+    return " ".join(entry.split()) in " ".join(help_text.split())
 
 
 class TestParsers:
@@ -534,6 +542,40 @@ class TestOptionSurface:
         assert "must be finite and > 0" in err
 
 
+class TestSizedParser:
+    # a call that names a command parses with that subparser alone; its
+    # exit code, stdout and stderr are those of the parser of every command
+    CASES = [[], ["-h"], ["--help"], ["nope"], ["phi"], ["-h", "phi-eval"]]
+    CASES += [argv for name, (_, _, rules) in COMMANDS.items()
+              for argv in ([name, "-h"], [name], [name, "--bogus"],
+                           [name, "extra"],
+                           [name, next(f for f in OPTIONS if f not in rules),
+                            "1"])]
+
+    @pytest.mark.parametrize("argv", CASES,
+                             ids=lambda argv: " ".join(argv) or "none")
+    def test_output_is_that_of_the_full_parser(self, monkeypatch, argv):
+        sized = run_cli(*argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert sized == run_cli(*argv)
+
+    def test_named_command_builds_its_subparser_alone(self):
+        for name in COMMANDS:
+            text = cli.build_parser(name).format_help()
+            for other in COMMANDS:
+                assert lists_command(text, other) == (other == name)
+
+    def test_no_argv_reads_sys_argv(self, monkeypatch):
+        argv = ["simple-check", "--space", "h2", "--lambda", "0,1.5"]
+        monkeypatch.setattr(sys, "argv", ["sphfun", *argv])
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main()
+        assert (code, out.getvalue(), err.getvalue()) == run_cli(*argv)
+        assert code == 0 and out.getvalue()
+
+
 class TestOutput:
     def test_json_format(self):
         code, out, _ = run_cli("c-eval", "--space", "h2",
@@ -552,8 +594,9 @@ class TestOutput:
         assert a.read_bytes() == b.read_bytes()
 
     def test_help_exits_clean(self):
-        code, _, _ = run_cli("--help")
+        code, out, _ = run_cli("--help")
         assert code == 0
+        assert all(lists_command(out, name) for name in COMMANDS)
 
     def test_readme_examples_run(self, monkeypatch):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")

@@ -375,12 +375,13 @@ class TestGauss2F1MatchesMpmath:
 
 
 class TestConnectionCache:
-    # the connection formula's constants are cached per (a, b, c)
+    # what gauss_2f1 decides from (a, b, c) alone, the connection formula's
+    # constants included, is cached per (a, b, c)
     @pytest.fixture(autouse=True)
     def cleared(self):
-        cm._connection_coeffs.cache_clear()
+        cm._plan.cache_clear()
         yield
-        cm._connection_coeffs.cache_clear()
+        cm._plan.cache_clear()
 
     @classmethod
     def bits(cls, values):
@@ -397,11 +398,19 @@ class TestConnectionCache:
         (PLUS, MINUS), (MINUS, PLUS), (ZERO, NEG_ZERO), (NEG_ZERO, ZERO)])
     def test_hit_has_the_bits_of_a_fresh_call(self, first, second):
         assert first == second
-        cm._connection_coeffs(*first)
-        got = cm._connection_coeffs(*second)
-        assert cm._connection_coeffs.cache_info().hits == 1
-        assert self.bits(got) == self.bits(
-            cm._connection_coeffs.__wrapped__(*second))
+        # 1 - z = 0.2 takes the connection formula, 0.6 the series
+        for zc in (0.2, 0.6):
+            cm._plan.cache_clear()
+            cm.gauss_2f1_complement(*first, zc)
+            got = cm.gauss_2f1_complement(*second, zc)
+            assert cm._plan.cache_info().hits == 1
+            choice = cm._plan(*second).choice
+            if choice is not None and choice[0] == "connection":
+                assert self.bits(choice[1]) == self.bits(
+                    cm._connection_coeffs(*second))
+            cm._plan.cache_clear()
+            assert self.bits(got) == self.bits(
+                cm.gauss_2f1_complement(*second, zc))
 
     def test_scalar_calls_share_the_ratios(self, monkeypatch):
         calls = []
@@ -414,18 +423,45 @@ class TestConnectionCache:
         for zc in (1e-6, 1e-9):
             cm.gauss_2f1_complement(a, b, c, zc)
         assert first > 0 and len(calls) == first
+        assert cm._plan.cache_info()[:2] == (2, 1)  # (hits, misses)
+
+    @pytest.mark.parametrize("a,b,c_minus_a_minus_b,kind", [
+        (0.3 + 0.2j, 0.9 - 0.4j, 1.3j, "connection"),
+        (0.3 + 0.2j, 0.9 - 0.4j, -1.0 + 1e-6, "euler"),
+        (1.25, -1.5 + 1e-13, 0.5, "terminating"),
+    ])
+    def test_connection_branch_is_chosen_once(self, monkeypatch, a, b,
+                                              c_minus_a_minus_b, kind):
+        c = a + b + c_minus_a_minus_b
+        calls = []
+        screen = cm.distance_to_nonpos_int
+        monkeypatch.setattr(cm, "distance_to_nonpos_int", lambda z: (
+            z in (c, c - a, c - b) and calls.append(z)) or screen(z))
+        values = [cm.gauss_2f1(a, b, c, z) for z in (0.8, 0.9, 0.99)]
+        assert cm._plan(a, b, c).choice[0] == kind
+        screens = len(calls)
+        cm._plan.cache_clear()
+        assert values[-1] == cm.gauss_2f1(a, b, c, 0.99)
+        # c, c - a and c - b are screened for poles by the first of three
+        # calls alone: as often as by one fresh call
+        assert screens >= 2 and len(calls) == 2 * screens
 
     def test_pole_raises_on_every_call(self):
-        # Gamma(c) in a numerator: c = -1 is a pole; Gamma(c - a) in a
-        # denominator: c - a = -1, with c - a - b = 0.5
+        # c = -1 is a pole of the 2F1 itself
+        for _ in range(3):
+            with pytest.raises(cm.PoleError, match="parameter pole"):
+                cm.gauss_2f1(0.25, 0.5, -1.0, 0.8)
+        assert cm._plan.cache_info().currsize == 0
+        # the connection formula's constants carry Gamma(c) in a
+        # numerator and Gamma(c - a) in a denominator: c = -1, and c - a =
+        # -1 with c - a - b = 0.5, which the plan sends to the terminating
+        # series instead
         for args, side in (((0.25 + 0j, 0.5 + 0j, -1.0 + 0j), "numerator"),
                            ((1.25 + 0j, -1.5 + 0j, 0.25 + 0j),
                             "denominator")):
-            for _ in range(3):
-                with pytest.raises(cm.PoleError) as exc:
-                    cm._connection_coeffs(*args)
-                assert exc.value.side == side
-        assert cm._connection_coeffs.cache_info().currsize == 0
+            with pytest.raises(cm.PoleError) as exc:
+                cm._connection_coeffs(*args)
+            assert exc.value.side == side
 
 
 class TestGauss2F1AtOne:

@@ -481,7 +481,7 @@ class TestTimeGrids:
 
 def clear_caches():
     for fn in (r1.c_lambda_delta, r1.hc_series_gammas, r1._series_terms,
-               cm._connection_coeffs):
+               r1._closed_form_plan, cm._plan):
         fn.cache_clear()
 
 
@@ -537,6 +537,35 @@ class TestPerLambdaCaches:
             r1.phi_tau(H3, H3_S1R0, lam, t)
         assert 0 < len(calls) <= one_per_branch
 
+    # Im Lam > 0 takes Euler's transformation of the 2F1
+    @pytest.mark.parametrize("lam", [0.9 - 0.3j, 0.9 + 0.3j])
+    def test_grid_validates_and_screens_once(self, monkeypatch, lam):
+        # the K-type is validated, and the 2F1 parameters are screened
+        # for poles, by 12 calls as often as by one
+        validated = []
+        validate = r1.validate_ktype
+        monkeypatch.setattr(r1, "validate_ktype",
+                            lambda *args: validated.append(1) or
+                            validate(*args))
+        a, b, c, _, _ = r1._closed_form_plan(H3, H3_S1R0, lam, False)
+        screened = []
+        screen = cm.distance_to_nonpos_int
+        monkeypatch.setattr(cm, "distance_to_nonpos_int", lambda z: (
+            z in (c, c - a, c - b) and screened.append(z)) or screen(z))
+        clear_caches()
+        validated.clear()
+        r1.phi_tau(H3, H3_S1R0, lam, self.TS[-1])
+        once = len(validated), len(screened)
+        clear_caches()
+        validated.clear()
+        screened.clear()
+        for t in self.TS:
+            r1.phi_tau(H3, H3_S1R0, lam, t)
+        assert (len(validated), len(screened)) == once
+        assert once[0] == 1 and once[1] >= 3
+        assert r1._closed_form_plan.cache_info()[:2] == (11, 1)
+        assert cm._plan.cache_info()[:2] == (11, 1)
+
     def test_scalar_series_calls_share_the_coefficients(self, monkeypatch):
         calls = self.counted(monkeypatch, "hc_gamma_coeffs")
         for t in self.TS[3:9]:
@@ -560,8 +589,27 @@ class TestPerLambdaCaches:
             if got[0] != "raised":
                 assert fn.cache_info().hits == hits + 1
             assert got == outcome(fn.__wrapped__, *args, second, *extra)
+        # the closed form on both 2F1 branches, through both plans
+        for fn in (r1.phi_tau, r1.limit_large_t):
+            for sp, kt in ((H3, H3_S1R0), (CH2, ch2_s2r1)):
+                for t in (0.3, 1.5, 6.0):
+                    outcome(fn, sp, kt, first, t)
+                    hits = r1._closed_form_plan.cache_info().hits
+                    got = outcome(fn, sp, kt, second, t)
+                    assert r1._closed_form_plan.cache_info().hits == hits + 1
+                    clear_caches()
+                    assert got == outcome(fn, sp, kt, second, t)
 
     def test_pole_raises_on_every_call(self):
+        # no plan keeps an invalid K-type (s = 1 with d_alpha = 0); the 2F1
+        # pole at c is TestConnectionCache's
+        bad = r1.KTypeRankOne(0.0, 0.0, 0, 1)
+        for fn, t in ((r1.phi_tau, 1.0), (r1.limit_large_t, 0.0)):
+            for _ in range(3):
+                with pytest.raises(ValueError, match="violates"):
+                    fn(H2, bad, 0.5, t)
+        assert r1._closed_form_plan.cache_info().currsize == 0
+        assert cm._plan.cache_info().currsize == 0
         # c_{Lam,delta} at Lam = 1.5i: (w + s + r)/2 = 0 with w = -1;
         # c(0) has a pole; 2 i Lam = 4 is a resonant denominator
         s1r0 = r1.ktype_from_rs(H2, 0, 1)
