@@ -13,6 +13,7 @@ magnified next to the poles.
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,16 +150,34 @@ def hc_gamma_coeffs(m_alpha: int, m_2alpha: int, lam: complex,
     return g
 
 
-def poisson_circle_sum(u, mu: complex, harmonic: int,
-                       nphi: int) -> np.ndarray:
-    """For each radius in the 1-D array u, the mean over the uniform
-    nphi-point grid on [0, 2pi) of P(u, psi)^mu e^{i harmonic psi} with
-    P = (1-u^2)/(1-2u cos psi+u^2)."""
-    mu = complex(mu)
-    u = np.asarray(u, dtype=float)[:, None]
-    psi = np.arange(nphi) * (2.0 * math.pi / nphi)
-    pk = (1.0 - u * u) / (1.0 - 2.0 * u * np.cos(psi) + u * u)
-    vals = np.exp(mu * np.log(pk))
+@lru_cache(maxsize=64)
+def _half_circle(nphi: int, shift: float,
+                 harmonic: int) -> tuple[np.ndarray, np.ndarray]:
+    # cos psi at the grid nodes with 0 <= psi <= pi, and each node's
+    # weight in the mean: 2 cos(harmonic psi) / nphi, the mirror node
+    # included, or 1/nphi at psi = 0 and psi = pi, their own mirrors
+    j2 = 2 * np.arange(int(0.5 * nphi - shift) + 1) + int(2 * shift)
+    psi = j2 * (math.pi / nphi)  # twice (j + shift), times pi/nphi
+    weight = np.where((j2 == 0) | (j2 == nphi), 1.0, 2.0) / nphi
     if harmonic:
-        vals = vals * np.exp(1j * harmonic * psi)
-    return vals.mean(axis=1)
+        weight = weight * np.cos(harmonic * psi)
+    cos_psi = np.cos(psi)
+    cos_psi.flags.writeable = False
+    weight.flags.writeable = False
+    return cos_psi, weight
+
+
+def poisson_circle_sum(u, mu: complex, harmonic: int, nphi: int,
+                       shift: float = 0.0) -> np.ndarray:
+    """For each radius in the 1-D array u, the mean over the uniform
+    nphi-point grid psi_j = 2pi (j + shift)/nphi on [0, 2pi) of
+    P(u, psi)^mu e^{i harmonic psi} with P = (1-u^2)/(1-2u cos psi+u^2).
+
+    shift is 0 or 1/2, so the grid is symmetric under psi -> -psi.  P is
+    even in psi, so the sum runs over the nodes with 0 <= psi <= pi only,
+    each paired with its mirror through the weight 2 cos(harmonic psi).
+    The nodes and weights are tables of (nphi, shift, harmonic) alone."""
+    cos_psi, weight = _half_circle(nphi, float(shift), harmonic)
+    u = np.asarray(u, dtype=float)[:, None]
+    pk = (1.0 - u * u) / (1.0 - 2.0 * u * cos_psi + u * u)
+    return np.sum(np.exp(complex(mu) * np.log(pk)) * weight, axis=1)

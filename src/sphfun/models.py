@@ -186,6 +186,20 @@ def sl2_to_ball(g: Matrix2) -> complex:
     return (z - 1j) / (z + 1j)
 
 
+def _rotated_ball_points(g1: Matrix2, theta: np.ndarray,
+                         g2: Matrix2) -> np.ndarray:
+    """sl2_to_ball(g1 @ k_theta_matrix(theta) @ g2) at each angle of the
+    array theta, with the products of Matrix2 written out."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    a = g1.a * cos + g1.b * -sin
+    b = g1.a * sin + g1.b * cos
+    c = g1.c * cos + g1.d * -sin
+    d = g1.c * sin + g1.d * cos
+    z = ((a * g2.a + b * g2.c) * 1j + (a * g2.b + b * g2.d)) / (
+        (c * g2.a + d * g2.c) * 1j + (c * g2.b + d * g2.d))
+    return (z - 1j) / (z + 1j)
+
+
 def boundary_circle_point(theta: float) -> complex:
     """Disk boundary image of the coset k_theta M: e^{2 i theta}."""
     return cmath.exp(2j * theta)
@@ -238,8 +252,8 @@ def _circle_means(u: np.ndarray, mu: complex, harmonic: int,
     """Per radius u, the limit of the circle means of the Poisson kernel
     power P(u, psi)^mu e^{i harmonic psi}: one trapezoid batch."""
     values, _ = trapezoid_doubling(
-        lambda m, idx: kernels.poisson_circle_sum(u[idx], mu, harmonic, m),
-        len(u), spec)
+        lambda m, idx, shift: kernels.poisson_circle_sum(
+            u[idx], mu, harmonic, m, shift), len(u), spec)
     return values
 
 
@@ -249,17 +263,19 @@ def _sphere_band_norm(n: int, spec: QuadratureSpec) -> tuple[complex, int]:
     # the numerator (self-normalizing the polar slice of the sphere)
     p = n - 2
 
-    def f(theta: np.ndarray) -> np.ndarray:
+    def f(theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.sin(theta) ** p + 0j
 
-    return gauss_legendre_adaptive(f, 0.0, math.pi, spec)
+    values, nodes = gauss_legendre_adaptive(f, 1, 0.0, math.pi, spec)
+    return complex(values[0]), nodes
 
 
 def quad_phi_K(n: int, Lam: complex, t, spec: QuadratureSpec = DEFAULT_SPEC):
     """Zonal spherical function on n-dimensional hyperbolic space at
     distance t (a number or an array of them), as the normalized boundary
-    integral of the Poisson kernel power P(x, b)^{i Lam + rho}.  On the
-    plane the whole grid is one trapezoid batch."""
+    integral of the Poisson kernel power P(x, b)^{i Lam + rho}.  The
+    whole grid is one batch: of the trapezoid rule on the plane, of the
+    adaptive Gauss-Legendre rule in the polar angle above it."""
     if n < 2:
         raise ValueError("need n >= 2")
     t, scalar = _points(t)
@@ -269,23 +285,23 @@ def quad_phi_K(n: int, Lam: complex, t, spec: QuadratureSpec = DEFAULT_SPEC):
     inner = np.flatnonzero(u != 0.0)
     if n == 2:
         values[inner] = _circle_means(u[inner], mu, 0, spec)
-    else:
-        for i in inner:
-            values[i] = _phi_polar(n, mu, float(u[i]), spec)[0]
+    elif inner.size:
+        values[inner] = _phi_polar(n, mu, u[inner], spec)
     return _shaped(values, scalar)
 
 
-def _phi_polar(n: int, mu: complex, u: float,
-               spec: QuadratureSpec) -> tuple[complex, int]:
+def _phi_polar(n: int, mu: complex, u: np.ndarray,
+               spec: QuadratureSpec) -> np.ndarray:
+    # per radius of u, the normalized polar-angle integral of P^mu
     p = n - 2
 
-    def f(theta: np.ndarray) -> np.ndarray:
-        pk = (1.0 - u * u) / (1.0 - 2.0 * u * np.cos(theta) + u * u)
+    def f(theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        r = u[idx, None]
+        pk = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(theta) + r * r)
         return np.exp(mu * np.log(pk)) * np.sin(theta) ** p
 
-    num, nodes1 = gauss_legendre_adaptive(f, 0.0, math.pi, spec)
-    den, nodes2 = _sphere_band_norm(n, spec)
-    return num / den, nodes1 + nodes2
+    num, _ = gauss_legendre_adaptive(f, len(u), 0.0, math.pi, spec)
+    return num / _sphere_band_norm(n, spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +442,12 @@ def functional_equation_check(n: int, Lam: complex, t1: float, t2: float,
     phi at the composed point against phi(t1) phi(t2).
 
     The group average over K reduces to the polar angle gamma between the
-    two geodesic legments, with
+    two geodesic segments, with
     cosh d(gamma) = cosh t1 cosh t2 + sinh t1 sinh t2 cos gamma.
     """
     # phi at each distance, keyed to 1e-14: nodes at one distance (all
-    # of them when t1 = 0) share one evaluation
+    # of them when t1 = 0) share one evaluation, and the nodes of every
+    # panel of a bisection depth are one quad_phi_K batch
     cache: dict = {}
 
     def dist(gamma: np.ndarray) -> np.ndarray:
@@ -440,8 +457,8 @@ def functional_equation_check(n: int, Lam: complex, t1: float, t2: float,
 
     p = n - 2
 
-    def f(gamma: np.ndarray) -> np.ndarray:
-        ds = [float(d) for d in dist(gamma)]
+    def f(gamma: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        ds = dist(gamma).ravel().tolist()
         keys = [round(d, 14) for d in ds]
         new = {}
         for key, d in zip(keys, ds):
@@ -450,15 +467,16 @@ def functional_equation_check(n: int, Lam: complex, t1: float, t2: float,
         if new:
             cache.update(zip(new, quad_phi_K(n, Lam, list(new.values()),
                                              spec)))
-        vals = np.array([cache[key] for key in keys], dtype=complex)
+        vals = np.array([cache[key] for key in keys],
+                        dtype=complex).reshape(gamma.shape)
         return vals * np.sin(gamma) ** p if p else vals
 
     outer_spec = QuadratureSpec(
         abs_tol=max(spec.abs_tol, 1e-10), rel_tol=max(spec.rel_tol, 1e-9))
-    num, nodes1 = gauss_legendre_adaptive(f, 0.0, math.pi, outer_spec)
+    num, nodes1 = gauss_legendre_adaptive(f, 1, 0.0, math.pi, outer_spec)
     den, nodes2 = _sphere_band_norm(n, outer_spec) if p else (
         math.pi + 0j, 0)
-    lhs = num / den
+    lhs = complex(num[0]) / den
     phi1, phi2 = quad_phi_K(n, Lam, [t1, t2], spec)
     return OracleReport.build(complex(phi1) * complex(phi2), lhs,
                               nodes1 + nodes2)
@@ -474,9 +492,9 @@ def functional_equation_entry_sl2(char_n: int, Lam: complex, t1: float,
     g1 = a_t_matrix(t1)
     g2 = a_t_matrix(t2)
 
-    def mean_of(m: int, idx: np.ndarray) -> np.ndarray:
-        z = [sl2_to_ball(g1 @ k_theta_matrix(2.0 * math.pi * j / m) @ g2)
-             for j in range(m)]
+    def mean_of(m: int, idx: np.ndarray, shift: float) -> np.ndarray:
+        theta = 2.0 * math.pi * (np.arange(m) + shift) / m
+        z = _rotated_ball_points(g1, theta, g2)
         return np.array([complex(np.mean(
             entry_function_sl2(char_n, Lam, z, spec)))])
 

@@ -3,19 +3,24 @@
 Three rules cover every defining integral of the package:
 
 * adaptive composite Gauss-Legendre on finite intervals (bisection driven
-  by the 20- vs 40-point discrepancy, leftmost-first accumulation with
-  compensated summation, so results are reproducible bit for bit);
+  by the 20- vs 40-point discrepancy, accepted panels added left to right
+  with compensated summation, so results are reproducible bit for bit);
 * trapezoid doubling for smooth periodic integrands;
 * a double-exponential rule, the one rule for half-line integrals,
   applied after the x = sinh u substitution by the callers; the integrand
   is supplied in log form so the algebraic tails can never overflow.
 
-The last two integrate a batch of rows (one integrand each) with one
-NumPy pass per refinement level; each row stops at the level where it
-would stop alone.  All routines return (value or values, nodes_used as
-an int) and raise ToleranceNotMetError with the achieved estimate when
-the node budget runs out; for a batch, that of its first row in input
-order that ran out.
+Each rule integrates a batch of rows (one integrand each) with one NumPy
+pass per refinement level, or per bisection depth for Gauss-Legendre;
+each row stops where it would stop alone, so a batch returns, bit for
+bit, the values of one-row runs.  The trapezoid and double-exponential
+levels are nested: each evaluates only the nodes that are new at that
+level and adds them to the row's running sum.  All routines return
+(values, nodes_used as an int).  nodes_used counts rule points, summed
+over the levels and rows, not integrand evaluations: a nested level of
+2n points evaluates its n new nodes.  When the node budget runs out, they
+raise ToleranceNotMetError with the achieved estimate of the first row,
+in input order, that ran out.
 """
 
 import math
@@ -57,8 +62,11 @@ class ToleranceNotMetError(RuntimeError):
 
 @lru_cache(maxsize=16)
 def gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [-1, 1]."""
+    """Gauss-Legendre nodes/weights on [-1, 1], read-only, since every
+    later call shares them."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w
 
 
@@ -78,62 +86,84 @@ class _Kahan:
         self.s = t
 
 
-def _panel(f, a: float, b: float, n: int) -> complex:
-    x, w = gl_rule(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * complex(np.sum(w * f(mid + half * x)))
-
-
-def gauss_legendre_adaptive(f: Callable[[np.ndarray], np.ndarray],
-                            a: float, b: float,
+def gauss_legendre_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                            rows: int, a: float, b: float,
                             spec: QuadratureSpec = DEFAULT_SPEC
-                            ) -> tuple[complex, int]:
-    """Integrate the vectorized complex integrand f over [a, b]."""
-    total = _Kahan()
-    nodes = 0
-    budget = GL_MAX_BISECTIONS
+                            ) -> tuple[np.ndarray, int]:
+    """Integrals over [a, b] of rows vectorized complex integrands.
 
-    def tol_for(width: float, coarse: complex) -> float:
-        frac = width / (b - a)
-        return max(spec.abs_tol, spec.rel_tol * abs(coarse)) * frac
-
-    # recursive bisection, left child first: deterministic order
-    def visit(lo: float, hi: float, depth: int):
-        nonlocal nodes, budget
-        coarse = _panel(f, lo, hi, 20)
-        fine = _panel(f, lo, hi, 40)
-        nodes += 60
-        err = abs(fine - coarse)
-        if err <= tol_for(hi - lo, fine) or depth >= 48:
-            total.add(fine)
-            return
-        budget -= 1
-        if budget <= 0:
-            raise ToleranceNotMetError(err, tol_for(hi - lo, fine), nodes)
-        midpt = 0.5 * (lo + hi)
-        visit(lo, midpt, depth + 1)
-        visit(midpt, hi, depth + 1)
-
-    visit(float(a), float(b), 0)
-    return total.s, nodes
+    f(x, idx) returns, for each panel i, the integrand of row idx[i] at
+    the nodes x[i] (one row of x per panel).  Each row keeps its own
+    panel tree: a panel whose 20- and 40-point values differ by more than
+    its share of the tolerance is bisected, and each bisection depth is
+    one call of f over the open panels of every row.  A row's accepted
+    panels are added left to right with compensated summation, so its
+    value is the one a one-row run gives.  Returns the values and the
+    nodes summed over rows."""
+    x20, w20 = gl_rule(20)
+    x40, w40 = gl_rule(40)
+    x = np.concatenate((x20, x40))
+    a, b = float(a), float(b)
+    row = np.arange(rows)  # the row of each open panel, rows in order,
+    lo = np.full(rows, a)  # and a row's panels left to right
+    hi = np.full(rows, b)
+    budget = np.full(rows, GL_MAX_BISECTIONS)
+    evaluated, accepted = [], []
+    depth = 0
+    while row.size:
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        vals = f(mid[:, None] + half[:, None] * x, row)
+        coarse = half * np.add.reduce(w20 * vals[:, :20], axis=1)
+        fine = half * np.add.reduce(w40 * vals[:, 20:], axis=1)
+        evaluated.append(row)
+        err = np.abs(fine - coarse)
+        tol = (np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))
+               * ((hi - lo) / (b - a)))
+        split = ~(err <= tol) & (depth < 48)
+        accepted.append((row[~split], lo[~split], fine[~split]))
+        # the budget-th bisection of a row raises, as in its one-row run
+        used = np.bincount(row[split], minlength=rows)
+        out = np.flatnonzero(used >= budget)
+        if out.size:
+            r = out[0]
+            i = np.flatnonzero(split & (row == r))[budget[r] - 1]
+            nodes = sum(np.count_nonzero(e == r) for e in evaluated)
+            raise ToleranceNotMetError(float(err[i]), float(tol[i]),
+                                       60 * int(nodes))
+        budget -= used
+        mid = mid[split]
+        row, lo, hi = (np.repeat(v[split], 2) for v in (row, lo, hi))
+        lo[1::2] = mid
+        hi[::2] = mid
+        depth += 1
+    totals = [_Kahan() for _ in range(rows)]
+    if accepted:
+        row, lo, fine = (np.concatenate(c) for c in zip(*accepted))
+        order = np.lexsort((lo, row))
+        for r, v in zip(row[order].tolist(), fine[order].tolist()):
+            totals[r].add(v)
+    return (np.array([t.s for t in totals], dtype=complex),
+            60 * sum(e.size for e in evaluated))
 
 
 def _halving_batch(level, rows: int, spec: QuadratureSpec, cap: int
                    ) -> tuple[np.ndarray, int]:
-    # level(k, idx) -> (values of the rows idx at refinement level k,
-    # nodes per row); a row leaves the batch at the first level whose value
-    # is within tolerance of the previous one, as it would run alone
+    # level(k, idx, state) -> (values of the rows idx at refinement level
+    # k, their running state, rule points per row); state is None at
+    # level 0, then the tuple of per-row arrays the level before returned,
+    # for the rows idx.  A row leaves the batch at the first level whose
+    # value is within tolerance of the previous one, as it would run alone
     values = np.empty(rows, dtype=complex)
     idx = np.arange(rows)
     if not rows:
         return values, 0
-    prev, n = level(0, idx)
+    prev, state, n = level(0, idx, None)
     nodes, row_nodes = n * rows, n
     k = 0
     while idx.size:
         k += 1
-        cur, n = level(k, idx)
+        cur, state, n = level(k, idx, state)
         nodes += n * idx.size
         row_nodes += n
         target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur))
@@ -144,23 +174,33 @@ def _halving_batch(level, rows: int, spec: QuadratureSpec, cap: int
             first = int(np.argmin(done))  # first row, in input order
             raise ToleranceNotMetError(float(err[first]),
                                        float(target[first]), row_nodes)
-        idx, prev = idx[~done], cur[~done]
+        keep = ~done
+        idx, prev = idx[keep], cur[keep]
+        state = tuple(s[keep] for s in state)
     return values, nodes
 
 
-def trapezoid_doubling(mean_of: Callable[[int, np.ndarray], np.ndarray],
-                       rows: int, spec: QuadratureSpec = DEFAULT_SPEC,
-                       n0: int = 32) -> tuple[np.ndarray, int]:
+def trapezoid_doubling(
+        mean_of: Callable[[int, np.ndarray, float], np.ndarray],
+        rows: int, spec: QuadratureSpec = DEFAULT_SPEC,
+        n0: int = 32) -> tuple[np.ndarray, int]:
     """Limits under doubling of n of rows smooth periodic integrals.
 
-    mean_of(n, idx) returns, for each row index in idx, the n-point
-    uniform mean of that row's integrand over its period.  A row leaves
-    the batch at the first doubling that meets the tolerance, so its
-    value is the one a one-row run gives.  Returns the values and the
-    nodes summed over rows."""
-    def level(k, idx):
-        n = n0 << k
-        return mean_of(n, idx), n
+    mean_of(n, idx, shift) returns, for each row index in idx, the mean
+    of that row's integrand over the n uniform nodes (j + shift)/n of its
+    period, j = 0, ..., n - 1.  The rule starts from the n0-point mean
+    (shift 0); each doubling averages the mean so far with the mean over
+    the nodes midway between the old ones (shift 1/2), so every node is
+    evaluated once.  A row leaves the batch at the first doubling that
+    meets the tolerance, so its value is the one a one-row run gives.
+    Returns the values and the rule points (n0, 2 n0, ... per level)
+    summed over rows."""
+    def level(k, idx, state):
+        if k:
+            cur = 0.5 * (state[0] + mean_of(n0 << (k - 1), idx, 0.5))
+        else:
+            cur = mean_of(n0, idx, 0.0)
+        return cur, (cur,), n0 << k
 
     return _halving_batch(level, rows, spec, TRAPEZOID_MAX_NODES)
 
@@ -168,25 +208,31 @@ def trapezoid_doubling(mean_of: Callable[[int, np.ndarray], np.ndarray],
 _ES_UMAX = 6.5  # exp((pi/2) sinh 6.5) ~ 1e225: still finite in log space
 
 
-def _exp_sinh_level(log_f, h: float, idx: np.ndarray
-                    ) -> tuple[np.ndarray, int]:
-    k = np.arange(-int(_ES_UMAX / h), int(_ES_UMAX / h) + 1)
-    kh = k * h
-    u = np.exp(0.5 * math.pi * np.sinh(kh))
-    logw = np.log(0.5 * math.pi * h * np.cosh(kh)) + np.log(u)
-    vals = log_f(u, idx) + logw
-    # overflow-free: everything stays in log space until the final exp
-    m = np.max(vals.real, axis=1)
-    ok = np.isfinite(m)
-    out = np.zeros(len(idx), dtype=complex)
-    out[ok] = np.exp(m[ok]) * np.sum(np.exp(vals[ok] - m[ok, None]), axis=1)
-    for i in np.flatnonzero(~ok):
-        # a row with a non-finite maximum sums its finite entries only
-        row = vals[i][np.isfinite(vals[i].real)]
-        if row.size:
-            top = np.max(row.real)
-            out[i] = np.exp(top) * np.sum(np.exp(row - top))
-    return out, len(u)
+@lru_cache(maxsize=16)
+def _exp_sinh_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x = exp((pi/2) sinh(j h)) and log weights, log(x dx/du h), of
+    the level with step h = 2^-(k+1), |j| <= 6.5/h: at level 0 all of
+    them, after it the odd j, the nodes new at that level.  Read-only,
+    since every later call shares them."""
+    h = 0.5 ** (k + 1)
+    m = int(_ES_UMAX / h)
+    jh = (np.arange(1 - m, m, 2) if k else np.arange(-m, m + 1)) * h
+    u = np.exp(0.5 * math.pi * np.sinh(jh))
+    logw = np.log(0.5 * math.pi * h * np.cosh(jh)) + np.log(u)
+    u.flags.writeable = False
+    logw.flags.writeable = False
+    return u, logw
+
+
+def _log_sum(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, (m, s) with e^m s the sum of exp over the entries whose
+    real part is finite, overflow-free; m = -inf and s = 0 for a row with
+    none."""
+    fin = np.isfinite(vals.real)
+    m = np.max(vals.real, axis=1, where=fin, initial=-np.inf)
+    with np.errstate(invalid="ignore"):
+        s = np.sum(np.exp(np.where(fin, vals - m[:, None], -np.inf)), axis=1)
+    return m, s
 
 
 def exp_sinh_halfline(log_f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -197,9 +243,22 @@ def exp_sinh_halfline(log_f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     log_f(u, idx) returns the log integrand at the nodes u, one row per
     row index in idx, and may return -inf real parts where an integrand
-    underflows.  A row leaves the batch at the first halving that meets
+    underflows; only the entries with a finite real part are summed.
+    Each halving evaluates only the new nodes and keeps the running sum
+    in log space.  A row leaves the batch at the first halving that meets
     the tolerance, so its value is the one a one-row run gives.  Returns
-    the values and the nodes summed over rows."""
-    return _halving_batch(
-        lambda k, idx: _exp_sinh_level(log_f, 0.5 ** (k + 1), idx),
-        rows, spec, EXP_SINH_MAX_LEVEL_NODES)
+    the values and the rule points summed over rows."""
+    def level(k, idx, state):
+        u, logw = _exp_sinh_nodes(k)
+        m, s = _log_sum(log_f(u, idx) + logw)
+        if k:
+            # the old nodes keep their weights at half the step
+            m0, s0 = state
+            top = np.maximum(m0, m)
+            with np.errstate(invalid="ignore"):
+                s = np.where(np.isfinite(top), 0.5 * s0 * np.exp(m0 - top)
+                             + s * np.exp(m - top), 0j)
+            m = top
+        return np.exp(m) * s, (m, s), 2 * int(_ES_UMAX / 0.5 ** (k + 1)) + 1
+
+    return _halving_batch(level, rows, spec, EXP_SINH_MAX_LEVEL_NODES)

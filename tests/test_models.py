@@ -16,9 +16,14 @@ import pytest
 from sphfun import cfun
 from sphfun import models as md
 from sphfun import rankone as r1
+from sphfun import quadrature
+from sphfun import verify as vf
 from sphfun._backend import kernels
 from sphfun.quadrature import (QuadratureSpec, ToleranceNotMetError,
-                               exp_sinh_halfline, trapezoid_doubling)
+                               _exp_sinh_nodes, exp_sinh_halfline,
+                               gauss_legendre_adaptive, gl_rule,
+                               trapezoid_doubling)
+from test_acceptance import margin_samples
 
 RNG = np.random.default_rng(77)
 
@@ -300,7 +305,8 @@ class TestBatchedRules:
 
     @staticmethod
     def circle_rows(u, mu, k):
-        return lambda m, idx: kernels.poisson_circle_sum(u[idx], mu, k, m)
+        return lambda m, idx, shift: kernels.poisson_circle_sum(
+            u[idx], mu, k, m, shift)
 
     def test_trapezoid_rows_match_one_row_runs(self):
         u = np.array([0.05, 0.3, 0.76, 0.9])
@@ -351,23 +357,35 @@ class TestBatchedRules:
         # error is row 1's, as its one-row run reports it
         sign = {"flip": 1.0}
 
-        def rows_of(idx, scale):
+        def rows_of(idx, scale, new_nodes):
+            # a nested level halves the old sum and adds the new nodes, so
+            # these carry three times the value for the level to flip
             sign["flip"] = -sign["flip"]
             out = np.ones(len(idx), dtype=complex)
-            out[idx >= 1] = sign["flip"] * scale[idx[idx >= 1]]
+            factor = 3.0 if new_nodes else 1.0
+            out[idx >= 1] = factor * sign["flip"] * scale[idx[idx >= 1]]
             return out
 
         scale = np.array([1.0, 3.0, 5.0])
         if rule == "trapezoid":
             def run(idx_map, rows):
                 return trapezoid_doubling(
-                    lambda m, idx: rows_of(idx_map[idx], scale), rows)
+                    lambda m, idx, shift: rows_of(idx_map[idx], scale,
+                                                  shift != 0.0), rows)
         else:
             def run(idx_map, rows):
+                levels = []
+
                 def log_f(u, idx):
-                    # the row's value times e^{-u}, of unit integral
-                    vals = np.log(rows_of(idx_map[idx], scale) + 0j)
-                    return vals[:, None] - u
+                    # the row's value over the rule's weights, spread so
+                    # that level 0 sums to it and each later level's new
+                    # nodes to half of it
+                    k = len(levels)
+                    levels.append(k)
+                    share = len(u) * (2.0 if k else 1.0)
+                    vals = np.log(rows_of(idx_map[idx], scale, k > 0)
+                                  / share + 0j)
+                    return vals[:, None] - _exp_sinh_nodes(k)[1]
                 return exp_sinh_halfline(log_f, rows)
         with pytest.raises(ToleranceNotMetError) as batch:
             run(np.arange(3), 3)
@@ -379,6 +397,241 @@ class TestBatchedRules:
                                        single.value.target,
                                        single.value.nodes)
         assert batch.value.achieved == pytest.approx(6.0, rel=1e-12)
+
+    def test_gauss_legendre_budget_error_names_first_failing_row(
+            self, monkeypatch):
+        # rows 1 and 2 jump at 1/pi, so the panel holding the jump never
+        # meets its tolerance and bisects until the budget runs out at
+        # the same depth in both; the error is row 1's, as its one-row
+        # run reports it
+        monkeypatch.setattr(quadrature, "GL_MAX_BISECTIONS", 8)
+        jump = np.array([0.0, 3.0, 5.0])
+
+        def run(rows):
+            return gauss_legendre_adaptive(
+                lambda x, idx: np.where(x < 1.0 / math.pi, 1j,
+                                        jump[rows[idx], None] + 1j),
+                len(rows), 0.0, 1.0)
+
+        errors = []
+        for rows in (np.arange(3), np.array([1]), np.array([2])):
+            with pytest.raises(ToleranceNotMetError) as exc:
+                run(rows)
+            errors.append((exc.value.achieved, exc.value.target,
+                           exc.value.nodes))
+        assert errors[0] == errors[1] != errors[2]
+        assert errors[0][2] == 60 * 15  # the root, then two panels a depth
+
+
+def reference_circle_mean(u, mu, harmonic, spec, n0=32):
+    """One radius by the plain trapezoid sequence: the full-grid complex
+    mean at n0, 2 n0, ... until two levels agree.  Returns the value, the
+    rule points used and the mean of |integrand| at the last level."""
+    prev, nodes, n = None, 0, n0
+    while True:
+        psi = np.arange(n) * (2.0 * math.pi / n)
+        pk = (1.0 - u * u) / (1.0 - 2.0 * u * np.cos(psi) + u * u)
+        vals = np.exp(mu * np.log(pk)) * np.exp(1j * harmonic * psi)
+        cur = complex(vals.mean())
+        nodes += n
+        if prev is not None and abs(cur - prev) <= max(
+                spec.abs_tol, spec.rel_tol * abs(cur)):
+            return cur, nodes, float(np.abs(vals).mean())
+        prev, n = cur, 2 * n
+
+
+def reference_exp_sinh(log_f, spec):
+    """One row by the plain double-exponential sequence: every node of
+    each level with step h = 1/2, 1/4, ... summed anew.  Returns the
+    value, the rule points used and the sum of |terms| at the last
+    level."""
+    prev, nodes, h = None, 0, 0.5
+    while True:
+        jh = np.arange(-int(6.5 / h), int(6.5 / h) + 1) * h
+        u = np.exp(0.5 * math.pi * np.sinh(jh))
+        vals = log_f(u) + np.log(0.5 * math.pi * h * np.cosh(jh)) + np.log(u)
+        vals = vals[np.isfinite(vals.real)]
+        terms = np.exp(vals)
+        cur = complex(terms.sum())
+        nodes += len(u)
+        if prev is not None and abs(cur - prev) <= max(
+                spec.abs_tol, spec.rel_tol * abs(cur)):
+            return cur, nodes, float(np.abs(terms).sum())
+        prev, h = cur, 0.5 * h
+
+
+def reference_gauss_legendre(f, a, b, spec):
+    """One integrand f(x) by recursive bisection, left child first, with
+    the accepted panels added in that order."""
+    total, nodes = [0j, 0j], [0]
+
+    def panel(lo, hi, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return half * complex(np.sum(w * f(mid + half * x)))
+
+    def visit(lo, hi, depth):
+        coarse, fine = panel(lo, hi, 20), panel(lo, hi, 40)
+        nodes[0] += 60
+        tol = max(spec.abs_tol, spec.rel_tol * abs(fine)) * (hi - lo) / (b - a)
+        if abs(fine - coarse) <= tol or depth >= 48:
+            s, c = total
+            y = fine - c
+            t = s + y
+            total[:] = [t, (t - s) - y]
+            return
+        visit(lo, 0.5 * (lo + hi), depth + 1)
+        visit(0.5 * (lo + hi), hi, depth + 1)
+
+    visit(a, b, 0)
+    return total[0], nodes[0]
+
+
+def fe_distances(t1, t2):
+    # the distances of the outer rule's first 20 + 40 nodes in
+    # functional_equation_check
+    x = np.concatenate([np.polynomial.legendre.leggauss(n)[0]
+                        for n in (20, 40)])
+    gamma = 0.5 * math.pi * (1.0 + x)
+    arg = (math.cosh(t1) * math.cosh(t2)
+           + math.sinh(t1) * math.sinh(t2) * np.cos(gamma))
+    return np.arccosh(np.maximum(arg, 1.0))
+
+
+def circle_samples():
+    """(u, mu, harmonic) of the verify suites and acceptance criteria
+    that integrate over the circle."""
+    rng = np.random.default_rng(104)
+    crit4 = [complex(rng.uniform(0.2, 2.0), rng.uniform(-0.8, 0.8))
+             for _ in range(10)]
+    phi_lams = vf._lambda_samples(5, seed=5, im_range=(-0.6, 0.6)) + crit4
+    fe_lams = vf._lambda_samples(3, seed=23, im_range=(-0.4, 0.4))
+    out = [(md.geodesic_radius(t), 1j * lam + 0.5, 0)
+           for lam in phi_lams for t in (0.5, 1.0, 2.0, 3.0)]
+    out += [(md.geodesic_radius(t), 1j * lam + 0.5, k)
+            for lam in vf._lambda_samples(3, seed=31, im_range=(-0.5, 0.5))
+            for k in (1, 2) for t in (0.5, 1.0, 2.0)]
+    out += [(md.geodesic_radius(d), 1j * lam + 0.5, 0) for lam in fe_lams
+            for d in np.concatenate([fe_distances(1.0, 1.0),
+                                     fe_distances(0.5, 2.0)])[::3]]
+    return out
+
+
+def nbar_samples():
+    """(n, s, extra_char) of the verify suites and acceptance criteria
+    that integrate over the opposite unipotent group."""
+    c_lams = vf._lambda_samples(8) + margin_samples(20, seed=103)
+    cs_lams = vf._lambda_samples(4, seed=37) + margin_samples(10, seed=109)
+    out = [(n, n - 1.0 + 0j, 0) for n in (2, 3, 4)]
+    out += [(n, 1j * lam + 0.5 * (n - 1), 0) for n in (2, 3, 4)
+            for lam in c_lams]
+    out += [(2, 1j * lam + 0.5, k) for k in (0, 2, 4) for lam in cs_lams]
+    return out
+
+
+class TestNestedRulesMatchReference:
+    # the nested rules against the plain sequences they replace: the same
+    # stop level per row, so the same rule points, and the same value up
+    # to rounding at the scale of the terms summed
+    SPEC = md.DEFAULT_SPEC
+
+    def test_circle_means(self):
+        samples = circle_samples()
+        for harmonic in {k for _, _, k in samples}:
+            rows = [(u, mu) for u, mu, k in samples if k == harmonic]
+            u = np.array([r[0] for r in rows])
+            mu = np.array([r[1] for r in rows])
+            for i in range(len(rows)):
+                value, nodes = trapezoid_doubling(
+                    lambda m, idx, shift: kernels.poisson_circle_sum(
+                        u[i:i + 1], mu[i], harmonic, m, shift), 1)
+                want, want_nodes, scale = reference_circle_mean(
+                    u[i], mu[i], harmonic, self.SPEC)
+                assert nodes == want_nodes
+                assert abs(value[0] - want) <= 1e-14 * scale
+
+    def test_exp_sinh(self):
+        for n, s, char in nbar_samples():
+            log_f = md._log_nbar_radial(n, np.array([s]), char)
+            value, nodes = exp_sinh_halfline(log_f, 1)
+            want, want_nodes, scale = reference_exp_sinh(
+                lambda u: log_f(u, np.array([0]))[0], self.SPEC)
+            assert nodes == want_nodes
+            assert abs(value[0] - want) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_gauss_legendre_bit_for_bit(self, n):
+        # the batched rule accepts the panels of the recursive one and
+        # adds them in the same order
+        lams = vf._lambda_samples(5, seed=5, im_range=(-0.6, 0.6))
+        u = np.array([md.geodesic_radius(t) for t in
+                      np.concatenate([[0.5, 1.0, 2.0, 3.0],
+                                      fe_distances(1.0, 0.7)[::7]])])
+        for lam in lams:
+            mu = 1j * lam + 0.5 * (n - 1)
+
+            def f(theta, idx):
+                r = u[idx, None]
+                pk = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(theta) + r * r)
+                return np.exp(mu * np.log(pk)) * np.sin(theta) ** (n - 2)
+
+            values, nodes = gauss_legendre_adaptive(f, len(u), 0.0, math.pi)
+            want = [reference_gauss_legendre(
+                lambda x, i=i: f(x[None, :], np.array([i]))[0],
+                0.0, math.pi, self.SPEC) for i in range(len(u))]
+            assert [complex(v) for v in values] == [w[0] for w in want]
+            assert nodes == sum(w[1] for w in want)
+
+
+class TestPoissonCircleSum:
+    def test_half_circle_matches_full_grid(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(derandomize=True, deadline=None, database=None,
+                      max_examples=200)
+        @hyp.given(st.floats(0.0, 0.95), st.floats(0.5, 2.0),
+                   st.floats(-3.0, 3.0), st.integers(0, 4),
+                   st.integers(32, 1024), st.sampled_from([0.0, 0.5]))
+        def check(u, mu_re, mu_im, harmonic, nphi, shift):
+            mu = complex(mu_re, mu_im)
+            got = kernels.poisson_circle_sum(np.array([u]), mu, harmonic,
+                                             nphi, shift)[0]
+            psi = 2.0 * math.pi * (np.arange(nphi) + shift) / nphi
+            pk = (1.0 - u * u) / (1.0 - 2.0 * u * np.cos(psi) + u * u)
+            power = np.exp(mu * np.log(pk))
+            want = complex(np.mean(power * np.exp(1j * harmonic * psi)))
+            # the mirror nodes round cos psi differently, an error that
+            # the power magnifies by |mu| |d log P / d cos psi|
+            growth = 1.0 + abs(mu) * 2.0 * u / (1.0 - u) ** 2
+            bound = 8.0 * np.finfo(float).eps * growth
+            assert abs(got - want) <= bound * np.mean(np.abs(power))
+
+        check()
+
+
+class TestRuleTablesReadOnly:
+    def test_cached_arrays_reject_writes(self):
+        for table in (gl_rule(20), gl_rule(40), _exp_sinh_nodes(0),
+                      _exp_sinh_nodes(3), kernels._half_circle(32, 0.5, 2)):
+            for arr in table:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+
+
+class TestRotatedBallPoints:
+    def test_matches_matrix_products(self):
+        rng = np.random.default_rng(8)
+        theta = np.linspace(0.0, 2.0 * math.pi, 97)
+        pairs = [(md.a_t_matrix(1.0), md.a_t_matrix(1.0)),
+                 (md.a_t_matrix(0.5), md.a_t_matrix(2.0))]
+        pairs += [(random_group_element(rng), random_group_element(rng))
+                  for _ in range(4)]
+        for g1, g2 in pairs:
+            got = md._rotated_ball_points(g1, theta, g2)
+            want = [md.sl2_to_ball(g1 @ md.k_theta_matrix(th) @ g2)
+                    for th in theta]
+            assert np.max(np.abs(got - np.array(want))) <= 1e-15
 
 
 class TestBatchedOracles:
