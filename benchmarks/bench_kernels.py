@@ -16,13 +16,22 @@ times ``cfun.c_full`` and ``c_sigma`` at the longest element on A2 and
 B2, and ``verify.check_cocycle`` on the cocycle suite's samples, with the
 single-root factor cache cleared before each call (cold) and kept
 (warm): the time per call, the factors each call asks for and how many
-of them it evaluates.  The last (L5) times ``cli.build_parser`` for each
-command and for all of them, and one in-process ``cli.main`` call.
+of them it evaluates.  A fifth (L2/L4) times the Weyl layer: building
+the A2 and B2 catalog data and the A2 datum from a JSON file, then
+``rootdata.restrict``, ``weyl_apply`` and ``cfun.c_sigma`` at the
+longest A2 element on one datum, and ``verify --suite cocycle`` and
+``det-a`` through ``cli.main`` in process.  The last (L5) times
+``cli.build_parser`` for each command and for all of them, and one
+in-process ``cli.main`` call.
 """
 
 import argparse
 import contextlib
 import io
+import json
+import math
+import os
+import tempfile
 import time
 
 import numpy as np
@@ -210,6 +219,43 @@ def factor_table(repeat, scale):
               f"{eval_cold:>11}{eval_warm:>11}")
 
 
+def weyl_table(repeat, scale):
+    s3 = math.sqrt(3.0) / 2.0
+    doc = {"rank": 2, "simple_roots": [[1.0, 0.0], [-0.5, s3]],
+           "positive_indivisible_roots": [[1.0, 0.0], [-0.5, s3],
+                                          [0.5, s3]],
+           "multiplicities": []}
+    a2 = rd.datum_a2()
+    w0 = rd.longest_element(a2)
+    lam = rd.SpectralParam.of([0.9 - 0.5j, 0.4 - 0.7j])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a2.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        cases = [
+            ("datum_a2()", "us", rd.datum_a2),
+            ("datum_b2()", "us", rd.datum_b2),
+            ("datum_from_json, A2", "us", lambda: rd.datum_from_json(path)),
+            ("restrict, A2", "us", lambda: rd.restrict(a2, lam, 2)),
+            ("weyl_apply(w0), A2", "us", lambda: rd.weyl_apply(a2, w0, lam)),
+            ("c_sigma(w0), A2", "us", lambda: cfun.c_sigma(a2, w0, lam)),
+        ] + [(f"verify --suite {suite}", "ms", lambda suite=suite: cli.main(
+            ["verify", "--suite", suite])) for suite in ("cocycle", "det-a")]
+        print("\nWeyl layer")
+        print(f"{'call':<26}{'unit':>5}{'time':>9}")
+        for name, unit, fn in cases:
+            to_unit, calls = {"us": (1e6, 2000), "ms": (1e3, 10)}[unit]
+            calls = max(1, int(calls * scale))
+
+            def run():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    for _ in range(calls):
+                        fn()
+            run()
+            print(f"{name:<26}{unit:>5}"
+                  f"{timed(run, repeat) / calls * to_unit:>9.2f}")
+
+
 def cli_table(repeat, scale):
     calls = max(1, int(200 * scale))
     print("\ncommand line")
@@ -241,6 +287,7 @@ def main():
     gauss_table(args.repeat, args.scale)
     phi_table(args.repeat, args.scale)
     factor_table(args.repeat, args.scale)
+    weyl_table(args.repeat, args.scale)
     cli_table(args.repeat, args.scale)
 
 

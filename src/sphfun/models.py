@@ -35,7 +35,8 @@ import numpy as np
 
 from . import complexmath as cm
 from ._backend import kernels
-from .quadrature import (DEFAULT_SPEC, QuadratureSpec, exp_sinh_halfline,
+from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _exp_sinh_nodes,
+                         exp_sinh_halfline, exp_sinh_level,
                          gauss_legendre_adaptive, trapezoid_doubling)
 
 __all__ = [
@@ -307,23 +308,50 @@ def _phi_polar(n: int, mu: complex, u: np.ndarray,
 # ---------------------------------------------------------------------------
 # opposite-unipotent integrals
 
+def _radial_terms(u: np.ndarray, extra_char: int) -> tuple:
+    """(log r, log(1 + r^2/4), log cosh u, log cos(extra_char atan(r/2))
+    or None) at the nodes u, r = sinh u: the parts of the radial
+    integrand that do not depend on the exponent."""
+    logr = cm.log_sinh(u)
+    # log(1 + r^2/4), finite for every r
+    log1pr = np.logaddexp(0.0, 2.0 * logr - math.log(4.0))
+    logcos = None
+    if extra_char:
+        # atan(r/2) = pi/2 - atan(2/r); the cosine changes sign along the
+        # ray, and the complex log carries it
+        angle = 0.5 * math.pi - np.arctan(2.0 * np.exp(-logr))
+        with np.errstate(divide="ignore"):
+            logcos = np.log(np.cos(extra_char * angle) + 0j)
+    return logr, log1pr, cm.log_cosh(u), logcos
+
+
+@lru_cache(maxsize=64)
+def _level_radial_terms(k: int, extra_char: int) -> tuple:
+    """_radial_terms at the nodes of exp-sinh level k.  Read-only, since
+    every later call shares them."""
+    terms = _radial_terms(_exp_sinh_nodes(k)[0], extra_char)
+    for arr in terms:
+        if arr is not None:
+            arr.flags.writeable = False
+    return terms
+
+
 def _log_nbar_radial(n: int, s: np.ndarray, extra_char: int):
     r"""log of the integrands of \int_0^infty (1+r^2/4)^{-s} r^{n-2}
     [cos(extra_char * atan(r/2))] dr after the substitution r = sinh u,
-    one row per exponent s, as a function of the nodes u and the rows."""
+    one row per exponent s, as a function of the nodes u and the rows.
+    At the rule's own node tables the terms free of s are read from the
+    table of that level."""
     p = n - 2
 
     def log_f(u: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        logr = cm.log_sinh(u)
-        # log(1 + r^2/4), finite for every r
-        log1pr = np.logaddexp(0.0, 2.0 * logr - math.log(4.0))
-        out = -s[idx, None] * log1pr + p * logr + cm.log_cosh(u)
+        k = exp_sinh_level(u)
+        logr, log1pr, logcosh, logcos = (
+            _radial_terms(u, extra_char) if k is None
+            else _level_radial_terms(k, extra_char))
+        out = -s[idx, None] * log1pr + p * logr + logcosh
         if extra_char:
-            # atan(r/2) = pi/2 - atan(2/r); the cosine changes sign along
-            # the ray, and the complex log carries it
-            angle = 0.5 * math.pi - np.arctan(2.0 * np.exp(-logr))
-            with np.errstate(divide="ignore"):
-                out = out + np.log(np.cos(extra_char * angle) + 0j)
+            out = out + logcos
         return out
 
     return log_f

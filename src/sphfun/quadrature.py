@@ -224,6 +224,18 @@ def _exp_sinh_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
     return u, logw
 
 
+def exp_sinh_level(u: np.ndarray) -> int | None:
+    """The level k whose node table _exp_sinh_nodes(k) holds the array u
+    itself, else None (an array built elsewhere)."""
+    n0 = int(_ES_UMAX / 0.5)
+    k = (len(u) // n0).bit_length() - 1
+    if len(u) == 2 * n0 + 1:
+        k = 0
+    elif k < 1 or len(u) != n0 << k:
+        return None
+    return k if _exp_sinh_nodes(k)[0] is u else None
+
+
 def _log_sum(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, (m, s) with e^m s the sum of exp over the entries whose
     real part is finite, overflow-free; m = -inf and s = 0 for a row with

@@ -49,21 +49,25 @@ class RootDatum:
     mult: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        _validate_datum(self)
-        # derived attributes, outside the fields that eq and hash compare
-        simple_index, reflections = _weyl_tables(self)
-        object.__setattr__(self, "_simple_index", simple_index)
-        object.__setattr__(self, "_reflections", reflections)
+        norms, coeffs, cartan = _validate_datum(self)
+        simple_index, reflections = _weyl_tables(self, coeffs, cartan)
+        # derived attributes, outside the fields that eq and hash compare;
+        # 1/<alpha, alpha> because restrict and the reflections scale by
+        # it; _negative_sets fills with the words this datum meets
+        derived = {
+            "_inv_norms": tuple(1.0 / aa for aa in norms),
+            "_simple_inv_norms": tuple(1.0 / _dot(a, a)
+                                       for a in self.simple_roots),
+            "_simple_index": simple_index,
+            "_reflections": reflections,
+            "_negative_sets": {},
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_positive(self) -> int:
         return len(self.positive_roots)
-
-    def simple_array(self) -> np.ndarray:
-        return np.asarray(self.simple_roots, dtype=float)
-
-    def positive_array(self) -> np.ndarray:
-        return np.asarray(self.positive_roots, dtype=float)
 
     def mult_of(self, index: int) -> tuple[int, int]:
         return self.mult[index]
@@ -86,9 +90,6 @@ class SpectralParam:
             z = complex(z)
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise ValueError("non-finite spectral coordinate")
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=complex)
 
     @staticmethod
     def of(values) -> "SpectralParam":
@@ -118,16 +119,27 @@ class WeylElement:
         return WeylElement(tuple(letters))
 
 
-def _validate_datum(datum: RootDatum) -> None:
+def _dot(u, v):
+    """sum u_k v_k, left to right."""
+    acc = 0.0
+    for a, b in zip(u, v):
+        acc += a * b
+    return acc
+
+
+def _validate_datum(datum: RootDatum) -> tuple[list, list, list]:
+    """Raise RootDatumError unless the datum is crystallographic data.
+    Returns each positive root's <beta, beta>, its integer coefficients in
+    the simple roots, and the Cartan integers cartan[k][j] = 2 <beta_k,
+    beta_j> / <beta_j, beta_j>."""
     if datum.rank < 1:
         raise RootDatumError("rank must be positive")
-    simple = np.asarray(datum.simple_roots, dtype=float)
-    pos = np.asarray(datum.positive_roots, dtype=float)
-    if simple.shape != (len(datum.simple_roots), datum.rank):
-        raise RootDatumError("simple roots must have length == rank")
-    if pos.ndim != 2 or pos.shape[1] != datum.rank:
-        raise RootDatumError("positive roots must have length == rank")
-    if np.any(np.linalg.norm(np.vstack([simple, pos]), axis=1) <= _TOL):
+    for name, roots in (("simple", datum.simple_roots),
+                        ("positive", datum.positive_roots)):
+        if not roots or any(len(r) != datum.rank for r in roots):
+            raise RootDatumError(f"{name} roots must have length == rank")
+    if any(math.hypot(*r) <= _TOL
+           for r in datum.simple_roots + datum.positive_roots):
         raise RootDatumError("roots must be nonzero")
     if len(datum.mult) != len(datum.positive_roots):
         raise RootDatumError("one multiplicity pair per positive root")
@@ -137,57 +149,84 @@ def _validate_datum(datum: RootDatum) -> None:
         if m2 < 0:
             raise RootDatumError("m_2alpha must be >= 0")
     # positive roots are nonnegative integer combinations of simple roots
-    coeffs, *_ = np.linalg.lstsq(simple.T, pos.T, rcond=None)
-    if not np.allclose(simple.T @ coeffs, pos.T, atol=_TOL):
-        raise RootDatumError("positive roots not in the simple-root span")
-    if np.any(coeffs < -_TOL) or \
-            np.any(np.abs(coeffs - np.round(coeffs)) > _TOL):
+    coeffs = np.linalg.lstsq(np.asarray(datum.simple_roots, dtype=float).T,
+                             np.asarray(datum.positive_roots, dtype=float).T,
+                             rcond=None)[0].T.tolist()
+    for beta, c in zip(datum.positive_roots, coeffs):
+        # to 1e-9 plus 1e-5 relative, np.allclose's default
+        if not all(abs(_dot(c, axis) - b) <= _TOL + 1e-5 * abs(b)
+                   for b, axis in zip(beta, zip(*datum.simple_roots))):
+            raise RootDatumError("positive roots not in the simple-root "
+                                 "span")
+    if any(x < -_TOL or abs(x - round(x)) > _TOL for c in coeffs for x in c):
         raise RootDatumError(
             "positive roots must be nonnegative integer combinations "
             "of simple roots")
+    coeffs = [tuple(round(x) for x in c) for c in coeffs]
     # crystallographic condition over all pairs of listed roots
-    for beta in pos:
-        bb = float(beta @ beta)
-        for alpha in pos:
-            cartan = 2.0 * float(alpha @ beta) / bb
-            if abs(cartan - round(cartan)) > _TOL:
+    norms = [_dot(beta, beta) for beta in datum.positive_roots]
+    cartan = []
+    for alpha in datum.positive_roots:
+        row = []
+        for beta, bb in zip(datum.positive_roots, norms):
+            n = 2.0 * _dot(alpha, beta) / bb
+            if abs(n - round(n)) > _TOL:
                 raise RootDatumError(
                     f"non-crystallographic pair {alpha}, {beta}")
+            row.append(round(n))
+        cartan.append(row)
+    return norms, coeffs, cartan
 
 
-def _weyl_tables(datum: RootDatum) -> tuple[tuple, tuple]:
+def _weyl_tables(datum: RootDatum, coeffs, cartan) -> tuple[tuple, tuple]:
     """The Weyl action as integers: the positive-root index of each simple
     root, and each simple reflection as a permutation of the signed roots,
-    where index k < n is positive root k and k + n is its negative.
-    Matching the reflected vectors is the one float comparison of the
-    Weyl combinatorics; a root that matches nothing is incomplete data."""
-    pos = datum.positive_array()
-    signed = np.concatenate([pos, -pos])
+    where index k < n is positive root k and k + n is its negative.  A
+    root is its simple-root coefficients; s_i beta_k takes the Cartan
+    integer <beta_k, alpha_i^vee> times alpha_i off them.  A root that
+    is not listed, or listed as neither sign, is incomplete data."""
+    n = datum.n_positive
+    signed = {}
+    for sign, offset in ((1, 0), (-1, n)):
+        for k, c in enumerate(coeffs):
+            signed.setdefault(tuple(sign * x for x in c), k + offset)
 
-    def match(vec: np.ndarray) -> int:
-        hits = np.flatnonzero(np.all(np.abs(signed - vec) <= _TOL, axis=1))
-        if not len(hits):
-            raise RootDatumError(f"root {vec} is not a listed positive root "
-                                 "or its negative")
-        return int(hits[0])
+    def unlisted(vec):
+        return RootDatumError(f"root {vec} is not a listed positive root "
+                              "or its negative")
 
-    simple = datum.simple_array()
-    return (tuple(match(alpha) for alpha in simple),
-            tuple(tuple(match(_reflect(alpha, v)) for v in signed)
-                  for alpha in simple))
+    simple_index = []
+    for i, alpha in enumerate(datum.simple_roots):
+        k = signed.get(tuple(int(j == i) for j in range(len(coeffs[0]))))
+        if k is None:
+            raise unlisted(alpha)
+        simple_index.append(k)
+    reflections = []
+    for i, j in enumerate(simple_index):
+        perm = [0] * (2 * n)
+        for k, c in enumerate(coeffs):
+            step = cartan[k][j]
+            image = list(c)
+            image[i] -= step
+            for sign, x in ((1, k), (-1, k + n)):
+                y = signed.get(tuple(sign * v for v in image))
+                if y is None:
+                    raise unlisted(tuple(
+                        sign * (b - step * a) for b, a in
+                        zip(datum.positive_roots[k], datum.simple_roots[i])))
+                perm[x] = y
+        reflections.append(tuple(perm))
+    return tuple(simple_index), tuple(reflections)
 
 
 def rho(datum: RootDatum) -> SpectralParam:
     """Half the multiplicity-weighted sum of the positive roots:
     rho = 1/2 sum (m_alpha + 2 m_2alpha) alpha over indivisible alpha."""
-    acc = np.zeros(datum.rank)
-    for alpha, (m, m2) in zip(datum.positive_array(), datum.mult):
-        acc = acc + 0.5 * (m + 2.0 * m2) * alpha
+    acc = [0.0] * datum.rank
+    for alpha, (m, m2) in zip(datum.positive_roots, datum.mult):
+        c = 0.5 * (m + 2.0 * m2)
+        acc = [s + c * x for s, x in zip(acc, alpha)]
     return SpectralParam.of(acc)
-
-
-def _reflect(alpha: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    return vec - (2.0 * (vec @ alpha) / (alpha @ alpha)) * alpha
 
 
 def _letter_index(datum: RootDatum, letter: int) -> int:
@@ -202,10 +241,12 @@ def weyl_apply(datum: RootDatum, w: WeylElement,
     """Apply w = s_{i1} ... s_{ip} to lam (rightmost letter acts first),
     each s_i the reflection in the i-th simple root, extended
     complex-linearly."""
-    vec = lam.array()
-    simple = datum.simple_array()
+    vec = lam.coords
     for letter in reversed(w.word):
-        vec = _reflect(simple[_letter_index(datum, letter)], vec)
+        i = _letter_index(datum, letter)
+        alpha = datum.simple_roots[i]
+        c = 2.0 * _dot(vec, alpha) * datum._simple_inv_norms[i]
+        vec = [z - c * x for z, x in zip(vec, alpha)]
     return SpectralParam.of(vec)
 
 
@@ -219,15 +260,14 @@ def _signed_images(datum: RootDatum, w: WeylElement) -> tuple[int, ...]:
 
 
 def negative_set_indices(datum: RootDatum, w: WeylElement) -> list[int]:
-    """Indices i with w(positive_roots[i]) a negative root."""
-    return [i for i, image in enumerate(_signed_images(datum, w))
-            if image >= datum.n_positive]
-
-
-def negative_set(datum: RootDatum, w: WeylElement) -> list[tuple[float, ...]]:
-    """The roots alpha in the positive set with w(alpha) negative."""
-    return [datum.positive_roots[i]
-            for i in negative_set_indices(datum, w)]
+    """Indices i with w(positive_roots[i]) a negative root.  The datum
+    keeps each word's set once it is found."""
+    found = datum._negative_sets.get(w.word)
+    if found is None:
+        found = tuple(i for i, image in enumerate(_signed_images(datum, w))
+                      if image >= datum.n_positive)
+        datum._negative_sets[w.word] = found
+    return list(found)
 
 
 def is_reduced(datum: RootDatum, w: WeylElement) -> bool:
@@ -235,14 +275,12 @@ def is_reduced(datum: RootDatum, w: WeylElement) -> bool:
     return len(negative_set_indices(datum, w)) == len(w.word)
 
 
-def restrict(datum: RootDatum, lam: SpectralParam, alpha) -> complex:
-    """<lam, alpha_0> = <lam, alpha>/<alpha, alpha>, the scalar spectral
-    parameter of the rank-one factor attached to alpha.  `alpha` is a
-    root vector or an index into positive_roots."""
-    if isinstance(alpha, (int, np.integer)):
-        alpha = datum.positive_roots[alpha]
-    a = np.asarray(alpha, dtype=float)
-    return complex((lam.array() @ a) / (a @ a))
+def restrict(datum: RootDatum, lam: SpectralParam, index: int) -> complex:
+    """<lam, alpha_0> = <lam, alpha>/<alpha, alpha> for alpha =
+    positive_roots[index], the scalar spectral parameter of the rank-one
+    factor attached to alpha."""
+    return _dot(lam.coords, datum.positive_roots[index]) \
+        * datum._inv_norms[index]
 
 
 def enumerate_weyl(datum: RootDatum) -> list[WeylElement]:

@@ -246,12 +246,15 @@ def check_cocycle(samples) -> list[dict]:
                 if len(u.word) and len(v.word) and rd.is_reduced(datum, uv):
                     pairs.append((u, v, uv))
         worst = 0.0
+        rights = list(dict.fromkeys(v for _, v, _ in pairs))
         for lam in pair_lams:
+            # v(lam) and c_v(lam) once per right factor v
+            at = {v: (rd.weyl_apply(datum, v, lam),
+                      cfun.c_sigma(datum, v, lam).value) for v in rights}
             for u, v, uv in pairs:
+                v_lam, c_v = at[v]
                 lhs = cfun.c_sigma(datum, uv, lam).value
-                rhs = (cfun.c_sigma(datum, u,
-                                    rd.weyl_apply(datum, v, lam)).value
-                       * cfun.c_sigma(datum, v, lam).value)
+                rhs = cfun.c_sigma(datum, u, v_lam).value * c_v
                 worst = max(worst, abs(lhs - rhs) / abs(lhs))
         # abs/rel_err carry the worst defect exactly; 1 + worst rounds it
         rep = OracleReport(1.0 + 0j, 1.0 + worst + 0j, worst, worst, 0)

@@ -176,13 +176,13 @@ class TestCFullAndSigma:
         # lam = -i rho (the shift identity <rho, alpha_0> = m/2 + m2
         # holds for simple roots); products of rank-one data give 1
         for d in (rd.datum_a1(3, 0), rd.datum_a1(2, 1), rd.datum_a1xa1()):
-            lam = rd.SpectralParam.of(-1j * rd.rho(d).array())
+            lam = rd.SpectralParam.of(-1j * np.asarray(rd.rho(d).coords))
             assert cfun.c_full(d, lam).value == pytest.approx(1.0,
                                                               abs=1e-12)
         # in A2 the highest root restricts rho to 1 (not 1/2), so the
         # full product at -i rho reduces to that single factor
         d = rd.datum_a2()
-        lam = rd.SpectralParam.of(-1j * rd.rho(d).array())
+        lam = rd.SpectralParam.of(-1j * np.asarray(rd.rho(d).coords))
         expected = cfun.c_alpha(-1j, 1, 0).value
         assert cfun.c_full(d, lam).value == pytest.approx(expected,
                                                           rel=1e-13)
@@ -217,8 +217,8 @@ class TestCFullAndSigma:
             lam = rd.SpectralParam.of(
                 rng.uniform(-2, 2, 2) + 1j * rng.uniform(-2, 2, 2))
             try:
-                a = cfun.c_full(
-                    d, rd.SpectralParam.of(-lam.array().conjugate())).value
+                neg_bar = -np.asarray(lam.coords).conjugate()
+                a = cfun.c_full(d, rd.SpectralParam.of(neg_bar)).value
                 b = cfun.c_full(d, lam).value.conjugate()
             except cfun.CPoleError:
                 continue

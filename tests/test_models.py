@@ -21,8 +21,8 @@ from sphfun import verify as vf
 from sphfun._backend import kernels
 from sphfun.quadrature import (QuadratureSpec, ToleranceNotMetError,
                                _exp_sinh_nodes, exp_sinh_halfline,
-                               gauss_legendre_adaptive, gl_rule,
-                               trapezoid_doubling)
+                               exp_sinh_level, gauss_legendre_adaptive,
+                               gl_rule, trapezoid_doubling)
 from test_acceptance import margin_samples
 
 RNG = np.random.default_rng(77)
@@ -613,10 +613,31 @@ class TestPoissonCircleSum:
 class TestRuleTablesReadOnly:
     def test_cached_arrays_reject_writes(self):
         for table in (gl_rule(20), gl_rule(40), _exp_sinh_nodes(0),
-                      _exp_sinh_nodes(3), kernels._half_circle(32, 0.5, 2)):
+                      _exp_sinh_nodes(3), kernels._half_circle(32, 0.5, 2),
+                      md._level_radial_terms(2, 4)):
             for arr in table:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
+
+
+class TestRadialTermTables:
+    def test_level_table_has_the_bits_of_fresh_terms(self):
+        # at the rule's node tables log_f reads the level's terms; at a
+        # copy of them it forms the terms afresh
+        s = np.array([1.5 - 0.6j, 0.9 - 0.2j, 0.6 + 0.1j])
+        idx = np.array([0, 2, 1, 2])
+        for k in (0, 1, 4):
+            u = _exp_sinh_nodes(k)[0]
+            assert exp_sinh_level(u) == k
+            assert exp_sinh_level(u.copy()) is None
+            for n, char in ((2, 0), (3, 0), (4, 0), (2, 2), (2, 4)):
+                log_f = md._log_nbar_radial(n, s, char)
+                assert log_f(u, idx).tobytes() == \
+                    log_f(u.copy(), idx).tobytes()
+
+    def test_other_arrays_are_no_level(self):
+        for u in (np.ones(27), np.ones(26), np.ones(53), np.ones(0)):
+            assert exp_sinh_level(u) is None
 
 
 class TestRotatedBallPoints:

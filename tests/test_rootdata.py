@@ -1,13 +1,19 @@
 """Root-system and Weyl-group tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from sphfun import cfun
+from sphfun import complexmath as cm
 from sphfun import rootdata as rd
 
 RNG = np.random.default_rng(55)
+# every catalog datum, BC2 (m_short2 > 0) included
+CATALOG = [rd.datum_a1(), rd.datum_a1(2, 1), rd.datum_a1xa1(),
+           rd.datum_a2(), rd.datum_b2(), rd.datum_b2(2, 3, 1)]
 
 
 def random_param(rank, rng=RNG):
@@ -15,24 +21,78 @@ def random_param(rank, rng=RNG):
         rng.uniform(-2, 2, rank) + 1j * rng.uniform(-2, 2, rank))
 
 
-def float_negative_set(d, w):
-    """Reference negative set: each positive root mapped by weyl_apply and
-    matched against the negated listed roots."""
-    pos = d.positive_array()
-    out = []
-    for i, beta in enumerate(pos):
-        image = rd.weyl_apply(d, w, rd.SpectralParam.of(beta)).array()
-        if any(np.allclose(image, -gamma, atol=1e-9) for gamma in pos):
-            out.append(i)
+def vec(lam):
+    return np.asarray(lam.coords)
+
+
+def reflection_matrix(d, w):
+    """The matrix of w = s_{i1} ... s_{ip}, each s_i = 1 - 2 a a^T / a.a
+    formed from the simple root a = simple_roots[i - 1] in NumPy."""
+    out = np.eye(d.rank)
+    for letter in w.word:
+        a = np.asarray(d.simple_roots[letter - 1], dtype=float)
+        out = out @ (np.eye(d.rank) - 2.0 * np.outer(a, a) / (a @ a))
     return out
 
 
+def float_negative_set(d, w):
+    """Reference negative set: each positive root mapped by the NumPy
+    reflection matrix of w and matched against the negated listed
+    roots."""
+    pos = np.asarray(d.positive_roots, dtype=float)
+    images = pos @ reflection_matrix(d, w).T
+    return [i for i, image in enumerate(images)
+            if any(np.allclose(image, -gamma, atol=1e-9) for gamma in pos)]
+
+
+def doc_of(simple, positive, rank=None):
+    return {"rank": len(simple[0]) if rank is None else rank,
+            "simple_roots": [list(r) for r in simple],
+            "positive_indivisible_roots": [list(r) for r in positive],
+            "multiplicities": []}
+
+
+S3 = 3 ** 0.5 / 2
+A2_SIMPLE = ((1.0, 0.0), (-0.5, S3))
+A2_POSITIVE = A2_SIMPLE + ((0.5, S3),)
 # A2 without alpha1 + alpha2, and A1xA1 without its second simple root
 INCOMPLETE_DATA = [
-    (((1.0, 0.0), (-0.5, 3 ** 0.5 / 2)),
-     ((1.0, 0.0), (-0.5, 3 ** 0.5 / 2))),
+    (A2_SIMPLE, A2_SIMPLE),
     (((1.0, 0.0), (0.0, 1.0)), ((1.0, 0.0),)),
 ]
+
+
+def with_mult(doc, root_index):
+    return dict(doc, multiplicities=[
+        {"root_index": i, "m_alpha": 1} for i in root_index])
+
+
+# documents the datum validation rejects, each with RootDatumError
+MALFORMED = {
+    "zero root": doc_of(A2_SIMPLE, A2_POSITIVE + ((0.0, 0.0),)),
+    "zero simple root": doc_of(((1.0, 0.0), (0.0, 0.0)), A2_POSITIVE),
+    "wrong length": doc_of(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+                           ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), rank=2),
+    "no positive roots": doc_of(A2_SIMPLE, ()),
+    "outside the span": doc_of(((1.0, 0.0),), ((1.0, 0.0), (0.0, 1.0)),
+                               rank=2),
+    "negative coefficient": doc_of(A2_SIMPLE,
+                                   A2_POSITIVE + ((1.5, -S3),)),
+    "non-integer coefficient": doc_of(A2_SIMPLE,
+                                      A2_POSITIVE + ((0.5, 0.0),)),
+    "non-crystallographic pair": doc_of(((1.0, 0.0), (-0.4, 1.0)),
+                                        ((1.0, 0.0), (-0.4, 1.0))),
+    "reflection image not listed": doc_of(*INCOMPLETE_DATA[0]),
+    "simple root not listed": doc_of(*INCOMPLETE_DATA[1]),
+    "repeated root_index": with_mult(doc_of(A2_SIMPLE, A2_POSITIVE),
+                                     (0, 1, 1)),
+    "root_index out of range": with_mult(doc_of(A2_SIMPLE, A2_POSITIVE),
+                                         (3,)),
+    "zero multiplicity": dict(doc_of(A2_SIMPLE, A2_POSITIVE),
+                              multiplicities=[{"root_index": 0,
+                                               "m_alpha": 0}]),
+    "rank zero": doc_of(A2_SIMPLE, A2_POSITIVE, rank=0),
+}
 
 
 class TestRho:
@@ -52,7 +112,7 @@ class TestRho:
     def test_a2_sum_of_simples(self):
         d = rd.datum_a2()
         expected = np.add(d.simple_roots[0], d.simple_roots[1])
-        assert np.allclose(rd.rho(d).array(), expected)
+        assert np.allclose(vec(rd.rho(d)), expected)
 
 
 class TestWeylApply:
@@ -60,7 +120,7 @@ class TestWeylApply:
         d = rd.datum_a2()
         lam = random_param(2)
         out = rd.weyl_apply(d, rd.WeylElement.identity(), lam)
-        assert np.allclose(out.array(), lam.array())
+        assert np.allclose(vec(out), vec(lam))
 
     def test_rank_one_flip(self):
         d = rd.datum_a1(3, 0)
@@ -74,7 +134,7 @@ class TestWeylApply:
             lam = random_param(2)
             a = rd.weyl_apply(d, rd.WeylElement.of(1, 2, 1), lam)
             b = rd.weyl_apply(d, rd.WeylElement.of(2, 1, 2), lam)
-            assert np.allclose(a.array(), b.array(), atol=1e-13)
+            assert np.allclose(vec(a), vec(b), atol=1e-13)
 
     def test_involution(self):
         for d in (rd.datum_a2(), rd.datum_b2()):
@@ -83,16 +143,16 @@ class TestWeylApply:
                 for _ in range(50):
                     lam = random_param(2)
                     out = rd.weyl_apply(d, w, lam)
-                    assert np.allclose(out.array(), lam.array(), atol=1e-14)
+                    assert np.allclose(vec(out), vec(lam), atol=1e-14)
 
     def test_inner_product_preserved(self):
         d = rd.datum_b2()
         w = rd.WeylElement.of(2, 1)
         for _ in range(30):
             lam, mu = random_param(2), random_param(2)
-            before = complex(lam.array() @ mu.array())
-            after = complex(rd.weyl_apply(d, w, lam).array()
-                            @ rd.weyl_apply(d, w, mu).array())
+            before = complex(vec(lam) @ vec(mu))
+            after = complex(vec(rd.weyl_apply(d, w, lam))
+                            @ vec(rd.weyl_apply(d, w, mu)))
             assert abs(before - after) < 1e-13
 
     def test_letter_out_of_range(self):
@@ -103,7 +163,8 @@ class TestWeylApply:
 
 class TestNegativeSet:
     def test_identity_empty(self):
-        assert rd.negative_set(rd.datum_a2(), rd.WeylElement.identity()) == []
+        assert rd.negative_set_indices(rd.datum_a2(),
+                                       rd.WeylElement.identity()) == []
 
     def test_longest_all(self):
         for d in (rd.datum_a1(2, 1), rd.datum_a1xa1(), rd.datum_a2(),
@@ -113,8 +174,7 @@ class TestNegativeSet:
 
     def test_a2_single_reflection(self):
         d = rd.datum_a2()
-        assert rd.negative_set(d, rd.WeylElement.of(1)) == \
-            [d.positive_roots[0]]
+        assert rd.negative_set_indices(d, rd.WeylElement.of(1)) == [0]
 
     def test_length_additivity_over_group(self):
         for d in (rd.datum_a1xa1(), rd.datum_a2(), rd.datum_b2(),
@@ -181,7 +241,7 @@ class TestRestrict:
             # shift along each simple root includes the other roots'
             # contributions; check the defining bilinear form instead
             assert rd.restrict(d, lam, idx) == pytest.approx(
-                complex(lam.array() @ np.asarray(alpha))
+                complex(vec(lam) @ np.asarray(alpha))
                 / (np.asarray(alpha) @ np.asarray(alpha)), abs=1e-14)
 
     def test_orthogonal_vanishes(self):
@@ -190,7 +250,109 @@ class TestRestrict:
         assert rd.restrict(d, lam, 0) == 0
 
 
+def mp_restrict(mp, d, coords, i):
+    a = [mp.mpf(x) for x in d.positive_roots[i]]
+    return sum(mp.mpc(z) * x for z, x in zip(coords, a)) / sum(
+        x * x for x in a)
+
+
+def mp_weyl_apply(mp, d, w, coords):
+    v = [mp.mpc(z) for z in coords]
+    for letter in reversed(w.word):
+        a = [mp.mpf(x) for x in d.simple_roots[letter - 1]]
+        c = 2 * sum(z * x for z, x in zip(v, a)) / sum(x * x for x in a)
+        v = [z - c * x for z, x in zip(v, a)]
+    return v
+
+
+def cocycle_allowance(d, lam, roots):
+    """Relative error the product over `roots` may carry beyond 1e-12.
+    Near a Gamma pole, an argument z rounded by about 1e-16 |z| moves
+    Gamma by 1e-16 |z| / dist at distance dist (as in the c-factor
+    tests).  At large |Lam| each factor sums log-Gammas and (rho0 - w)
+    log 2 of size L before its exp, each with an absolute rounding of
+    about eps L: 2e-12 relative at |Lam| ~ 1e3."""
+    poles = sizes = 0.0
+    for i in roots:
+        w = 1j * rd.restrict(d, lam, i)
+        num, dens = cfun._factor_arguments(w, *d.mult[i])
+        for z in (num, *dens):
+            poles += abs(z) / cm.distance_to_nonpos_int(z)
+            sizes += abs(cm.log_gamma(z))
+        sizes += abs(w) * math.log(2.0)
+    return 1e-15 * poles + 2.0 ** -51 * sizes
+
+
+class TestMatchesMpmath:
+    """restrict and weyl_apply against 30-digit mpmath, and the cocycle
+    law of the partial c-functions, on every catalog datum at |Lam| from
+    1e-8 to 1e3 with either sign of Im Lam."""
+
+    def test_restrict_weyl_apply_and_cocycle(self):
+        mp = pytest.importorskip("mpmath")
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        eps = 2.0 ** -52
+
+        @hyp.settings(derandomize=True, deadline=None, database=None,
+                      max_examples=120)
+        @hyp.given(st.sampled_from(CATALOG), st.data())
+        def check(d, data):
+            scale = 10.0 ** data.draw(st.floats(-8.0, 3.0))
+            sign = data.draw(st.sampled_from((1.0, -1.0)))
+            coords = [scale * complex(data.draw(st.floats(-1.0, 1.0)),
+                                      sign * data.draw(st.floats(0.05, 1.0)))
+                      for _ in range(d.rank)]
+            lam = rd.SpectralParam.of(coords)
+            size = max(abs(z) for z in coords)
+            with mp.workdps(30):
+                for i in range(d.n_positive):
+                    want = complex(mp_restrict(mp, d, coords, i))
+                    assert abs(rd.restrict(d, lam, i) - want) \
+                        <= 4 * eps * size
+                elements = rd.enumerate_weyl(d)
+                for w in elements:
+                    got = rd.weyl_apply(d, w, lam).coords
+                    want = mp_weyl_apply(mp, d, w, coords)
+                    for z, ref in zip(got, want):
+                        assert abs(z - complex(ref)) \
+                            <= 4 * (1 + len(w)) * eps * size
+            for u in elements:
+                for v in elements:
+                    uv = rd.WeylElement(u.word + v.word)
+                    if not (len(u) and len(v) and rd.is_reduced(d, uv)):
+                        continue
+                    def rhs():
+                        return (cfun.c_sigma(d, u, rd.weyl_apply(d, v, lam))
+                                .value * cfun.c_sigma(d, v, lam).value)
+                    try:
+                        lhs = cfun.c_sigma(d, uv, lam).value
+                    except cfun.CPoleError:
+                        # a pole of one side is a pole of the other
+                        with pytest.raises(cfun.CPoleError):
+                            rhs()
+                        continue
+                    bound = 1e-12 + cocycle_allowance(
+                        d, lam, rd.negative_set_indices(d, uv))
+                    assert abs(lhs - rhs()) <= bound * abs(lhs)
+
+        check()
+
+
 class TestValidationAndIO:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_document_rejected(self, name):
+        with pytest.raises(rd.RootDatumError):
+            rd.datum_from_dict(MALFORMED[name])
+
+    def test_ragged_roots_rejected(self):
+        # NumPy raised its own ValueError on ragged rows; the length check
+        # names them now
+        for simple, positive in ((((1.0, 0.0), (0.0,)), A2_POSITIVE),
+                                 (A2_SIMPLE, A2_POSITIVE + ((1.0,),))):
+            with pytest.raises(rd.RootDatumError, match="length"):
+                rd.datum_from_dict(doc_of(simple, positive, rank=2))
+
     def test_noncrystallographic_rejected(self):
         with pytest.raises(rd.RootDatumError):
             rd.RootDatum(
