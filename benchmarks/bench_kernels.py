@@ -11,7 +11,11 @@ branches: microseconds per call with its per-(a, b, c) constants cached
 (warm) and computed afresh (cold), and the series terms per call.  A
 third (L2) times ``rankone.phi_tau`` over the rank1-grid t-grid at one
 Lam: microseconds per call with the closed-form and 2F1 plans cleared
-before each sweep of the grid (cold) and kept (warm).  A fourth (L2/L4)
+before each sweep of the grid (cold) and kept (warm).  A per-Lam set-up
+table (L1/L2) times the constants a new Lam costs: ``c_lambda_delta``
+per K-type, the single-root factor ``c_alpha`` per (m, m2), the 2F1
+connection constants at phi_tau's parameters, ``hc_series_gammas``, and
+``phi_tau`` at t = 0.05 and 20, at a new Lam and warm.  A fourth (L2/L4)
 times ``cfun.c_full`` and ``c_sigma`` at the longest element on A2 and
 B2, and ``verify.check_cocycle`` on the cocycle suite's samples, with the
 single-root factor cache cleared before each call (cold) and kept
@@ -172,6 +176,62 @@ def phi_table(repeat, scale):
           f"{per_call[1]:>9.1f}")
 
 
+def setup_table(repeat, scale):
+    # 64 distinct Lam per row, more than a per-Lam cache holds, so every
+    # call of a cold row misses; the Lam of the rank1-grid workload's
+    # kind: 0 < Re Lam < 3, |Im Lam| < 0.45
+    rng = np.random.default_rng(18)
+    lams = [complex(x, y) for x, y in zip(rng.uniform(0.05, 3.0, 64),
+                                          rng.uniform(-0.45, 0.45, 64))]
+    catalog = r1.load_ktype_catalog()
+    h2, h3, ch2 = r1.RankOneSpace(1, 0), r1.RankOneSpace(2, 0), \
+        r1.RankOneSpace(2, 1)
+    ktypes = [(sp, name, r1.catalog_lookup(catalog, name, sp))
+              for sp, name in ((h2, "s2r0"), (h3, "s1r0"), (ch2, "s1r1"),
+                               (ch2, "s2r1"))]
+
+    def label(sp, name):
+        return f"{name} ({sp.m_alpha},{sp.m_2alpha})"
+
+    def hyp_args(sp, kt):
+        return [r1._hyp_parameters(sp, kt, lam)[1:] for lam in lams]
+
+    cases = [(f"c_lambda_delta, {label(sp, name)}",
+              lambda sp=sp, kt=kt: [r1.c_lambda_delta(sp, kt, lam)
+                                    for lam in lams])
+             for sp, name, kt in ktypes]
+    cases += [(f"c_alpha, (m, m2) = ({m}, {m2})",
+               lambda m=m, m2=m2: [cfun.c_alpha(lam, m, m2) for lam in lams])
+              for m, m2 in ((1, 0), (2, 0), (3, 0), (4, 0), (2, 1), (4, 3),
+                            (8, 7))]
+    cases += [(f"_connection_coeffs, {label(sp, name)}",
+               lambda args=hyp_args(sp, kt): [
+                   cm._connection_coeffs(*(complex(p) for p in abc))
+                   for abc in args])
+              for sp, name, kt in ktypes[1:2] + ktypes[3:]]
+    cases += [(f"hc_series_gammas, ({sp.m_alpha},{sp.m_2alpha})",
+               lambda sp=sp: [r1.hc_series_gammas(sp, lam) for lam in lams])
+              for sp in (h2, ch2)]
+    sp, _, kt = ktypes[1]
+    for t in (0.05, 20.0):
+        cases += [(f"phi_tau, t = {t:g}, new Lam",
+                   lambda t=t: [r1.phi_tau(sp, kt, lam, t) for lam in lams]),
+                  (f"phi_tau, t = {t:g}, warm",
+                   lambda t=t: [r1.phi_tau(sp, kt, lams[0], t)
+                                for _ in lams])]
+    rounds = max(1, int(20 * scale))
+    print("\nper-Lam set-up (a new Lam per call unless warm)")
+    print(f"{'call':<34}{'us':>9}")
+    for name, fn in cases:
+        fn()
+
+        def run():
+            for _ in range(rounds):
+                fn()
+        us = timed(run, repeat) / (rounds * len(lams)) * 1e6
+        print(f"{name:<34}{us:>9.2f}")
+
+
 def factor_table(repeat, scale):
     lam = rd.SpectralParam.of([0.9 - 0.5j, 0.4 - 0.7j])
     cases = []
@@ -184,7 +244,7 @@ def factor_table(repeat, scale):
     samples = verify._cocycle_samples()
     cases.append(("check_cocycle", "ms",
                   lambda: verify.check_cocycle(samples)))
-    cache = cfun._log_factor_quotient
+    cache = cfun._factor_value
 
     def evaluated(fn):
         # (factors asked for, factors evaluated) by one call
@@ -286,6 +346,7 @@ def main():
         print(f"{name:<24}{timed(fn, args.repeat) / calls * 1e6:>10.2f}")
     gauss_table(args.repeat, args.scale)
     phi_table(args.repeat, args.scale)
+    setup_table(args.repeat, args.scale)
     factor_table(args.repeat, args.scale)
     weyl_table(args.repeat, args.scale)
     cli_table(args.repeat, args.scale)

@@ -123,29 +123,33 @@ def hyp2f1_series(a: complex, b: complex, c: complex, z: complex,
 
 
 def hc_gamma_coeffs(m_alpha: int, m_2alpha: int, lam: complex,
-                    n_max: int) -> np.ndarray:
+                    n_max: int) -> list[complex]:
     """Coefficients of the radial eigenfunction expansion in e^{-n t}.
 
     Recursion obtained by substituting e^{(i lam - rho) t} sum g_n e^{-n t}
     into u'' + (m coth t + 2 m2 coth 2t) u' = -(lam^2 + rho^2) u and
-    matching coefficients; g_0 = 1 and odd coefficients vanish.
-    Resonant denominators (n == 2 i lam) must be excluded by the caller.
+    matching coefficients; g_0 = 1 and odd coefficients vanish:
+
+        n (n - 2 i lam) g_n = -2 m sum_{k = 2, 4, ...} h_{n-k}
+                              - 4 m2 sum_{k = 4, 8, ...} h_{n-k},
+
+    with h_j = (i lam - rho - j) g_j.  Both sums are kept as running
+    sums, the second one per residue of n mod 4, so the n_max / 2
+    coefficients take O(n_max) steps.  Resonant denominators
+    (n == 2 i lam) must be excluded by the caller.
     """
     lam = complex(lam)
     rho = 0.5 * m_alpha + m_2alpha
     ilam = 1j * lam
-    g = np.zeros(n_max + 1, dtype=np.complex128)
-    g[0] = 1.0
+    g = [0j] * (n_max + 1)
+    g[0] = 1.0 + 0j
+    every = 0j
+    by_residue = [0j, 0j]  # the h_j with j = 0, 2 mod 4
     for n in range(2, n_max + 1, 2):
-        acc = 0.0 + 0j
-        k = 2
-        while k <= n:
-            acc += 2.0 * m_alpha * g[n - k] * (ilam - rho - (n - k))
-            k += 2
-        k = 4
-        while k <= n:
-            acc += 4.0 * m_2alpha * g[n - k] * (ilam - rho - (n - k))
-            k += 4
+        h = g[n - 2] * (ilam - rho - (n - 2))
+        every += h
+        by_residue[(n - 2) % 4 // 2] += h
+        acc = 2.0 * m_alpha * every + 4.0 * m_2alpha * by_residue[n % 4 // 2]
         g[n] = -acc / (n * (n - 2.0 * ilam))
     return g
 

@@ -13,6 +13,9 @@ integral over the opposite unipotent group used by the quadrature oracle
 (total mass 1 at the calibration point); kappa comes out to 1 in double
 precision, and ``calibration_report`` exposes the verbatim-product value
 so the convention can be audited rather than silently absorbed.
+G((m + m2 + 1)/2) and kappa are evaluated once per (m, m2).  For even m
+and even m2 the calibrated factor is elementary, a quotient of
+Pochhammer symbols (see ``_factor_value``).
 
 Numerator poles (w a non-positive integer) are genuine poles of c and are
 reported distinctly from denominator poles, which are zeros of c and mark
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import complexmath as cm
+from ._backend import kernels
 from .rootdata import RootDatum, SpectralParam, WeylElement, \
     negative_set_indices, restrict
 
@@ -63,6 +67,26 @@ def _factor_arguments(w: complex, m: int, m2: int):
     return w, (0.5 * (0.5 * m + 1.0 + w), 0.5 * (0.5 * m + m2 + w))
 
 
+@lru_cache(maxsize=None)
+def _log_gamma_half_dim(m: int, m2: int) -> complex:
+    # log G((m + m2 + 1)/2), the factor's constant numerator Gamma
+    return cm.log_gamma(0.5 * (m + m2 + 1.0))
+
+
+def _log_verbatim(w: complex, m: int, m2: int) -> complex:
+    # log of the printed factor, its arguments screened by the caller
+    num, (den1, den2) = _factor_arguments(w, m, m2)
+    return ((0.5 * m + m2 - w) * _LOG2 + _log_gamma_half_dim(m, m2)
+            + kernels.clgamma(num) - kernels.clgamma(den1)
+            - kernels.clgamma(den2))
+
+
+@lru_cache(maxsize=None)
+def _log_kappa(m: int, m2: int) -> complex:
+    # fixed by factor(w = rho0) == 1
+    return -_log_verbatim(0.5 * m + m2, m, m2)
+
+
 # c_full, c_sigma and the identities built on them meet the same few
 # factor arguments many times: the Weyl orbit of one lam gives at most
 # 2 n_positive of them.  Equal w that differ in the sign of a zero part
@@ -70,30 +94,45 @@ def _factor_arguments(w: complex, m: int, m2: int):
 # PoleError, which is never cached, so it is screened and raised afresh on
 # every call, with that call's root_index
 @lru_cache(maxsize=cm.CACHE_SIZE)
-def _log_factor_quotient(w: complex, m: int, m2: int) -> complex:
+def _factor_value(w: complex, m: int, m2: int) -> complex:
+    """The calibrated single-root factor.  For even m and m2 it is
+    elementary: by Legendre's duplication formula (DLMF 5.5.5)
+    G(w) = 2^{w-1} G(w/2) G((w+1)/2) / sqrt(pi), and each denominator
+    Gamma lies an integer above w/2 or (w+1)/2, so the factor is
+    P(rho0) / P(w) with P(w) = (w/2)_j ((w+1)/2)_k.  Otherwise it is
+    exp(log verbatim factor + log kappa)."""
     num, dens = _factor_arguments(w, m, m2)
-    return cm.log_gamma_quotient((0.5 * (m + m2 + 1.0), num), dens,
-                                 (0.5 * m + m2 - w) * _LOG2)
+    cm.screen_poles((num,), dens)
+    if m % 2 == 0 and m2 % 2 == 0:
+        return _pochhammer_pair(0.5 * m + m2, m, m2) / _pochhammer_pair(
+            w, m, m2)
+    return cmath.exp(_log_verbatim(w, m, m2) + _log_kappa(m, m2))
 
 
-def _log_verbatim_factor(w: complex, m: int, m2: int,
-                         root_index: int | None = None) -> complex:
+def _pochhammer_pair(w: complex, m: int, m2: int) -> complex:
+    # P(w) of _factor_value, m and m2 even: the denominator arguments
+    # (m/2 + 1 + w)/2 and (m/2 + m2 + w)/2 are w/2 and (w+1)/2 shifted by
+    # integers, which of them by which depending on m/2 mod 2
+    p = m // 2
+    if p % 2:
+        j, k = (p + 1) // 2, (p + m2 - 1) // 2
+    else:
+        j, k = (p + m2) // 2, p // 2
+    return cm.pochhammer(0.5 * w, j) * cm.pochhammer(0.5 * w, k, 0.5)
+
+
+def _factor(w: complex, m: int, m2: int,
+            root_index: int | None = None) -> complex:
     try:
-        return _log_factor_quotient(w, m, m2)
+        return _factor_value(w, m, m2)
     except cm.PoleError as exc:
         raise CPoleError(exc.side, exc.z, root_index) from None
-
-
-@lru_cache(maxsize=None)
-def _log_kappa(m: int, m2: int) -> complex:
-    # fixed by factor(w = rho0) == 1
-    return -_log_verbatim_factor(0.5 * m + m2, m, m2)
 
 
 def calibration_report(m_alpha: int, m_2alpha: int) -> dict:
     """Audit of the printed-formula convention: the verbatim product value
     at the calibration point and the kappa that rescales it to 1."""
-    verbatim = cmath.exp(_log_verbatim_factor(
+    verbatim = cmath.exp(_log_verbatim(
         0.5 * m_alpha + m_2alpha, m_alpha, m_2alpha))
     return {
         "m_alpha": m_alpha,
@@ -107,10 +146,8 @@ def c_alpha(Lam: complex, m_alpha: int, m_2alpha: int,
             root_index: int | None = None) -> CFunctionValue:
     """Single-root (rank-one) c-function at scalar parameter Lam, i.e. at
     <i lam, alpha_0> = i*Lam, calibrated so c_alpha(-i rho0) = 1."""
-    w = 1j * complex(Lam)
-    logv = _log_verbatim_factor(w, m_alpha, m_2alpha, root_index) \
-        + _log_kappa(m_alpha, m_2alpha)
-    return CFunctionValue(cmath.exp(logv))
+    return CFunctionValue(_factor(1j * complex(Lam), m_alpha, m_2alpha,
+                                  root_index))
 
 
 def c_full(datum: RootDatum, lam: SpectralParam) -> CFunctionValue:

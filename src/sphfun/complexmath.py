@@ -38,6 +38,8 @@ CANCELLATION_LIMIT = 1e6
 # and -Lam, at many t, or the at most 2 n_positive factors of one lam's
 # Weyl orbit many times; the bound keeps a run over many Lam from growing
 CACHE_SIZE = 32
+_LOG2 = math.log(2.0)
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 
 class PoleError(ValueError):
@@ -88,15 +90,25 @@ def log_gamma(z: complex) -> complex:
     return kernels.clgamma(_pole_free(z))
 
 
+def screen_poles(numerators, denominators) -> None:
+    """Screen every Gamma argument of a quotient, numerators first; the
+    first pole raises PoleError with its side set.  A quotient formed
+    from a shorter form (a Pochhammer product, the duplication formula)
+    screens its original arguments here."""
+    for z in numerators:
+        _pole_free(z, "numerator")
+    for z in denominators:
+        _pole_free(z, "denominator")
+
+
 def log_gamma_quotient(numerators, denominators, start=0j) -> complex:
     """start + sum log_gamma(num) - sum log_gamma(den), added in order.
     All arguments are screened, numerators first, before any is
     evaluated; the first pole raises PoleError with its side set."""
-    nums = [_pole_free(z, "numerator") for z in numerators]
-    dens = [_pole_free(z, "denominator") for z in denominators]
-    for z in nums:
+    screen_poles(numerators, denominators)
+    for z in numerators:
         start += kernels.clgamma(z)
-    for z in dens:
+    for z in denominators:
         start -= kernels.clgamma(z)
     return start
 
@@ -104,6 +116,36 @@ def log_gamma_quotient(numerators, denominators, start=0j) -> complex:
 def gamma_ratio(numerators, denominators) -> complex:
     """exp(sum log_gamma(num) - sum log_gamma(den)), overflow safe."""
     return cmath.exp(log_gamma_quotient(numerators, denominators))
+
+
+def pochhammer(x: complex, k: int, offset: float = 0.0) -> complex:
+    """Gamma(y + k) / Gamma(y) at y = x + offset for an integer k: the
+    product (y)_k, or 1 / (y + k)_{-k} for k < 0.  Each factor is formed
+    as x + (offset + j), one rounding of x plus an exact constant, so a
+    factor next to zero keeps the relative accuracy of x.  A factor
+    vanishes only where y or y + k is a pole of Gamma, which the caller
+    screens."""
+    p = 1.0 + 0j
+    for j in range(min(k, 0), max(k, 0)):
+        p *= x + (offset + j)
+    return p if k >= 0 else 1.0 / p
+
+
+def _log_gamma_pair(x: complex, h: float) -> complex:
+    """log Gamma(x) + log Gamma(x + h) up to a multiple of 2 pi i, for an
+    integer or half-integer h, from one log-Gamma: Gamma(x)^2 (x)_h, or
+    by Legendre's duplication formula (DLMF 5.5.5)
+    2^{1-2x} sqrt(pi) Gamma(2x) (x + 1/2)_{h-1/2}.  Both arguments are
+    screened by the caller; where 2x alone is within POLE_TOL of a pole
+    the two are evaluated apart."""
+    k = round(h)
+    if k == h:
+        return 2.0 * kernels.clgamma(x) + cmath.log(pochhammer(x, k))
+    if distance_to_nonpos_int(2.0 * x) <= POLE_TOL:
+        return kernels.clgamma(x) + kernels.clgamma(x + h)
+    return ((1.0 - 2.0 * x) * _LOG2 + _LOG_SQRT_PI
+            + kernels.clgamma(2.0 * x)
+            + cmath.log(pochhammer(x, round(h - 0.5), 0.5)))
 
 
 def _coeff(nums, dens) -> complex:
@@ -130,8 +172,11 @@ def gauss_2f1_at_one(a: complex, b: complex, c: complex) -> complex:
 
 
 def log_cosh(t):
-    """log cosh t for a real t >= 0 or array of them, free of overflow."""
-    return t - math.log(2.0) + np.log1p(np.exp(-2.0 * t))
+    """log cosh t for a real t >= 0 or array of them, free of overflow;
+    a float takes math's functions, an array NumPy's."""
+    if isinstance(t, float):
+        return t - _LOG2 + math.log1p(math.exp(-2.0 * t))
+    return t - _LOG2 + np.log1p(np.exp(-2.0 * t))
 
 
 def log_sinh(t):
@@ -205,7 +250,29 @@ def _log_gamma_step(x: complex, eps: complex) -> complex:
             - 1.0 - y * yp * stirling - e * _log1p_quotient(eps * e))
 
 
-def _connection_coeffs(a, b, c):
+def _log_gamma_step_pair(x: complex, h: float, eps: complex) -> complex:
+    """_log_gamma_step(x, eps) + _log_gamma_step(x + h, eps) for an
+    integer or half-integer h, from one step: 2 step(x) for h = 0, or by
+    the duplication formula 2 step(2x, 2 eps) - 2 log 2 for h = 1/2; the
+    rest of h adds log((y + eps)_k / (y)_k) / eps, formed as the
+    recurrence of _log_gamma_step forms its product.  Where 2x alone is
+    within POLE_TOL of a pole the two steps are taken apart."""
+    k = round(h)
+    if k == h:
+        base, y = 2.0 * _log_gamma_step(x, eps), x
+    elif distance_to_nonpos_int(2.0 * x) <= POLE_TOL:
+        return _log_gamma_step(x, eps) + _log_gamma_step(x + h, eps)
+    else:
+        base = 2.0 * _log_gamma_step(2.0 * x, 2.0 * eps) - 2.0 * _LOG2
+        y, k = x + 0.5, round(h - 0.5)
+    e = 0j
+    for j in range(min(k, 0), max(k, 0)):
+        e += (1.0 + eps * e) / (y + j)
+    shift = e * _log1p_quotient(eps * e)
+    return base + shift if k >= 0 else base - shift
+
+
+def _connection_coeffs(a, b, c, b_minus_a=None, log_gamma_c=None):
     """Constants (m, eps, finite, w0, h0, R0) of the z -> 1-z connection
     formula for c - a - b = m + eps, m = round(Re(c - a - b)) >= 0:
 
@@ -223,26 +290,46 @@ def _connection_coeffs(a, b, c):
 
     R_0 = exp(eps G_0) and h_0 = expm1(eps G_0) / eps, with G_0 a sum of
     log-Gamma steps; _connection_sum carries w_k, R_k and h_k on by their
-    rational recurrences.  Raises PoleError when Gamma(c - a) or
-    Gamma(c - b) is at a pole (side "denominator"); _Plan sends m < 0
-    and such a pole to Euler's transformation first, and keeps these
-    constants for its (a, b, c).
+    rational recurrences.
+
+    finite[0] and w0 share G = Gamma(c) Gamma(1 + eps) / (Gamma(c - a)
+    Gamma(c - b)): finite[0] = G (1 + eps)_{m-1} and w0 = +-G times
+    prod_{n<m} (a + n)(b + n) / (n + 1).  A caller that meets one c for
+    many (a, b) passes log Gamma(c).  A caller whose b - a is an integer
+    or half-integer passes it exactly as b_minus_a: Gamma(c - a)
+    Gamma(c - b) then takes one log-Gamma (_log_gamma_pair), and the
+    steps at a + m and b + m one step (_log_gamma_step_pair).  Every
+    Gamma argument is screened, numerators first: a pole of Gamma(c - a)
+    or Gamma(c - b) raises PoleError with side "denominator".  The plan
+    (Gauss2F1Plan) sends m < 0 and such a pole to Euler's transformation
+    first, and keeps these constants for its (a, b, c).
     """
     d = c - a - b
     m = round(d.real)
     eps = d - m
+    screen_poles((c, d, 1.0 + eps) if m else (c, 1.0 + eps), (c - a, c - b))
+    if log_gamma_c is None:
+        log_gamma_c = kernels.clgamma(c)
+    if b_minus_a is None:
+        log_dens = kernels.clgamma(c - a) + kernels.clgamma(c - b)
+    else:
+        log_dens = _log_gamma_pair(c - a, -b_minus_a)
+    g = cmath.exp(log_gamma_c - log_dens + kernels.clgamma(1.0 + eps))
     finite = []
     if m:
-        finite.append(gamma_ratio((c, d), (c - a, c - b)))
+        finite.append(g * pochhammer(eps, m - 1, 1.0))
         for n in range(m - 1):
             finite.append(finite[-1] * (a + n) * (b + n)
                           / ((1.0 - d + n) * (n + 1.0)))
-    w0 = -1.0 if m % 2 == 0 else 1.0
+    w0 = -g if m % 2 == 0 else g
     for n in range(m):
-        w0 *= (a + n) * (b + n)
-    w0 *= gamma_ratio((c, 1.0 + eps), (c - a, c - b, m + 1.0))
-    g0 = (_log_gamma_step(a + m, eps) + _log_gamma_step(b + m, eps)
-          - _log_gamma_step(m + 1.0, eps) - _log_gamma_step(1.0, -eps))
+        w0 *= (a + n) * (b + n) / (n + 1.0)
+    if b_minus_a is None:
+        g_ab = _log_gamma_step(a + m, eps) + _log_gamma_step(b + m, eps)
+    else:
+        g_ab = _log_gamma_step_pair(a + m, b_minus_a, eps)
+    g0 = (g_ab - _log_gamma_step(m + 1.0, eps)
+          - _log_gamma_step(1.0, -eps))
     return (m, eps, tuple(finite), w0, g0 * _expm1_quotient(eps * g0),
             cmath.exp(eps * g0))
 
@@ -326,26 +413,30 @@ def _is_nonpos_int(p: complex) -> bool:
     return p.imag == 0.0 and p.real <= 0.0 and p.real == round(p.real)
 
 
-class _Plan:
-    """What _gauss_2f1_impl decides from (a, b, c) alone, once per
-    (a, b, c) through the cache _plan: the pole at c (raised, never
-    cached), the terms of a terminating series (a or b = -n, n + 1 terms,
-    the kernel stopping at its first zero term; 0 otherwise), and, formed
-    by the first call on the connection branch, that branch's choice.
-    Each call forms its values from its own parameters: equal keys may
-    differ in the sign of a zero part."""
+class Gauss2F1Plan:
+    """What the 2F1 evaluator decides from (a, b, c) alone: the pole at c
+    (raised, never kept), the terms of a terminating series (a or b =
+    -n, n + 1 terms, the kernel stopping at its first zero term; 0
+    otherwise), and, formed by the first call on the connection branch,
+    that branch's choice.  The cache _plan keeps one per (a, b, c) for
+    the public functions; a caller that evaluates one (a, b, c) at many z
+    (rankone's closed forms) keeps its own and calls at_log_complement,
+    passing the exact b - a and log Gamma(c) it knows on to
+    _connection_coeffs.  Each call forms its values from its own
+    parameters: equal keys may differ in the sign of a zero part."""
 
-    __slots__ = ("terms", "choice")
+    __slots__ = ("terms", "choice", "b_minus_a", "log_gamma_c")
 
-    def __init__(self, a, b, c):
+    def __init__(self, a, b, c, b_minus_a=None, log_gamma_c=None):
         if distance_to_nonpos_int(c) <= POLE_TOL:
             raise PoleError(c, f"2F1 parameter pole at c = {c}")
         self.terms = next((int(-p.real) + 1 for p in (a, b)
                            if _is_nonpos_int(p)), 0)
         self.choice = None
+        self.b_minus_a = b_minus_a
+        self.log_gamma_c = log_gamma_c
 
-    @staticmethod
-    def _choose(a, b, c):
+    def _choose(self, a, b, c):
         # Euler's transformation F(a, b; c; z) = zc^d F(c-a, c-b; c; z)
         # turns c - a or c - b = -j, taken as exact within POLE_TOL (the
         # poles of the connection formula's Gamma(c - a) Gamma(c - b)),
@@ -355,8 +446,9 @@ class _Plan:
             if distance_to_nonpos_int(p) <= POLE_TOL:
                 return "terminating", (-round(p.real), swap)
         if round((c - a - b).real) < 0:
-            return "euler", _Plan(c - a, c - b, c)
-        return "connection", _connection_coeffs(a, b, c)
+            return "euler", Gauss2F1Plan(c - a, c - b, c)
+        return "connection", _connection_coeffs(a, b, c, self.b_minus_a,
+                                                self.log_gamma_c)
 
     def near_one(self, a, b, c, z, zc, log_zc) -> complex:
         """F(a, b; c; z) on the connection branch, |1 - z| <= 0.5."""
@@ -372,30 +464,43 @@ class _Plan:
                 c - a, c - b, c, z, zc, log_zc)
         return _transform_near_one(a, b, c, zc, log_zc, arg)
 
+    def value(self, a, b, c, z, zc, log_zc=None) -> complex:
+        """F(a, b; c; z) for complex a, b, c (this plan's), z and its
+        complement zc = 1 - z; log_zc, if given, is log zc."""
+        if self.terms:
+            return kernels.hyp2f1_series(a, b, c, z, 0.0, self.terms)[0]
+        az = abs(z)
+        if az > 1.0 + 1e-14:
+            raise HypDomainError(f"|z| = {az} > 1 not supported")
+        if az > SERIES_RADIUS and abs(zc) <= 0.5:
+            if zc == 0 and log_zc is None:
+                # exactly at the boundary point; for a nonzero complement
+                # the connection formula keeps the genuine zc^{c-a-b} term
+                return gauss_2f1_at_one(a, b, c)
+            log_zc = cmath.log(zc) if log_zc is None else log_zc
+            return self.near_one(a, b, c, z, zc, log_zc)
+        if az <= SERIES_LIMIT:
+            return _series(a, b, c, z)
+        raise HypDomainError(
+            f"z = {z} outside supported region "
+            f"(|z| <= {SERIES_LIMIT} or |1 - z| <= 0.5)")
 
-_plan = lru_cache(maxsize=CACHE_SIZE)(_Plan)
+    def at_log_complement(self, a, b, c, log_zc: float) -> complex:
+        """F(a, b; c; z) at z = 1 - exp(log_zc).  Below the double range
+        the complement stays a logarithm, which gives the power
+        (1-z)^{c-a-b}."""
+        zc = math.exp(log_zc)
+        if zc >= sys.float_info.min:
+            return gauss_2f1_complement(a, b, c, zc, self)
+        return self.value(a, b, c, 1.0 + 0j, complex(zc), log_zc)
+
+
+_plan = lru_cache(maxsize=CACHE_SIZE)(Gauss2F1Plan)
 
 
 def _gauss_2f1_impl(a, b, c, z, zc, log_zc=None) -> complex:
     a, b, c = complex(a), complex(b), complex(c)
-    plan = _plan(a, b, c)
-    if plan.terms:
-        return kernels.hyp2f1_series(a, b, c, z, 0.0, plan.terms)[0]
-    az = abs(z)
-    if az > 1.0 + 1e-14:
-        raise HypDomainError(f"|z| = {az} > 1 not supported")
-    if az > SERIES_RADIUS and abs(zc) <= 0.5:
-        if zc == 0 and log_zc is None:
-            # exactly at the boundary point; for a nonzero complement the
-            # connection formula keeps the genuine zc^{c-a-b} term
-            return gauss_2f1_at_one(a, b, c)
-        log_zc = cmath.log(zc) if log_zc is None else log_zc
-        return plan.near_one(a, b, c, z, zc, log_zc)
-    if az <= SERIES_LIMIT:
-        return _series(a, b, c, z)
-    raise HypDomainError(
-        f"z = {z} outside supported region "
-        f"(|z| <= {SERIES_LIMIT} or |1 - z| <= 0.5)")
+    return _plan(a, b, c).value(a, b, c, z, zc, log_zc)
 
 
 def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
@@ -412,19 +517,22 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
 
 
 def gauss_2f1_complement(a: complex, b: complex, c: complex,
-                         one_minus_z: complex) -> complex:
+                         one_minus_z: complex,
+                         plan: Gauss2F1Plan | None = None) -> complex:
     """2F1 evaluated at z = 1 - one_minus_z with the complement supplied
     directly, avoiding cancellation when z is within rounding of 1
-    (e.g. z = tanh^2 t with 1 - z = sech^2 t computed exactly)."""
+    (e.g. z = tanh^2 t with 1 - z = sech^2 t computed exactly).  A caller
+    that keeps the Gauss2F1Plan of its complex (a, b, c) passes it, and
+    the call skips the plan cache."""
     zc = complex(one_minus_z)
-    return _gauss_2f1_impl(a, b, c, 1.0 - zc, zc)
+    if plan is None:
+        return _gauss_2f1_impl(a, b, c, 1.0 - zc, zc)
+    return plan.value(a, b, c, 1.0 - zc, zc)
 
 
 def gauss_2f1_log_complement(a: complex, b: complex, c: complex,
                              log_one_minus_z: float) -> complex:
     """2F1 at z = 1 - exp(log_one_minus_z).  Below the double range the
     complement stays a logarithm, which gives the power (1-z)^{c-a-b}."""
-    zc = math.exp(log_one_minus_z)
-    if zc >= sys.float_info.min:
-        return gauss_2f1_complement(a, b, c, zc)
-    return _gauss_2f1_impl(a, b, c, 1.0 + 0j, complex(zc), log_one_minus_z)
+    a, b, c = complex(a), complex(b), complex(c)
+    return _plan(a, b, c).at_log_complement(a, b, c, log_one_minus_z)

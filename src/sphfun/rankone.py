@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-import numpy as np
-
 from . import complexmath as cm
 from ._backend import kernels
 from .cfun import CPoleError, c_alpha
@@ -196,17 +194,41 @@ def c_lambda_delta(space: RankOneSpace, kt: KTypeRankOne,
     """The K-type constant of the hypergeometric closed form: with
     w = i Lam + rho,
 
-        G((w+s+r)/2) / G(w/2)
-        * G((w+1-m_2alpha+s-r)/2) / G((w+1-m_2alpha)/2).
+        G(n1) / G(d1) * G(n2) / G(d2),
+        n1 = (w+s+r)/2, d1 = w/2,
+        n2 = (w+1-m_2alpha+s-r)/2, d2 = (w+1-m_2alpha)/2.
+
+    Each numerator lies an integer or a half-integer from each
+    denominator.  Where s + r is even, each pairs with its own
+    denominator, and where m_2alpha is even, with the other one: the
+    constant is then a product of Pochhammer symbols (s linear factors
+    where m_2alpha = 0).  Otherwise (s + r and m_2alpha odd) the
+    numerators lie an integer apart, and so do the denominators, which
+    leaves one log-Gamma pair, squared.  All four arguments are screened
+    for poles, numerators first.
     """
-    w = 1j * complex(Lam) + space.rho
-    m2 = space.m_2alpha
-    nums = (0.5 * (w + kt.s + kt.r), 0.5 * (w + 1 - m2 + kt.s - kt.r))
-    dens = (0.5 * w, 0.5 * (w + 1 - m2))
+    x = 0.5j * complex(Lam)
+    rho, m2, s, r = space.rho, space.m_2alpha, kt.s, kt.r
+    # each argument is i Lam / 2 (exact) plus an exact constant, so it is
+    # rounded once, and so is each Pochhammer factor
+    cn1, cn2 = 0.5 * (rho + s + r), 0.5 * (rho + 1 - m2 + s - r)
+    cd1, cd2 = 0.5 * rho, 0.5 * (rho + 1 - m2)
     try:
-        return cm.gamma_ratio(nums, dens)
+        cm.screen_poles((x + cn1, x + cn2), (x + cd1, x + cd2))
     except cm.PoleError as exc:
         raise CPoleError(exc.side, exc.z) from None
+    if (s + r) % 2 == 0:
+        return (cm.pochhammer(x, (s + r) // 2, cd1)
+                * cm.pochhammer(x, (s - r) // 2, cd2))
+    if m2 % 2 == 0:
+        # n1 = d2 + (s + r + m2 - 1)/2 and n2 = d1 + (s - r - m2 + 1)/2
+        return (cm.pochhammer(x, (s + r + m2 - 1) // 2, cd2)
+                * cm.pochhammer(x, (s - r - m2 + 1) // 2, cd1))
+    # n1 = n2 + r + (m2 - 1)/2 and d1 = d2 + (m2 - 1)/2
+    half = (m2 - 1) // 2
+    log_pair = kernels.clgamma(x + cn2) - kernels.clgamma(x + cd2)
+    return (cmath.exp(2.0 * log_pair) * cm.pochhammer(x, r + half, cn2)
+            / cm.pochhammer(x, half, cd2))
 
 
 def _hyp_parameters(space: RankOneSpace, kt: KTypeRankOne, Lam: complex):
@@ -217,12 +239,27 @@ def _hyp_parameters(space: RankOneSpace, kt: KTypeRankOne, Lam: complex):
     return l, a, b, c
 
 
+# log Gamma(c) of the 2F1's connection constants: c = s + dim X / 2 is a
+# constant of the K-type
+_log_gamma_c = lru_cache(maxsize=None)(cm.log_gamma)
+
+
+class _ClosedFormPlan:
+    """What _closed_form needs that t does not change: the 2F1's plan and
+    its (a, b, c), the cosh power, 2^{-l} with limit, and c_{Lam,delta},
+    which the first call at t > 0 fills (a pole of it raises on every
+    such call and is never kept; a call at t = 0 does not touch it)."""
+
+    __slots__ = ("hyp", "a", "b", "c", "power", "scale", "const")
+
+
 @lru_cache(maxsize=cm.CACHE_SIZE)
 def _closed_form_plan(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
-                      limit: bool) -> tuple:
-    """The part of _closed_form that t does not change, the K-type
-    validated: (a, b, c) of its 2F1, the cosh power and, with limit,
-    2^{-l}.
+                      limit: bool) -> _ClosedFormPlan:
+    """The _ClosedFormPlan of (space, kt, Lam, limit), the K-type
+    validated.  The 2F1's plan knows b - a = (1 - m_2alpha)/2 - r exactly
+    and log Gamma(c), so that its connection constants take one
+    log-Gamma for Gamma(c - a) Gamma(c - b).
 
     For Im Lam > 0 that 2F1 grows like cosh^{2 Im Lam} t while cosh^l t
     decays, and at large t each alone over- or underflows.  There Euler's
@@ -232,10 +269,19 @@ def _closed_form_plan(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
     """
     validate_ktype(space, kt)
     l, a, b, c = _hyp_parameters(space, kt, Lam)
+    b_minus_a = 0.5 * (1 - space.m_2alpha) - kt.r
     power = 0 if limit else l
     if complex(Lam).imag > 0:
         a, b, power = c - a, c - b, power - 2j * complex(Lam)
-    return a, b, c, power, cmath.exp(-l * math.log(2.0)) if limit else None
+        b_minus_a = -b_minus_a
+    plan = _ClosedFormPlan()
+    plan.a, plan.b, plan.c = complex(a), complex(b), complex(c)
+    plan.hyp = cm.Gauss2F1Plan(plan.a, plan.b, plan.c, b_minus_a,
+                               _log_gamma_c(plan.c))
+    plan.power = power
+    plan.scale = cmath.exp(-l * math.log(2.0)) if limit else None
+    plan.const = None
+    return plan
 
 
 def _closed_form(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
@@ -244,15 +290,18 @@ def _closed_form(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
     with limit, (2 cosh t)^{-l} phi(t), in which the cosh powers cancel."""
     if not t >= 0:
         raise ValueError("t must be >= 0")
-    a, b, c, power, scale = _closed_form_plan(space, kt, Lam, limit)
+    plan = _closed_form_plan(space, kt, Lam, limit)
     value = 1.0 + 0j if kt.s == 0 else 0j
     if t > 0:
-        const = c_lambda_delta(space, kt, Lam) * math.tanh(t) ** kt.s
-        lc = cm.log_cosh(t)
+        if plan.const is None:
+            plan.const = c_lambda_delta(space, kt, Lam)
+        const = plan.const * math.tanh(t) ** kt.s
+        lc = cm.log_cosh(float(t))
         # z = tanh^2 t is within rounding of 1: pass log(1 - z) = -2 log cosh t
-        hyp = cm.gauss_2f1_log_complement(a, b, c, -2.0 * lc)
+        hyp = plan.hyp.at_log_complement(plan.a, plan.b, plan.c, -2.0 * lc)
+        power = plan.power
         value = const * cmath.exp(power * lc) * hyp if power else const * hyp
-    return scale * value if limit else value
+    return plan.scale * value if limit else value
 
 
 def phi_tau(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
@@ -308,7 +357,7 @@ def hc_series_gammas(space: RankOneSpace, Lam: complex,
     check_resonance(Lam, N)
     g = kernels.hc_gamma_coeffs(space.m_alpha, space.m_2alpha,
                                 complex(Lam), N)
-    return SeriesCoefficients(tuple(complex(v) for v in g), N)
+    return SeriesCoefficients(tuple(g), N)
 
 
 def series_tail_estimate(sc: SeriesCoefficients, t: float) -> float:
@@ -324,17 +373,10 @@ def series_tail_estimate(sc: SeriesCoefficients, t: float) -> float:
 @lru_cache(maxsize=cm.CACHE_SIZE)
 def _series_terms(space: RankOneSpace, Lam: complex, N: int) -> tuple:
     """The two terms of the Weyl sum of hc_series_eval: for L = Lam, then
-    L = -Lam, (g_0..g_N at L, 0..N, c(L)), the arrays read-only since
-    every caller shares them."""
-    ns = np.arange(N + 1)
-    ns.flags.writeable = False
-    terms = []
-    for L in (complex(Lam), -complex(Lam)):
-        gammas = np.array(hc_series_gammas(space, L, N).gammas)
-        gammas.flags.writeable = False
-        terms.append((gammas, ns,
-                      c_alpha(L, space.m_alpha, space.m_2alpha).value))
-    return tuple(terms)
+    L = -Lam, (g_0, g_2, g_4, ... at L, c(L)); the odd g_n vanish."""
+    return tuple((hc_series_gammas(space, L, N).gammas[::2],
+                  c_alpha(L, space.m_alpha, space.m_2alpha).value)
+                 for L in (complex(Lam), -complex(Lam)))
 
 
 def hc_series_eval(space: RankOneSpace, Lam: complex, t: float,
@@ -344,24 +386,23 @@ def hc_series_eval(space: RankOneSpace, Lam: complex, t: float,
         c(Lam) e^{(i Lam - rho) t} sum_n g_n(Lam) e^{-n t}
         + (Lam -> -Lam),
 
-    valid for t > 0 away from resonances.  The coefficients and c(+-Lam)
-    come from a cache shared by all calls.
+    valid for t > 0 away from resonances, each sum a Horner sum in
+    e^{-2t} over the even n.  The coefficients and c(+-Lam) come from a
+    cache shared by all calls.
     """
     if not t > 0:
         raise ValueError("the series representation requires t > 0")
+    x = math.exp(-2.0 * t)
     total = 0j
     # the exponents take this call's Lam: a cache entry is shared by equal
     # Lam that differ in the sign of a zero part
-    for L, (gammas, ns, c) in zip((complex(Lam), -complex(Lam)),
-                                  _series_terms(space, Lam, N)):
-        inner = complex(gammas @ np.exp(-ns * t))
+    for L, (evens, c) in zip((complex(Lam), -complex(Lam)),
+                             _series_terms(space, Lam, N)):
+        inner = 0j
+        for g in reversed(evens):
+            inner = inner * x + g
         total += c * cmath.exp((1j * L - space.rho) * t) * inner
     return total
-
-
-def C_e(space: RankOneSpace, Lam: complex) -> complex:
-    """Leading series coefficient; identified with the c-function."""
-    return c_alpha(Lam, space.m_alpha, space.m_2alpha).value
 
 
 def C_sigma_minus(space: RankOneSpace, kt: KTypeRankOne,

@@ -138,6 +138,13 @@ def _validate_datum(datum: RootDatum) -> tuple[list, list, list]:
                         ("positive", datum.positive_roots)):
         if not roots or any(len(r) != datum.rank for r in roots):
             raise RootDatumError(f"{name} roots must have length == rank")
+    # a NaN would reach the solve below, and a |root|^2 beyond the double
+    # range the crystallographic check; 2 |r|^2 finite for every root
+    # bounds every 2 <alpha, beta> there
+    if not all(math.isfinite(2.0 * _dot(r, r))
+               for r in datum.simple_roots + datum.positive_roots):
+        raise RootDatumError("root coordinates must be finite, with "
+                             "2 |root|^2 in the double range")
     if any(math.hypot(*r) <= _TOL
            for r in datum.simple_roots + datum.positive_roots):
         raise RootDatumError("roots must be nonzero")

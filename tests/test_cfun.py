@@ -33,8 +33,9 @@ CLI_LAMS = [1.067267 - 0.161188j, 1.83506 - 0.310003j,
 
 
 def clear_factor_caches():
-    cfun._log_factor_quotient.cache_clear()
+    cfun._factor_value.cache_clear()
     cfun._log_kappa.cache_clear()
+    cfun._log_gamma_half_dim.cache_clear()
 
 
 def factor_gamma_args(Lam, m, m2):
@@ -47,21 +48,29 @@ def factor_gamma_args(Lam, m, m2):
 
 
 def delta_gamma_args(space, kt, Lam):
-    """The same for c_{Lam,delta} of rankone."""
-    w = 1j * complex(Lam) + space.rho
-    m2 = space.m_2alpha
-    return [("numerator", 0.5 * (w + kt.s + kt.r)),
-            ("numerator", 0.5 * (w + 1 - m2 + kt.s - kt.r)),
-            ("denominator", 0.5 * w), ("denominator", 0.5 * (w + 1 - m2))]
+    """The same for c_{Lam,delta} of rankone: i Lam / 2 plus the exact
+    constants of w = i Lam + rho, each rounded once."""
+    x, rho, m2 = 0.5j * complex(Lam), space.rho, space.m_2alpha
+    return [("numerator", x + 0.5 * (rho + kt.s + kt.r)),
+            ("numerator", x + 0.5 * (rho + 1 - m2 + kt.s - kt.r)),
+            ("denominator", x + 0.5 * rho),
+            ("denominator", x + 0.5 * (rho + 1 - m2))]
+
+
+def first_pole_arg(args):
+    """(kind, argument) of the first argument within POLE_TOL of a pole,
+    in the order the library screens them, or None."""
+    for kind, z in args:
+        if cm.distance_to_nonpos_int(z) <= cm.POLE_TOL:
+            return kind, z
+    return None
 
 
 def first_pole(args):
-    """The kind of the first argument within POLE_TOL of a pole, in the
-    order the library screens them, or None."""
-    for kind, z in args:
-        if cm.distance_to_nonpos_int(z) <= cm.POLE_TOL:
-            return kind
-    return None
+    """The kind of the first argument within POLE_TOL of a pole, or
+    None."""
+    pole = first_pole_arg(args)
+    return pole and pole[0]
 
 
 def rounding_allowance(args):
@@ -72,6 +81,15 @@ def rounding_allowance(args):
     c_alpha's numerator w = i Lam, carries none and is left out."""
     return 1e-15 * sum(abs(z) / cm.distance_to_nonpos_int(z)
                        for _, z in args)
+
+
+def log_gamma_allowance(args, w=0j):
+    """Relative error of a quotient formed from the log-Gammas of args
+    (and, for the single-root factor, (rho0 - w) log 2): each of size L
+    is rounded by about eps L before the exp.  A Pochhammer quotient sums
+    none and is not allowed this."""
+    return 2.0 ** -51 * (sum(abs(cm.log_gamma(z)) for _, z in args)
+                         + abs(w) * math.log(2.0))
 
 
 def mp_factor(mp, w, m, m2):
@@ -257,9 +275,9 @@ class TestFactorCache:
                     fresh = bits(second, m, m2)
                     clear_factor_caches()
                     bits(first, m, m2)
-                    hits = cfun._log_factor_quotient.cache_info().hits
+                    hits = cfun._factor_value.cache_info().hits
                     assert bits(second, m, m2) == fresh
-                    assert cfun._log_factor_quotient.cache_info().hits \
+                    assert cfun._factor_value.cache_info().hits \
                         == hits + 1
 
     def test_pole_raises_on_every_call_with_its_root(self):
@@ -277,26 +295,26 @@ class TestFactorCache:
             with pytest.raises(cfun.CPoleError) as exc:
                 cfun.c_alpha(1j, 1, 0, root_index=7)
             assert exc.value.root_index == 7
-        assert cfun._log_factor_quotient.cache_info().currsize == 0
+        assert cfun._factor_value.cache_info().currsize == 0
 
     def test_cocycle_suite_evaluates_each_factor_once(self, monkeypatch):
-        # one log-Gamma quotient per distinct (w, m, m2) the suite's
-        # factors meet, kappa's calibration point included
-        distinct, quotients = set(), []
-        factor, quotient = cfun._log_verbatim_factor, cm.log_gamma_quotient
+        # one evaluation, whose pole screen runs once, per distinct
+        # (w, m, m2) the suite's factors meet
+        distinct, screens = set(), []
+        factor, screen = cfun._factor, cm.screen_poles
 
         def counted_factor(w, m, m2, root_index=None):
             distinct.add((w, m, m2))
             return factor(w, m, m2, root_index)
 
-        def counted_quotient(*args):
-            quotients.append(args)
-            return quotient(*args)
-        monkeypatch.setattr(cfun, "_log_verbatim_factor", counted_factor)
-        monkeypatch.setattr(cm, "log_gamma_quotient", counted_quotient)
+        def counted_screen(*args):
+            screens.append(args)
+            return screen(*args)
+        monkeypatch.setattr(cfun, "_factor", counted_factor)
+        monkeypatch.setattr(cm, "screen_poles", counted_screen)
         rows = verify.check_cocycle(verify._cocycle_samples())
         assert all(row["passed"] for row in rows)
-        assert len(quotients) == len(distinct)
+        assert len(screens) == len(distinct)
 
 
 class TestFactorsMatchMpmath:
@@ -424,6 +442,158 @@ class TestFactorsMatchMpmath:
                 assert abs(got - want) <= bound * abs(want)
 
         check()
+
+
+def wide_points(st, poles):
+    """(m, m2, r, s, Lam) for m in 1..8, m2 in {0, 1, 3, 7} and
+    0 <= r <= s <= 6.  Lam is drawn with |Lam| from 1e-8 to 1e3 and
+    either sign of Im Lam; or real or imaginary, its zero part of either
+    sign; or at 1e-13 to 1e-1 from a Gamma pole: i Lam at one of
+    poles(m, m2, r, s, k), k = 0..4."""
+    @st.composite
+    def points(draw):
+        m = draw(st.integers(1, 8))
+        m2 = draw(st.sampled_from((0, 1, 3, 7)))
+        s = draw(st.integers(0, 6))
+        r = draw(st.integers(0, s))
+        kind = draw(st.sampled_from(("free", "free", "real", "imag",
+                                     "pole")))
+        if kind == "pole":
+            k = draw(st.integers(0, 4))
+            ilam = draw(st.sampled_from(poles(m, m2, r, s, k))) \
+                + 10.0 ** draw(st.floats(-13.0, -1.0)) * cmath.exp(
+                    1j * draw(st.floats(0.0, 2 * math.pi)))
+            return m, m2, r, s, complex(ilam.imag, -ilam.real)
+        size = 10.0 ** draw(st.floats(-8.0, 3.0))
+        zero = draw(st.sampled_from((0.0, -0.0)))
+        x = size * draw(st.floats(-1.0, 1.0))
+        y = size * draw(st.sampled_from((1.0, -1.0))) \
+            * draw(st.floats(0.0, 1.0))
+        lam = {"free": complex(x, y), "real": complex(x, zero),
+               "imag": complex(zero, y)}[kind]
+        return m, m2, r, s, lam
+    return points()
+
+
+def signed_zero_twin(lam):
+    """lam with the sign of each zero part flipped, or None if it has
+    none; the two compare equal and share a cache entry."""
+    flip = [-v if v == 0.0 else v for v in (lam.real, lam.imag)]
+    twin = complex(*flip)
+    return None if twin.real.hex() == lam.real.hex() \
+        and twin.imag.hex() == lam.imag.hex() else twin
+
+
+def bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+class TestPochhammerFormsMatchMpmath:
+    """Hypothesis differential tests of c_{Lam,delta} and the single-root
+    factor against 40-digit mpmath over m in 1..8, m2 in {0, 1, 3, 7} and
+    0 <= r <= s <= 6, at |Lam| from 1e-8 to 1e3.  Where a quotient is a
+    Pochhammer product the bound is 1e-14 plus the rounding of its
+    arguments near a pole; where it keeps log-Gammas (c_{Lam,delta} for
+    s + r and m2 odd, the factor unless m and m2 are even) it adds
+    log_gamma_allowance.  Within POLE_TOL of a pole the call raises
+    CPoleError with the kind and argument of the first such argument, and
+    keeps nothing.  A signed-zero twin of Lam is a cache hit with the bits
+    of a fresh call."""
+
+    def test_c_lambda_delta(self):
+        mp = pytest.importorskip("mpmath")
+        hyp = pytest.importorskip("hypothesis")
+
+        def poles(m, m2, r, s, k):
+            # i Lam at which an argument of c_{Lam,delta} is -k, with
+            # w = i Lam + rho
+            rho = 0.5 * m + m2
+            return tuple(w - rho for w in (
+                -2 * k - s - r, -2 * k - 1 + m2 - s + r, -2 * k,
+                -2 * k - 1 + m2))
+
+        @hyp.settings(derandomize=True, deadline=None, database=None,
+                      max_examples=300)
+        @hyp.given(wide_points(hyp.strategies, poles))
+        @hyp.example((4, 7, 1, 2, 891.0 - 3.0j))
+        @hyp.example((3, 1, 2, 5, complex(-0.0, 420.5)))
+        # d2 = 0.005: formed from w = 2.01 it carried eps |w| / 0.005
+        @hyp.example((1, 3, 0, 1, 1.49j))
+        def check(point):
+            m, m2, r, s, lam = point
+            sp = r1.RankOneSpace(m, m2)
+            kt = r1.ktype_from_rs(sp, r, s)
+            args = delta_gamma_args(sp, kt, lam)
+            r1.c_lambda_delta.cache_clear()
+            pole = first_pole_arg(args)
+            if pole is not None:
+                with pytest.raises(cfun.CPoleError) as exc:
+                    r1.c_lambda_delta(sp, kt, lam)
+                assert (exc.value.kind, exc.value.argument) == pole
+                assert r1.c_lambda_delta.cache_info().currsize == 0
+                return
+            got = r1.c_lambda_delta(sp, kt, lam)
+            with mp.workdps(40):
+                want = complex(mp_c_lambda_delta(mp, sp, kt, mp.mpc(lam)))
+            bound = 1e-14 + rounding_allowance(args)
+            if (s + r) % 2 and m2 % 2:
+                bound += log_gamma_allowance(args)
+            assert abs(got - want) <= bound * abs(want)
+            twin = signed_zero_twin(lam)
+            if twin is not None:
+                hits = r1.c_lambda_delta.cache_info().hits
+                hit = bits(r1.c_lambda_delta(sp, kt, twin))
+                assert r1.c_lambda_delta.cache_info().hits == hits + 1
+                r1.c_lambda_delta.cache_clear()
+                assert hit == bits(r1.c_lambda_delta(sp, kt, twin))
+
+        check()
+        r1.c_lambda_delta.cache_clear()
+
+    def test_single_root_factor(self):
+        mp = pytest.importorskip("mpmath")
+        hyp = pytest.importorskip("hypothesis")
+
+        def poles(m, m2, r, s, k):
+            # i Lam at which an argument of the factor is -k
+            return (-k, -2 * k - 0.5 * m - 1, -2 * k - 0.5 * m - m2)
+
+        @hyp.settings(derandomize=True, deadline=None, database=None,
+                      max_examples=300)
+        @hyp.given(wide_points(hyp.strategies, poles))
+        @hyp.example((4, 0, 0, 0, 891.0 - 3.0j))
+        @hyp.example((8, 0, 0, 0, complex(-0.0, -420.5)))
+        @hyp.example((3, 7, 0, 0, complex(2.5, -0.0)))
+        def check(point):
+            m, m2, _, _, lam = point
+            args = factor_gamma_args(lam, m, m2)
+            clear_factor_caches()
+            pole = first_pole_arg(args)
+            if pole is not None:
+                with pytest.raises(cfun.CPoleError) as exc:
+                    cfun.c_alpha(lam, m, m2)
+                assert (exc.value.kind, exc.value.argument) == pole
+                assert cfun._factor_value.cache_info().currsize == 0
+                return
+            got = cfun.c_alpha(lam, m, m2).value
+            with mp.workdps(40):
+                want = complex(mp_factor(mp, 1j * mp.mpc(lam), m, m2))
+            # only the denominator arguments are rounded
+            bound = 1e-14 + rounding_allowance(args[1:])
+            if m % 2 or m2 % 2:
+                bound += log_gamma_allowance(args, 1j * lam)
+            assert abs(got - want) <= bound * abs(want)
+            twin = signed_zero_twin(lam)
+            if twin is not None:
+                hits = cfun._factor_value.cache_info().hits
+                hit = bits(cfun.c_alpha(twin, m, m2).value)
+                assert cfun._factor_value.cache_info().hits == hits + 1
+                clear_factor_caches()
+                assert hit == bits(cfun.c_alpha(twin, m, m2).value)
+
+        check()
+        clear_factor_caches()
 
 
 class TestGammaPlusX:

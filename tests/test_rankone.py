@@ -216,6 +216,29 @@ class TestSeries:
         expected = (1 - 2j * lam) / (4 * (1 - 1j * lam))
         assert sc.gammas[2] == pytest.approx(expected, rel=1e-13)
 
+    def test_running_sums_match_the_direct_recursion(self):
+        # the kernel keeps the recursion's two sums as running sums; the
+        # reference re-sums every earlier coefficient for each n, as the
+        # recursion is written.  Only the order of the additions differs;
+        # the terms do not cancel here, so the two agree to N eps
+        def direct(m, m2, lam, n_max):
+            rho, ilam = 0.5 * m + m2, 1j * lam
+            g = [1.0 + 0j] + [0j] * n_max
+            for n in range(2, n_max + 1, 2):
+                acc = sum(2.0 * m * g[n - k] * (ilam - rho - (n - k))
+                          for k in range(2, n + 1, 2))
+                acc += sum(4.0 * m2 * g[n - k] * (ilam - rho - (n - k))
+                           for k in range(4, n + 1, 4))
+                g[n] = -acc / (n * (n - 2.0 * ilam))
+            return g
+
+        n_max = 40
+        for m, m2 in ((1, 0), (2, 0), (2, 1), (4, 3), (8, 7)):
+            for lam in (0.9 - 0.4j, 2.5 + 0.3j, 1e-6j, 0.01 + 0j, 30 - 1j):
+                got = cm.kernels.hc_gamma_coeffs(m, m2, lam, n_max)
+                for x, y in zip(got, direct(m, m2, lam, n_max)):
+                    assert abs(x - y) <= n_max * 2.0 ** -52 * abs(y)
+
     def test_series_matches_closed_form(self):
         rng = np.random.default_rng(12)
         for space in (H2, H3, CH2):
@@ -266,22 +289,18 @@ class TestSeries:
 
 
 class TestCFunctionsOfSeries:
-    def test_C_e_equals_c(self):
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            lam = complex(rng.uniform(0.2, 2.5), rng.uniform(-1.5, 1.5))
-            assert r1.C_e(H3, lam) == cfun.c_alpha(lam, 2, 0).value
-
+    # the leading series coefficient C_e is the c-function c_alpha
     def test_C_e_numeric_limit(self):
         # e^{-(i L - rho) t} phi(t) at strong decay margin
         lam = 0.9 - 0.5j
         t = 18.0
         val = (cmath.exp(-(1j * lam - H2.rho) * t)
                * r1.phi_tau(H2, r1.TRIVIAL_KTYPE, lam, t))
-        assert val == pytest.approx(r1.C_e(H2, lam), rel=1e-5)
+        assert val == pytest.approx(cfun.c_alpha(lam, 1, 0).value, rel=1e-5)
 
     def test_C_e_at_calibration(self):
-        assert r1.C_e(H2, -0.5j) == pytest.approx(1.0, abs=1e-13)
+        assert cfun.c_alpha(-0.5j, 1, 0).value == pytest.approx(1.0,
+                                                                abs=1e-13)
 
     def test_C_sigma_trivial_type(self):
         lam = 1.3 - 0.6j
@@ -316,7 +335,8 @@ class TestCFunctionsOfSeries:
         det = e1p * e2m - e1m * e2p
         a_fit = (p1 * e2m - p2 * e1m) / det
         b_fit = (p2 * e1p - p1 * e2p) / det
-        assert a_fit == pytest.approx(kappa * r1.C_e(H2, lam), rel=1e-5)
+        assert a_fit == pytest.approx(
+            kappa * cfun.c_alpha(lam, 1, 0).value, rel=1e-5)
         assert b_fit == pytest.approx(
             kappa * r1.C_sigma_minus(H2, kt, -lam), rel=1e-5)
 
@@ -389,6 +409,87 @@ class TestLimits:
         lam = 1.4 - 0.3j
         got = r1.small_t_ratio(H2, r1.TRIVIAL_KTYPE, lam, 1e-3)
         assert got == pytest.approx(1.0, rel=1e-9)
+
+
+def strip_points(st, rec, t_min, t_max, log_t=False):
+    """(Lam, t) for one catalog K-type: |Lam| in [1e-3, 3] with
+    |Im Lam| < 0.95 rho, each sign of Im Lam drawn, t uniform (or
+    log-uniform) in [t_min, t_max]."""
+    bound = 0.95 * rec["space"].rho
+
+    @st.composite
+    def points(draw):
+        sign = draw(st.sampled_from((1.0, -1.0)))
+        lam = complex(draw(st.floats(-3.0, 3.0)),
+                      sign * draw(st.floats(0.0, bound, exclude_max=True)))
+        if log_t:
+            t = 10.0 ** draw(st.floats(math.log10(t_min), math.log10(t_max)))
+        else:
+            t = draw(st.floats(t_min, t_max))
+        return lam, t
+    return points()
+
+
+CATALOG_IDS = [f"{rec['name']}-{rec['space'].m_alpha},{rec['space'].m_2alpha}"
+               for rec in CATALOG]
+
+
+class TestLimitsMatchMpmath:
+    """Hypothesis differential tests of limit_large_t and small_t_ratio
+    against 40-digit mpmath (mp_phi_and_limit) on every catalog K-type,
+    with either sign of Im Lam.  The limit is drawn at t in [0.05, 1000],
+    past the double range of cosh t (t = 710) and of sech^2 t (t = 354);
+    where its two exponential terms nearly cancel (real Lam) it may be
+    the exact value at a t within 1e-15 relative, as in
+    test_phi_matches_mpmath: the phase Lam log cosh t is formed in
+    doubles.  The ratio is drawn at t in [1e-6, 1], each phi within
+    1e-12."""
+
+    @pytest.mark.parametrize("rec", CATALOG, ids=CATALOG_IDS)
+    def test_limit_large_t(self, rec):
+        mp = pytest.importorskip("mpmath")
+        hyp = pytest.importorskip("hypothesis")
+        sp, kt = rec["space"], rec["ktype"]
+
+        @hyp.settings(derandomize=True, deadline=None, database=None,
+                      max_examples=4)
+        @hyp.given(strip_points(hyp.strategies, rec, 0.05, 1000.0))
+        @hyp.example((0.5 - 0.3j, 1000.0))
+        @hyp.example((0.5 - 0.001j, 900.0))
+        @hyp.example((0.7 + 0.2j, 420.0))
+        def check(point):
+            lam, t = point
+            hyp.assume(abs(lam) >= 1e-3)
+            want = mp_phi_and_limit(mp, sp, kt, lam, t)[1]
+            # Im Lam > 0: the limit grows like e^{2 Im Lam t}
+            hyp.assume(1e-300 <= abs(want) <= 1e300)
+            err = abs(r1.limit_large_t(sp, kt, lam, t) - want)
+            assert err <= 1e-12 * abs(want) or err <= max(
+                abs(mp_phi_and_limit(mp, sp, kt, lam, mp.mpf(t) * f)[1]
+                    - want) for f in (1 - mp.mpf(1e-15), 1 + mp.mpf(1e-15)))
+
+        check()
+
+    @pytest.mark.parametrize("rec", CATALOG, ids=CATALOG_IDS)
+    def test_small_t_ratio(self, rec):
+        mp = pytest.importorskip("mpmath")
+        hyp = pytest.importorskip("hypothesis")
+        sp, kt = rec["space"], rec["ktype"]
+
+        @hyp.settings(derandomize=True, deadline=None, database=None,
+                      max_examples=6)
+        @hyp.given(strip_points(hyp.strategies, rec, 1e-6, 1.0, log_t=True))
+        @hyp.example((0.7 - 0.2j, 1e-6))
+        @hyp.example((1.3 + 0.4j, 0.5))
+        def check(point):
+            lam, t = point
+            hyp.assume(abs(lam) >= 1e-3)
+            want = (mp_phi_and_limit(mp, sp, kt, lam, t)[0]
+                    / mp_phi_and_limit(mp, sp, kt, -lam, t)[0])
+            got = r1.small_t_ratio(sp, kt, lam, t)
+            assert abs(got - want) <= 2e-12 * abs(want)
+
+        check()
 
 
 class TestCatalog:
@@ -481,7 +582,7 @@ class TestTimeGrids:
 
 def clear_caches():
     for fn in (r1.c_lambda_delta, r1.hc_series_gammas, r1._series_terms,
-               r1._closed_form_plan, cm._plan):
+               r1._closed_form_plan, r1._log_gamma_c, cm._plan):
         fn.cache_clear()
 
 
@@ -547,7 +648,8 @@ class TestPerLambdaCaches:
         monkeypatch.setattr(r1, "validate_ktype",
                             lambda *args: validated.append(1) or
                             validate(*args))
-        a, b, c, _, _ = r1._closed_form_plan(H3, H3_S1R0, lam, False)
+        plan = r1._closed_form_plan(H3, H3_S1R0, lam, False)
+        a, b, c = plan.a, plan.b, plan.c
         screened = []
         screen = cm.distance_to_nonpos_int
         monkeypatch.setattr(cm, "distance_to_nonpos_int", lambda z: (
@@ -564,7 +666,8 @@ class TestPerLambdaCaches:
         assert (len(validated), len(screened)) == once
         assert once[0] == 1 and once[1] >= 3
         assert r1._closed_form_plan.cache_info()[:2] == (11, 1)
-        assert cm._plan.cache_info()[:2] == (11, 1)
+        # the closed-form plan holds the 2F1's: no call looks it up
+        assert cm._plan.cache_info()[:2] == (0, 0)
 
     def test_scalar_series_calls_share_the_coefficients(self, monkeypatch):
         calls = self.counted(monkeypatch, "hc_gamma_coeffs")
