@@ -7,11 +7,12 @@ Usage:
 The first table (L0) times each kernel of ``sphfun._kernels_py`` on a
 representative workload: microseconds per call, best of the repeats.  A
 second table (L1) times ``complexmath.gauss_2f1`` on each of its
-branches: microseconds per call with its per-(a, b, c) constants cached
-(warm) and computed afresh (cold), and the series terms per call.  A
-third (L2) times ``rankone.phi_tau`` over the rank1-grid t-grid at one
-Lam: microseconds per call with the closed-form and 2F1 plans cleared
-before each sweep of the grid (cold) and kept (warm).  A per-Lam set-up
+branches: microseconds per call with its per-(a, b, c) constants held
+in one ``Gauss2F1Plan`` (warm) and computed afresh by each
+``gauss_2f1`` call (cold), and the series terms per call.  A third (L2)
+times ``rankone.phi_tau`` over the rank1-grid t-grid at one Lam:
+microseconds per call with the closed-form plans, which hold the 2F1's,
+cleared before each sweep of the grid (cold) and kept (warm).  A per-Lam set-up
 table (L1/L2) times the constants a new Lam costs: ``c_lambda_delta``
 per K-type, the single-root factor ``c_alpha`` per (m, m2), the 2F1
 connection constants at phi_tau's parameters, ``hc_series_gammas``, and
@@ -121,7 +122,6 @@ def counted_terms(args):
     cm.kernels.hyp2f1_series = count(kernel)
     cm._connection_sum = count(conn)
     try:
-        cm._plan.cache_clear()
         cm.gauss_2f1(*args)
     finally:
         cm.kernels.hyp2f1_series, cm._connection_sum = kernel, conn
@@ -134,16 +134,16 @@ def gauss_table(repeat, scale):
     print(f"{'branch':<28}{'us warm':>9}{'us cold':>9}{'terms':>7}")
     for name, a, b, d, z in GAUSS_CASES:
         args = (a, b, a + b + d, z)
+        plan, z = cm.Gauss2F1Plan(*args[:3]), complex(z)
 
         def warm():
             for _ in range(calls):
-                cm.gauss_2f1(*args)
+                plan.value(z, 1.0 - z)
 
         def cold():
             for _ in range(calls):
-                cm._plan.cache_clear()
                 cm.gauss_2f1(*args)
-        cm.gauss_2f1(*args)
+        plan.value(z, 1.0 - z)
         t_warm = timed(warm, repeat) / calls * 1e6
         t_cold = timed(cold, repeat) / calls * 1e6
         print(f"{name:<28}{t_warm:>9.1f}{t_cold:>9.1f}"
@@ -164,7 +164,6 @@ def phi_table(repeat, scale):
             for _ in range(sweeps):
                 if clear:
                     r1._closed_form_plan.cache_clear()
-                    cm._plan.cache_clear()
                 for t in T_GRID:
                     r1.phi_tau(space, kt, 0.9 - 0.3j, t)
         return run

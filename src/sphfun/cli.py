@@ -20,8 +20,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import cfun, higherrank as hr, models as md, rankone as r1
 from . import rootdata as rd
 from . import verify as vf
@@ -74,11 +72,10 @@ class Space:
     """Resolved space selector: a root datum, plus rank-one data and the
     ball-model dimension when applicable."""
 
-    def __init__(self, datum, rankone_space, ball_n, label):
+    def __init__(self, datum, rankone_space, ball_n):
         self.datum = datum
         self.rankone = rankone_space
         self.ball_n = ball_n
-        self.label = label
 
 
 def resolve_space(args) -> Space:
@@ -89,7 +86,7 @@ def resolve_space(args) -> Space:
 def parse_space(text: str) -> Space:
     low = text.lower()
     if low == "h2":
-        return Space(rd.datum_a1(1, 0), r1.RankOneSpace(1, 0), 2, "h2")
+        return Space(rd.datum_a1(1, 0), r1.RankOneSpace(1, 0), 2)
     if low.startswith("hn:"):
         try:
             n = int(low.split(":", 1)[1])
@@ -97,8 +94,7 @@ def parse_space(text: str) -> Space:
             raise UsageError(f"bad dimension in {text!r}") from None
         if n < 2:
             raise UsageError("hyperbolic dimension must be >= 2")
-        return Space(rd.datum_a1(n - 1, 0), r1.RankOneSpace(n - 1, 0), n,
-                     f"h{n}")
+        return Space(rd.datum_a1(n - 1, 0), r1.RankOneSpace(n - 1, 0), n)
     if low.startswith(("rankone:", "ranke1:")):
         body = low.split(":", 1)[1]
         try:
@@ -108,17 +104,16 @@ def parse_space(text: str) -> Space:
                 f"bad multiplicities in {text!r}; use rankone:m,m2"
             ) from None
         ball_n = m + 1 if m2 == 0 else None
-        return Space(rd.datum_a1(m, m2), r1.RankOneSpace(m, m2), ball_n,
-                     f"rankone:{m},{m2}")
+        return Space(rd.datum_a1(m, m2), r1.RankOneSpace(m, m2), ball_n)
     if low in ("a2", "b2", "a1xa1"):
-        return Space(rd.datum_by_name(low), None, None, low)
+        return Space(rd.datum_by_name(low), None, None)
     if os.path.exists(text):
         datum = rd.datum_from_json(text)
         rank1 = None
         if datum.rank == 1 and datum.n_positive == 1:
             m, m2 = datum.mult_of(0)
             rank1 = r1.RankOneSpace(m, m2)
-        return Space(datum, rank1, None, text)
+        return Space(datum, rank1, None)
     raise UsageError(f"unknown space selector {text!r}")
 
 
@@ -194,10 +189,10 @@ def resolve_ktype(args, space: Space) -> r1.KTypeRankOne:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+    if isinstance(value, float):
+        return format(value, ".17g")
     return str(value)
 
 
@@ -208,13 +203,7 @@ def emit(rows: list[dict], args) -> None:
             if key not in columns:
                 columns.append(key)
     def json_value(v):
-        if isinstance(v, (bool, np.bool_)):
-            return bool(v)
-        if isinstance(v, (float, np.floating)):
-            return _fmt(v)
-        if isinstance(v, (int, np.integer)):
-            return int(v)
-        return v
+        return _fmt(v) if isinstance(v, float) else v
 
     if not rows:
         out = ""

@@ -10,7 +10,6 @@ pure functions of their arguments.
 import cmath
 import math
 import sys
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,11 +31,11 @@ MAX_TERMS = 100_000
 # over the rank1-grid inputs of 81 seeds it reaches 3.5e3, and 0.1% of
 # the sums exceed 100
 CANCELLATION_LIMIT = 1e6
-# Entries of each cache of a constant that depends on Lam alone (the 2F1
-# plans here, the closed-form plans, c_{Lam,delta} and the series terms in
-# rankone, the single-root factors of cfun): a caller evaluates one Lam,
-# and -Lam, at many t, or the at most 2 n_positive factors of one lam's
-# Weyl orbit many times; the bound keeps a run over many Lam from growing
+# Entries of each cache of a constant that depends on Lam alone (the
+# closed-form plans, c_{Lam,delta} and the series terms in rankone, the
+# single-root factors of cfun): a caller evaluates one Lam, and -Lam, at
+# many t, or the at most 2 n_positive factors of one lam's Weyl orbit
+# many times; the bound keeps a run over many Lam from growing
 CACHE_SIZE = 32
 _LOG2 = math.log(2.0)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -393,19 +392,22 @@ def _transform_near_one(a, b, c, zc, log_zc, coeffs) -> complex:
     return _checked(result, "connection sum at 1 - z =", zc, head)
 
 
-def _terminating_near_one(j, b, c, z, zc, log_zc) -> complex:
+def _terminating_near_one(j, b, c, zc, log_zc) -> complex:
     # F(a, b; c; z) for c - a = -j: zc^{-j-b} F(-j, c-b; c; z) by Euler's
-    # transformation, the terminating series in powers of zc = 1 - z for
-    # relative accuracy near z = 1, DLMF 15.8.7:
-    # (b)_j / (c)_j F(-j, c-b; 1-j-b; zc); in powers of z where 1 - j - b
-    # is a pole.  Formed from b itself: c - (c - b) would cancel
-    e = 1.0 - j - b
-    if distance_to_nonpos_int(e) <= POLE_TOL:
-        value = kernels.hyp2f1_series(-j, c - b, c, z, 0.0, j + 1)[0]
-    else:
-        value = kernels.hyp2f1_series(-j, c - b, e, zc, 0.0, j + 1)[0]
-        for n in range(j):
-            value *= (b + n) / (c + n)
+    # transformation, the polynomial summed in powers of zc = 1 - z for
+    # relative accuracy near z = 1: DLMF 15.8.7 with (b)_j / (1-j-b)_n =
+    # (-1)^n (b)_{j-n}, which holds at the poles of 1 - j - b too, gives
+    # sum_n binom(j, n) (c-b)_n (b)_{j-n} zc^n / (c)_j.  Each term is
+    # binom(j, n) (c-b)_n / (c)_n zc^n times q[j-n] = (b)_{j-n} /
+    # (c+n)_{j-n}.  Formed from b itself: c - (c - b) would cancel
+    q = [1.0 + 0j]
+    for i in range(j):
+        q.append(q[-1] * (b + i) / (c + (j - 1 - i)))
+    c_minus_b = c - b
+    value, term = 0j, 1.0 + 0j
+    for n in range(j + 1):
+        value += term * q[j - n]
+        term *= (j - n) / (n + 1.0) * (c_minus_b + n) / (c + n) * zc
     return cmath.exp(-(j + b) * log_zc) * value
 
 
@@ -414,34 +416,36 @@ def _is_nonpos_int(p: complex) -> bool:
 
 
 class Gauss2F1Plan:
-    """What the 2F1 evaluator decides from (a, b, c) alone: the pole at c
-    (raised, never kept), the terms of a terminating series (a or b =
-    -n, n + 1 terms, the kernel stopping at its first zero term; 0
-    otherwise), and, formed by the first call on the connection branch,
-    that branch's choice.  The cache _plan keeps one per (a, b, c) for
-    the public functions; a caller that evaluates one (a, b, c) at many z
-    (rankone's closed forms) keeps its own and calls at_log_complement,
-    passing the exact b - a and log Gamma(c) it knows on to
-    _connection_coeffs.  Each call forms its values from its own
-    parameters: equal keys may differ in the sign of a zero part."""
+    """What the 2F1 evaluator decides from its complex (a, b, c) alone:
+    the pole at c (raised, never kept), the terms of a terminating series
+    (a or b = -n, n + 1 terms, the kernel stopping at its first zero
+    term; 0 otherwise), and, formed by the first call on the connection
+    branch, that branch's choice.  The public functions build one per
+    call; a caller that evaluates one (a, b, c) at many z (rankone's
+    closed forms) holds its own and calls at_log_complement, passing the
+    exact b - a and log Gamma(c) it knows on to _connection_coeffs."""
 
-    __slots__ = ("terms", "choice", "b_minus_a", "log_gamma_c")
+    __slots__ = ("a", "b", "c", "terms", "choice", "b_minus_a",
+                 "log_gamma_c")
 
     def __init__(self, a, b, c, b_minus_a=None, log_gamma_c=None):
+        a, b, c = complex(a), complex(b), complex(c)
         if distance_to_nonpos_int(c) <= POLE_TOL:
             raise PoleError(c, f"2F1 parameter pole at c = {c}")
+        self.a, self.b, self.c = a, b, c
         self.terms = next((int(-p.real) + 1 for p in (a, b)
                            if _is_nonpos_int(p)), 0)
         self.choice = None
         self.b_minus_a = b_minus_a
         self.log_gamma_c = log_gamma_c
 
-    def _choose(self, a, b, c):
+    def _choose(self):
         # Euler's transformation F(a, b; c; z) = zc^d F(c-a, c-b; c; z)
         # turns c - a or c - b = -j, taken as exact within POLE_TOL (the
         # poles of the connection formula's Gamma(c - a) Gamma(c - b)),
         # into a terminating series (j and whether b is the one at the
         # pole), and d into -d (the plan of the transformed parameters)
+        a, b, c = self.a, self.b, self.c
         for p, swap in ((c - a, False), (c - b, True)):
             if distance_to_nonpos_int(p) <= POLE_TOL:
                 return "terminating", (-round(p.real), swap)
@@ -450,25 +454,26 @@ class Gauss2F1Plan:
         return "connection", _connection_coeffs(a, b, c, self.b_minus_a,
                                                 self.log_gamma_c)
 
-    def near_one(self, a, b, c, z, zc, log_zc) -> complex:
-        """F(a, b; c; z) on the connection branch, |1 - z| <= 0.5."""
+    def _near_one(self, zc, log_zc) -> complex:
+        # F(a, b; c; z) on the connection branch, |1 - z| <= 0.5
         if self.choice is None:
-            self.choice = self._choose(a, b, c)
+            self.choice = self._choose()
         kind, arg = self.choice
+        a, b, c = self.a, self.b, self.c
         if kind == "terminating":
             j, swap = arg
-            return _terminating_near_one(j, a if swap else b, c, z, zc,
-                                         log_zc)
+            return _terminating_near_one(j, a if swap else b, c, zc, log_zc)
         if kind == "euler":
-            return cmath.exp((c - a - b) * log_zc) * arg.near_one(
-                c - a, c - b, c, z, zc, log_zc)
+            return (cmath.exp((c - a - b) * log_zc)
+                    * arg._near_one(zc, log_zc))
         return _transform_near_one(a, b, c, zc, log_zc, arg)
 
-    def value(self, a, b, c, z, zc, log_zc=None) -> complex:
-        """F(a, b; c; z) for complex a, b, c (this plan's), z and its
-        complement zc = 1 - z; log_zc, if given, is log zc."""
+    def value(self, z, zc, log_zc=None) -> complex:
+        """F(a, b; c; z) at complex z and its complement zc = 1 - z;
+        log_zc, if given, is log zc."""
         if self.terms:
-            return kernels.hyp2f1_series(a, b, c, z, 0.0, self.terms)[0]
+            return kernels.hyp2f1_series(self.a, self.b, self.c, z, 0.0,
+                                         self.terms)[0]
         az = abs(z)
         if az > 1.0 + 1e-14:
             raise HypDomainError(f"|z| = {az} > 1 not supported")
@@ -476,31 +481,25 @@ class Gauss2F1Plan:
             if zc == 0 and log_zc is None:
                 # exactly at the boundary point; for a nonzero complement
                 # the connection formula keeps the genuine zc^{c-a-b} term
-                return gauss_2f1_at_one(a, b, c)
+                return gauss_2f1_at_one(self.a, self.b, self.c)
             log_zc = cmath.log(zc) if log_zc is None else log_zc
-            return self.near_one(a, b, c, z, zc, log_zc)
+            return self._near_one(zc, log_zc)
         if az <= SERIES_LIMIT:
-            return _series(a, b, c, z)
+            return _series(self.a, self.b, self.c, z)
         raise HypDomainError(
             f"z = {z} outside supported region "
             f"(|z| <= {SERIES_LIMIT} or |1 - z| <= 0.5)")
 
-    def at_log_complement(self, a, b, c, log_zc: float) -> complex:
+    def at_log_complement(self, log_zc: float) -> complex:
         """F(a, b; c; z) at z = 1 - exp(log_zc).  Below the double range
         the complement stays a logarithm, which gives the power
         (1-z)^{c-a-b}."""
         zc = math.exp(log_zc)
         if zc >= sys.float_info.min:
-            return gauss_2f1_complement(a, b, c, zc, self)
-        return self.value(a, b, c, 1.0 + 0j, complex(zc), log_zc)
-
-
-_plan = lru_cache(maxsize=CACHE_SIZE)(Gauss2F1Plan)
-
-
-def _gauss_2f1_impl(a, b, c, z, zc, log_zc=None) -> complex:
-    a, b, c = complex(a), complex(b), complex(c)
-    return _plan(a, b, c).value(a, b, c, z, zc, log_zc)
+            # through the public function: perfbench's tracer counts the
+            # 2F1 branches from its first four arguments
+            return gauss_2f1_complement(self.a, self.b, self.c, zc, self)
+        return self.value(1.0 + 0j, complex(zc), log_zc)
 
 
 def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
@@ -513,7 +512,7 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     when a or b is a non-positive integer.
     """
     z = complex(z)
-    return _gauss_2f1_impl(a, b, c, z, 1.0 - z)
+    return Gauss2F1Plan(a, b, c).value(z, 1.0 - z)
 
 
 def gauss_2f1_complement(a: complex, b: complex, c: complex,
@@ -522,17 +521,6 @@ def gauss_2f1_complement(a: complex, b: complex, c: complex,
     """2F1 evaluated at z = 1 - one_minus_z with the complement supplied
     directly, avoiding cancellation when z is within rounding of 1
     (e.g. z = tanh^2 t with 1 - z = sech^2 t computed exactly).  A caller
-    that keeps the Gauss2F1Plan of its complex (a, b, c) passes it, and
-    the call skips the plan cache."""
+    that holds the Gauss2F1Plan of this (a, b, c) passes it."""
     zc = complex(one_minus_z)
-    if plan is None:
-        return _gauss_2f1_impl(a, b, c, 1.0 - zc, zc)
-    return plan.value(a, b, c, 1.0 - zc, zc)
-
-
-def gauss_2f1_log_complement(a: complex, b: complex, c: complex,
-                             log_one_minus_z: float) -> complex:
-    """2F1 at z = 1 - exp(log_one_minus_z).  Below the double range the
-    complement stays a logarithm, which gives the power (1-z)^{c-a-b}."""
-    a, b, c = complex(a), complex(b), complex(c)
-    return _plan(a, b, c).at_log_complement(a, b, c, log_one_minus_z)
+    return (plan or Gauss2F1Plan(a, b, c)).value(1.0 - zc, zc)

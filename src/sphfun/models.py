@@ -473,9 +473,9 @@ def functional_equation_check(n: int, Lam: complex, t1: float, t2: float,
     two geodesic segments, with
     cosh d(gamma) = cosh t1 cosh t2 + sinh t1 sinh t2 cos gamma.
     """
-    # phi at each distance, keyed to 1e-14: nodes at one distance (all
-    # of them when t1 = 0) share one evaluation, and the nodes of every
-    # panel of a bisection depth are one quad_phi_K batch
+    # phi at each distance: nodes at one distance (all of them when
+    # t1 = 0) share one evaluation, and the nodes of every panel of a
+    # bisection depth are one quad_phi_K batch
     cache: dict = {}
 
     def dist(gamma: np.ndarray) -> np.ndarray:
@@ -487,15 +487,10 @@ def functional_equation_check(n: int, Lam: complex, t1: float, t2: float,
 
     def f(gamma: np.ndarray, idx: np.ndarray) -> np.ndarray:
         ds = dist(gamma).ravel().tolist()
-        keys = [round(d, 14) for d in ds]
-        new = {}
-        for key, d in zip(keys, ds):
-            if key not in cache:
-                new.setdefault(key, d)
+        new = [d for d in dict.fromkeys(ds) if d not in cache]
         if new:
-            cache.update(zip(new, quad_phi_K(n, Lam, list(new.values()),
-                                             spec)))
-        vals = np.array([cache[key] for key in keys],
+            cache.update(zip(new, quad_phi_K(n, Lam, new, spec)))
+        vals = np.array([cache[d] for d in ds],
                         dtype=complex).reshape(gamma.shape)
         return vals * np.sin(gamma) ** p if p else vals
 

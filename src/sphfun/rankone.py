@@ -245,12 +245,12 @@ _log_gamma_c = lru_cache(maxsize=None)(cm.log_gamma)
 
 
 class _ClosedFormPlan:
-    """What _closed_form needs that t does not change: the 2F1's plan and
-    its (a, b, c), the cosh power, 2^{-l} with limit, and c_{Lam,delta},
-    which the first call at t > 0 fills (a pole of it raises on every
-    such call and is never kept; a call at t = 0 does not touch it)."""
+    """What _closed_form needs that t does not change: the 2F1's plan, the
+    cosh power, 2^{-l} with limit, and c_{Lam,delta}, which the first call
+    at t > 0 fills (a pole of it raises on every such call and is never
+    kept; a call at t = 0 does not touch it)."""
 
-    __slots__ = ("hyp", "a", "b", "c", "power", "scale", "const")
+    __slots__ = ("hyp", "power", "scale", "const")
 
 
 @lru_cache(maxsize=cm.CACHE_SIZE)
@@ -275,9 +275,7 @@ def _closed_form_plan(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
         a, b, power = c - a, c - b, power - 2j * complex(Lam)
         b_minus_a = -b_minus_a
     plan = _ClosedFormPlan()
-    plan.a, plan.b, plan.c = complex(a), complex(b), complex(c)
-    plan.hyp = cm.Gauss2F1Plan(plan.a, plan.b, plan.c, b_minus_a,
-                               _log_gamma_c(plan.c))
+    plan.hyp = cm.Gauss2F1Plan(a, b, c, b_minus_a, _log_gamma_c(c))
     plan.power = power
     plan.scale = cmath.exp(-l * math.log(2.0)) if limit else None
     plan.const = None
@@ -298,7 +296,7 @@ def _closed_form(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
         const = plan.const * math.tanh(t) ** kt.s
         lc = cm.log_cosh(float(t))
         # z = tanh^2 t is within rounding of 1: pass log(1 - z) = -2 log cosh t
-        hyp = plan.hyp.at_log_complement(plan.a, plan.b, plan.c, -2.0 * lc)
+        hyp = plan.hyp.at_log_complement(-2.0 * lc)
         power = plan.power
         value = const * cmath.exp(power * lc) * hyp if power else const * hyp
     return plan.scale * value if limit else value
@@ -361,12 +359,14 @@ def hc_series_gammas(space: RankOneSpace, Lam: complex,
 
 
 def series_tail_estimate(sc: SeriesCoefficients, t: float) -> float:
-    """A posteriori bound |gamma_N e^{-N t}| / (1 - e^{-(t - 1/2)}) on the
-    dropped tail, valid under the sub-(1/2) exponential growth of the
-    coefficients for t > 1/2."""
+    """A posteriori bound |gamma_N' e^{-N' t}| / (1 - e^{-(t - 1/2)}) on
+    the dropped tail, with N' = N - N mod 2 the last even index (the odd
+    coefficients vanish), valid under the sub-(1/2) exponential growth of
+    the coefficients for t > 1/2."""
     if t <= 0.5:
         return math.inf
-    return (abs(sc.gammas[-1]) * math.exp(-sc.truncation * t)
+    n = sc.truncation - sc.truncation % 2
+    return (abs(sc.gammas[n]) * math.exp(-n * t)
             / (1.0 - math.exp(-(t - 0.5))))
 
 

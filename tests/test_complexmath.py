@@ -236,8 +236,8 @@ class TestGauss2F1:
         if lam.imag > 0:  # Euler's transformation, as in phi_tau
             a, b = 1.0 - a, 1.0 - b
         with pytest.raises(cm.HypConvergenceError, match="cancels"):
-            cm.gauss_2f1_log_complement(a, b, 1.0,
-                                        -2.0 * float(cm.log_cosh(t)))
+            cm.Gauss2F1Plan(a, b, 1.0).at_log_complement(
+                -2.0 * float(cm.log_cosh(t)))
 
     def test_polynomial_case(self):
         # a = -2 terminates; valid at any z including z > 0.9
@@ -246,6 +246,24 @@ class TestGauss2F1:
         expected = 1 + (-2) * 1.5 / 2.5 * n \
             + ((-2) * (-1) / 2) * (1.5 * 2.5) / (2.5 * 3.5) * n * n
         assert val == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("j,b", [(1, 1.2592864721392653e-56j),
+                                     (2, -1.0 + 1e-13), (3, -1.0 - 1e-13j)])
+    def test_terminating_branch_next_to_a_pole_of_1_minus_j_minus_b(
+            self, j, b):
+        # c - a = -j takes Euler's transformation to a polynomial, summed
+        # in powers of 1 - z.  Its DLMF 15.8.7 form has the lower
+        # parameter 1 - j - b, here within POLE_TOL of 0 or -1; summed in
+        # powers of z instead it cancelled near z = 1: 1.3e-12, 5.7e-12
+        # and 6.2e-7 relative off at 1 - z = e^{-11}
+        mp = pytest.importorskip("mpmath")
+        c = -1.0 + 1.0j
+        a = c + j
+        for log_zc in (-11.0, -3.0, math.log(0.25)):
+            got = cm.Gauss2F1Plan(a, b, c).at_log_complement(log_zc)
+            with mp.workdps(60):
+                ref = complex(mp.hyp2f1(a, b, c, 1 - mp.exp(log_zc)))
+            assert abs(got - ref) <= 1e-14 * abs(ref)
 
     def test_complement_form_at_extreme_argument(self):
         # z = tanh^2(18): the complement keeps the reflected branch alive
@@ -355,10 +373,12 @@ class TestGauss2F1MatchesMpmath:
                      "log": 1 - mp.exp(arg)}[kind]
                 ref = mp.hyp2f1(a, b, c, z)
                 hyp.assume(0 < abs(ref) < 1e250)
-                fn = {"series": cm.gauss_2f1,
-                      "complement": cm.gauss_2f1_complement,
-                      "log": cm.gauss_2f1_log_complement}[kind]
-                got = fn(a, b, c, arg)
+                if kind == "log":
+                    got = cm.Gauss2F1Plan(a, b, c).at_log_complement(arg)
+                else:
+                    fn = {"series": cm.gauss_2f1,
+                          "complement": cm.gauss_2f1_complement}[kind]
+                    got = fn(a, b, c, arg)
                 if a.real <= 0.0 and a == round(a.real):
                     # a terminating sum in powers of z: its rounding is
                     # relative to the sum of the moduli of its terms
@@ -375,55 +395,20 @@ class TestGauss2F1MatchesMpmath:
 
 
 class TestConnectionCache:
-    # what gauss_2f1 decides from (a, b, c) alone, the connection formula's
-    # constants included, is cached per (a, b, c)
-    @pytest.fixture(autouse=True)
-    def cleared(self):
-        cm._plan.cache_clear()
-        yield
-        cm._plan.cache_clear()
-
-    @classmethod
-    def bits(cls, values):
-        if isinstance(values, tuple):
-            return [cls.bits(v) for v in values]
-        return complex(values).real.hex(), complex(values).imag.hex()
-
-    PLUS = (0.25 + 0j, 0.75 + 0.5j, 2.0 + 0j)
-    MINUS = (complex(0.25, -0.0), 0.75 + 0.5j, complex(2.0, -0.0))
-    ZERO = (0j, 0.5 + 0j, 1.25 + 0j)
-    NEG_ZERO = (-0j, complex(0.5, -0.0), complex(1.25, -0.0))
-
-    @pytest.mark.parametrize("first,second", [
-        (PLUS, MINUS), (MINUS, PLUS), (ZERO, NEG_ZERO), (NEG_ZERO, ZERO)])
-    def test_hit_has_the_bits_of_a_fresh_call(self, first, second):
-        assert first == second
-        # 1 - z = 0.2 takes the connection formula, 0.6 the series
-        for zc in (0.2, 0.6):
-            cm._plan.cache_clear()
-            cm.gauss_2f1_complement(*first, zc)
-            got = cm.gauss_2f1_complement(*second, zc)
-            assert cm._plan.cache_info().hits == 1
-            choice = cm._plan(*second).choice
-            if choice is not None and choice[0] == "connection":
-                assert self.bits(choice[1]) == self.bits(
-                    cm._connection_coeffs(*second))
-            cm._plan.cache_clear()
-            assert self.bits(got) == self.bits(
-                cm.gauss_2f1_complement(*second, zc))
-
+    # what the 2F1 decides from (a, b, c) alone, the connection formula's
+    # constants included, is kept by the Gauss2F1Plan a caller holds
     def test_scalar_calls_share_the_ratios(self, monkeypatch):
         calls = []
         kernel = cm.kernels.clgamma
         monkeypatch.setattr(cm.kernels, "clgamma",
                             lambda z: calls.append(z) or kernel(z))
         a, b, c = 1.1 - 0.25j, 1.6 - 0.25j, 3.0
-        cm.gauss_2f1_complement(a, b, c, 1e-3)
+        plan = cm.Gauss2F1Plan(a, b, c)
+        cm.gauss_2f1_complement(a, b, c, 1e-3, plan)
         first = len(calls)
         for zc in (1e-6, 1e-9):
-            cm.gauss_2f1_complement(a, b, c, zc)
+            cm.gauss_2f1_complement(a, b, c, zc, plan)
         assert first > 0 and len(calls) == first
-        assert cm._plan.cache_info()[:2] == (2, 1)  # (hits, misses)
 
     @pytest.mark.parametrize("a,b,c_minus_a_minus_b,kind", [
         (0.3 + 0.2j, 0.9 - 0.4j, 1.3j, "connection"),
@@ -437,10 +422,11 @@ class TestConnectionCache:
         screen = cm.distance_to_nonpos_int
         monkeypatch.setattr(cm, "distance_to_nonpos_int", lambda z: (
             z in (c, c - a, c - b) and calls.append(z)) or screen(z))
-        values = [cm.gauss_2f1(a, b, c, z) for z in (0.8, 0.9, 0.99)]
-        assert cm._plan(a, b, c).choice[0] == kind
+        plan = cm.Gauss2F1Plan(a, b, c)
+        values = [plan.value(z, 1.0 - z) for z in (0.8 + 0j, 0.9 + 0j,
+                                                   0.99 + 0j)]
+        assert plan.choice[0] == kind
         screens = len(calls)
-        cm._plan.cache_clear()
         assert values[-1] == cm.gauss_2f1(a, b, c, 0.99)
         # c, c - a and c - b are screened for poles by the first of three
         # calls alone: as often as by one fresh call
@@ -451,7 +437,6 @@ class TestConnectionCache:
         for _ in range(3):
             with pytest.raises(cm.PoleError, match="parameter pole"):
                 cm.gauss_2f1(0.25, 0.5, -1.0, 0.8)
-        assert cm._plan.cache_info().currsize == 0
         # the connection formula's constants carry Gamma(c) in a
         # numerator and Gamma(c - a) in a denominator: c = -1, and c - a =
         # -1 with c - a - b = 0.5, which the plan sends to the terminating

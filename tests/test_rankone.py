@@ -287,6 +287,14 @@ class TestSeries:
         assert abs(long - short) <= 10 * scale * r1.series_tail_estimate(
             sc, t) + 1e-14
 
+    def test_tail_estimate_of_odd_n_is_that_of_n_minus_1(self):
+        # the odd coefficients vanish, so gamma_5 = 0: the estimate reads
+        # the last even one, gamma_4, and its e^{-4 t}
+        lam, t = 0.7 - 0.2j, 1.4
+        odd = r1.series_tail_estimate(r1.hc_series_gammas(H2, lam, 5), t)
+        even = r1.series_tail_estimate(r1.hc_series_gammas(H2, lam, 4), t)
+        assert odd > 0.0 and odd == even
+
 
 class TestCFunctionsOfSeries:
     # the leading series coefficient C_e is the c-function c_alpha
@@ -582,7 +590,7 @@ class TestTimeGrids:
 
 def clear_caches():
     for fn in (r1.c_lambda_delta, r1.hc_series_gammas, r1._series_terms,
-               r1._closed_form_plan, r1._log_gamma_c, cm._plan):
+               r1._closed_form_plan, r1._log_gamma_c):
         fn.cache_clear()
 
 
@@ -649,7 +657,7 @@ class TestPerLambdaCaches:
                             lambda *args: validated.append(1) or
                             validate(*args))
         plan = r1._closed_form_plan(H3, H3_S1R0, lam, False)
-        a, b, c = plan.a, plan.b, plan.c
+        a, b, c = plan.hyp.a, plan.hyp.b, plan.hyp.c
         screened = []
         screen = cm.distance_to_nonpos_int
         monkeypatch.setattr(cm, "distance_to_nonpos_int", lambda z: (
@@ -666,8 +674,6 @@ class TestPerLambdaCaches:
         assert (len(validated), len(screened)) == once
         assert once[0] == 1 and once[1] >= 3
         assert r1._closed_form_plan.cache_info()[:2] == (11, 1)
-        # the closed-form plan holds the 2F1's: no call looks it up
-        assert cm._plan.cache_info()[:2] == (0, 0)
 
     def test_scalar_series_calls_share_the_coefficients(self, monkeypatch):
         calls = self.counted(monkeypatch, "hc_gamma_coeffs")
@@ -712,7 +718,6 @@ class TestPerLambdaCaches:
                 with pytest.raises(ValueError, match="violates"):
                     fn(H2, bad, 0.5, t)
         assert r1._closed_form_plan.cache_info().currsize == 0
-        assert cm._plan.cache_info().currsize == 0
         # c_{Lam,delta} at Lam = 1.5i: (w + s + r)/2 = 0 with w = -1;
         # c(0) has a pole; 2 i Lam = 4 is a resonant denominator
         s1r0 = r1.ktype_from_rs(H2, 0, 1)
