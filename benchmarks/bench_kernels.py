@@ -1,5 +1,6 @@
 """Time the scalar kernels, each branch of the Gauss 2F1, the closed
-form phi_tau, the single-root c-factors and the command-line parser.
+form phi_tau, the single-root c-factors, the verify suites and the
+command-line parser.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeat 5] [--scale 1.0]
@@ -20,12 +21,17 @@ connection constants at phi_tau's parameters, ``hc_series_gammas``, and
 times ``cfun.c_full`` and ``c_sigma`` at the longest element on A2 and
 B2, and ``verify.check_cocycle`` on the cocycle suite's samples, with the
 single-root factor cache cleared before each call (cold) and kept
-(warm): the time per call, the factors each call asks for and how many
-of them it evaluates.  A fifth (L2/L4) times the Weyl layer: building
+(warm): the time per call, the factors each call asks the cache for
+(its ``c_alpha`` calls: one per (parameter, root) a factor record
+multiplies) and how many of them it evaluates.  A fifth (L2/L4) times
+the Weyl layer: building
 the A2 and B2 catalog data and the A2 datum from a JSON file, then
 ``rootdata.restrict``, ``weyl_apply`` and ``cfun.c_sigma`` at the
 longest A2 element on one datum, and ``verify --suite cocycle`` and
-``det-a`` through ``cli.main`` in process.  The last (L5) times
+``det-a`` through ``cli.main`` in process.  A sixth (L3/L4) times each
+verify suite in process (``verify.run_suites``, best of the repeats)
+and counts the calls it makes of each quadrature oracle of ``models``,
+nested calls included.  The last (L5) times
 ``cli.build_parser`` for each command and for all of them, and one
 in-process ``cli.main`` call.
 """
@@ -42,7 +48,7 @@ import time
 import numpy as np
 
 from sphfun import _kernels_py, cfun, cli, complexmath as cm, \
-    rankone as r1, rootdata as rd, verify
+    models, rankone as r1, rootdata as rd, verify
 
 
 def timed(fn, repeat):
@@ -254,7 +260,7 @@ def factor_table(repeat, scale):
         return after.hits - before.hits + misses, misses
 
     print("\nsingle-root factors")
-    print(f"{'call':<22}{'unit':>5}{'cold':>9}{'warm':>9}{'factors':>9}"
+    print(f"{'call':<22}{'unit':>5}{'cold':>9}{'warm':>9}{'asked':>9}"
           f"{'eval cold':>11}{'eval warm':>11}")
     for name, unit, fn in cases:
         to_unit, calls = {"us": (1e6, 200), "ms": (1e3, 5)}[unit]
@@ -315,6 +321,47 @@ def weyl_table(repeat, scale):
                   f"{timed(run, repeat) / calls * to_unit:>9.2f}")
 
 
+ORACLES = ("quad_phi_K", "quad_c_Nbar", "quad_Csigma_sl2",
+           "quad_eisenstein_sl2", "entry_function_sl2",
+           "functional_equation_check", "functional_equation_entry_sl2")
+
+
+def oracle_calls(fn):
+    """The calls fn() makes of each oracle of ``models`` that it calls,
+    nested calls included."""
+    counts = dict.fromkeys(ORACLES, 0)
+    originals = {name: getattr(models, name) for name in ORACLES}
+
+    def counted(name):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapped
+    for name in ORACLES:
+        setattr(models, name, counted(name))
+    try:
+        fn()
+    finally:
+        for name, orig in originals.items():
+            setattr(models, name, orig)
+    return {name: n for name, n in counts.items() if n}
+
+
+def suite_table(repeat, scale):
+    runs = max(1, int(20 * scale))
+    print("\nverify suites in process")
+    print(f"{'suite':<22}{'ms':>8}  oracle calls")
+    for suite in verify.SUITES:
+        def run():
+            for _ in range(runs):
+                verify.run_suites([suite])
+        run()
+        ms = timed(run, repeat) / runs * 1e3
+        calls = oracle_calls(lambda: verify.run_suites([suite]))
+        print(f"{suite:<22}{ms:>8.2f}  "
+              + (", ".join(f"{k} {n}" for k, n in calls.items()) or "-"))
+
+
 def cli_table(repeat, scale):
     calls = max(1, int(200 * scale))
     print("\ncommand line")
@@ -348,6 +395,7 @@ def main():
     setup_table(args.repeat, args.scale)
     factor_table(args.repeat, args.scale)
     weyl_table(args.repeat, args.scale)
+    suite_table(args.repeat, args.scale)
     cli_table(args.repeat, args.scale)
 
 

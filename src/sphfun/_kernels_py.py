@@ -171,11 +171,13 @@ def _half_circle(nphi: int, shift: float,
     return cos_psi, weight
 
 
-def poisson_circle_sum(u, mu: complex, harmonic: int, nphi: int,
+def poisson_circle_sum(u, mu, harmonic: int, nphi: int,
                        shift: float = 0.0) -> np.ndarray:
     """For each radius in the 1-D array u, the mean over the uniform
     nphi-point grid psi_j = 2pi (j + shift)/nphi on [0, 2pi) of
     P(u, psi)^mu e^{i harmonic psi} with P = (1-u^2)/(1-2u cos psi+u^2).
+    mu is one complex number for every radius, or a 1-D array of them,
+    one per radius.
 
     shift is 0 or 1/2, so the grid is symmetric under psi -> -psi.  P is
     even in psi, so the sum runs over the nodes with 0 <= psi <= pi only,
@@ -183,5 +185,6 @@ def poisson_circle_sum(u, mu: complex, harmonic: int, nphi: int,
     The nodes and weights are tables of (nphi, shift, harmonic) alone."""
     cos_psi, weight = _half_circle(nphi, float(shift), harmonic)
     u = np.asarray(u, dtype=float)[:, None]
+    mu = np.asarray(mu, dtype=complex).reshape(-1, 1)
     pk = (1.0 - u * u) / (1.0 - 2.0 * u * cos_psi + u * u)
-    return np.sum(np.exp(complex(mu) * np.log(pk)) * weight, axis=1)
+    return np.sum(np.exp(mu * np.log(pk)) * weight, axis=1)

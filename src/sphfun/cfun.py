@@ -150,25 +150,52 @@ def c_alpha(Lam: complex, m_alpha: int, m_2alpha: int,
                                   root_index))
 
 
+class FactorRecord:
+    """The single-root factors of one (datum, lam): root i's factor
+    c_alpha(<lam, alpha_i>) is evaluated the first time a product asks
+    for it and kept for every later product.  A pole raises CPoleError
+    with that root's index and stores nothing, so it raises again at the
+    next request.  A check that multiplies many partial products at one
+    lam (the cocycle law) holds one record per lam."""
+
+    __slots__ = ("datum", "lam", "_factors")
+
+    def __init__(self, datum: RootDatum, lam: SpectralParam):
+        self.datum = datum
+        self.lam = lam
+        self._factors = [None] * datum.n_positive
+
+    def product(self, indices) -> complex:
+        """The product of the factors of the roots in indices, multiplied
+        in that order onto 1."""
+        acc = 1.0 + 0j
+        for i in indices:
+            factor = self._factors[i]
+            if factor is None:
+                m, m2 = self.datum.mult_of(i)
+                factor = c_alpha(restrict(self.datum, self.lam, i), m, m2,
+                                 root_index=i).value
+                self._factors[i] = factor
+            acc *= factor
+        return acc
+
+    def partial(self, w: WeylElement) -> complex:
+        """The value of c_sigma(datum, w, lam)."""
+        return self.product(negative_set_indices(self.datum, w))
+
+
 def c_full(datum: RootDatum, lam: SpectralParam) -> CFunctionValue:
     """Product of the single-root factors over all positive indivisible
     roots (the full c-function)."""
-    acc = 1.0 + 0j
-    for i in range(datum.n_positive):
-        m, m2 = datum.mult_of(i)
-        acc *= c_alpha(restrict(datum, lam, i), m, m2, root_index=i).value
-    return CFunctionValue(acc)
+    return CFunctionValue(
+        FactorRecord(datum, lam).product(range(datum.n_positive)))
 
 
 def c_sigma(datum: RootDatum, w: WeylElement,
             lam: SpectralParam) -> CFunctionValue:
     """Partial c-function: the factor product restricted to the positive
     roots sent negative by w."""
-    acc = 1.0 + 0j
-    for i in negative_set_indices(datum, w):
-        m, m2 = datum.mult_of(i)
-        acc *= c_alpha(restrict(datum, lam, i), m, m2, root_index=i).value
-    return CFunctionValue(acc)
+    return CFunctionValue(FactorRecord(datum, lam).partial(w))
 
 
 def gamma_plus_X(datum: RootDatum, lam: SpectralParam) -> complex:

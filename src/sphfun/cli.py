@@ -344,22 +344,24 @@ def cmd_phi_eval(args) -> int:
         for i, t in enumerate(ts):
             row = {"t": t, "lambda_re": lam.real, "lambda_im": lam.imag}
             values = {}
-            try:
-                for name, per_t in results.items():
-                    if per_t[i] is not None:
-                        values[name] = _value(per_t[i])
-                        if name == "series":
-                            # the cached coefficients hc_series_eval used
-                            sc = r1.hc_series_gammas(space.rankone, lam,
-                                                     args.series_n)
-                            row["series_tail_estimate"] = \
-                                r1.series_tail_estimate(sc, t)
-            except EVAL_ERRORS as exc:
-                row["error"] = str(exc)
-                ok = False
-                rows.append(row)
-                continue
-            row["error"] = ""
+            # a method that raises leaves its error, not the others' values
+            errors = []
+            for name, per_t in results.items():
+                if per_t[i] is None:
+                    continue
+                try:
+                    values[name] = _value(per_t[i])
+                    if name == "series":
+                        # the cached coefficients hc_series_eval used
+                        sc = r1.hc_series_gammas(space.rankone, lam,
+                                                 args.series_n)
+                        row["series_tail_estimate"] = \
+                            r1.series_tail_estimate(sc, t)
+                except EVAL_ERRORS as exc:
+                    values.pop(name, None)
+                    errors.append(f"{name}: {exc}")
+                    ok = False
+            row["error"] = "; ".join(errors)
             for name in ("closed", "series", "quadrature"):
                 if name in values:
                     row[f"phi_{name}_re"] = values[name].real

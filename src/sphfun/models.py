@@ -19,6 +19,19 @@ integral with the Weyl representative m* = k_{pi/2} (any representative
 of the nontrivial coset gives the same value on even characters), and the
 functional-equation double integrals.
 
+Grids.  Each oracle takes Lam, and its points (t, z or the (t1, t2) of a
+functional-equation case), as numbers or arrays that broadcast against
+each other, and integrates every point of the broadcast as one row of
+one quadrature batch; a number is the one-row case of the same code.
+The value has the broadcast shape: a complex number when every argument
+is a number, else a complex array (a list of reports for the
+functional-equation checks).  Each row stops where it would stop alone,
+so every point gets, bit for bit, the value of a call at that point
+alone.  If any point raises, the call raises what the first failing
+point, in C order, raises alone (a functional-equation check whose inner
+batch runs out raises for the first failing (Lam, distance) pair of the
+outer depth where that happens).
+
 Conventions pinned by cross-checks: the geodesic point at distance t in
 the ball sits at Euclidean radius tanh(t/2); the boundary image of the
 rotation k_theta is e^{2 i theta}; the opposite-unipotent coordinate is
@@ -227,19 +240,22 @@ def geodesic_radius(t: float) -> float:
     return math.tanh(0.5 * t)
 
 
-def _points(x, dtype=float) -> tuple[list, bool]:
-    """x, a number or a 1-D array (or sequence) of them, as a list of
-    dtype values, and whether it was a number."""
-    if isinstance(x, (int, float, complex)):
-        return [dtype(x)], True
-    arr = np.asarray(x, dtype=dtype)
-    return arr.reshape(-1).tolist(), arr.ndim == 0
+def _grid(Lam, *points, dtype=float) -> tuple:
+    """Lam and points, each a number or an array of them, broadcast
+    against each other: per argument a flat list in C order (complex for
+    Lam, dtype for the points), then the broadcast shape, () when all
+    are numbers."""
+    arrays = np.broadcast_arrays(np.asarray(Lam, dtype=complex),
+                                 *(np.asarray(x, dtype=dtype) for x in points))
+    return (*(a.reshape(-1).tolist() for a in arrays), arrays[0].shape)
 
 
-def _shaped(values, scalar: bool):
-    """The complex values computed for _points(x): a complex number when
-    x was a number, else a complex array."""
-    return complex(values[0]) if scalar else np.asarray(values, dtype=complex)
+def _shaped(values, shape: tuple):
+    """The complex values computed at the points of a grid of that
+    shape: a complex number for the shape (), else a complex array."""
+    if shape == ():
+        return complex(values[0])
+    return np.asarray(values, dtype=complex).reshape(shape)
 
 
 def _radii(ts: list[float]) -> np.ndarray:
@@ -248,14 +264,30 @@ def _radii(ts: list[float]) -> np.ndarray:
     return np.array([geodesic_radius(t) for t in ts])
 
 
-def _circle_means(u: np.ndarray, mu: complex, harmonic: int,
+# radii times circle nodes per kernel call: bounds the node arrays of a
+# large batch at a fine level (the radii are independent, so the values
+# do not depend on it)
+CIRCLE_CHUNK_NODES = 2 ** 18
+
+
+def _circle_means(u: np.ndarray, mu: np.ndarray, harmonic: int,
                   spec: QuadratureSpec) -> np.ndarray:
-    """Per radius u, the limit of the circle means of the Poisson kernel
-    power P(u, psi)^mu e^{i harmonic psi}: one trapezoid batch."""
-    values, _ = trapezoid_doubling(
-        lambda m, idx, shift: kernels.poisson_circle_sum(
-            u[idx], mu, harmonic, m, shift), len(u), spec)
+    """Per radius u[i], the limit of the circle means of the Poisson
+    kernel power P(u[i], psi)^mu[i] e^{i harmonic psi}: one trapezoid
+    batch."""
+    def mean_of(m: int, idx: np.ndarray, shift: float) -> np.ndarray:
+        step = max(1, CIRCLE_CHUNK_NODES // m)
+        return np.concatenate([
+            kernels.poisson_circle_sum(u[part], mu[part], harmonic, m, shift)
+            for part in (idx[i:i + step] for i in range(0, len(idx), step))])
+
+    values, _ = trapezoid_doubling(mean_of, len(u), spec)
     return values
+
+
+def _exponents(lams: list, rho: float) -> np.ndarray:
+    """i Lam + rho per Lam, each formed in complex scalar arithmetic."""
+    return np.array([1j * lam + rho for lam in lams], dtype=complex)
 
 
 @lru_cache(maxsize=64)
@@ -271,35 +303,36 @@ def _sphere_band_norm(n: int, spec: QuadratureSpec) -> tuple[complex, int]:
     return complex(values[0]), nodes
 
 
-def quad_phi_K(n: int, Lam: complex, t, spec: QuadratureSpec = DEFAULT_SPEC):
+def quad_phi_K(n: int, Lam, t, spec: QuadratureSpec = DEFAULT_SPEC):
     """Zonal spherical function on n-dimensional hyperbolic space at
-    distance t (a number or an array of them), as the normalized boundary
-    integral of the Poisson kernel power P(x, b)^{i Lam + rho}.  The
-    whole grid is one batch: of the trapezoid rule on the plane, of the
-    adaptive Gauss-Legendre rule in the polar angle above it."""
+    distance t, as the normalized boundary integral of the Poisson kernel
+    power P(x, b)^{i Lam + rho}.  Lam and t are numbers or arrays that
+    broadcast against each other (see Grids above).  The whole grid of
+    (Lam, t) points is one batch: of the trapezoid rule on the plane, of
+    the adaptive Gauss-Legendre rule in the polar angle above it."""
     if n < 2:
         raise ValueError("need n >= 2")
-    t, scalar = _points(t)
-    mu = 1j * complex(Lam) + 0.5 * (n - 1)
+    lams, t, shape = _grid(Lam, t)
     u = _radii(t)
+    mu = _exponents(lams, 0.5 * (n - 1))
     values = np.ones(len(u), dtype=complex)
     inner = np.flatnonzero(u != 0.0)
     if n == 2:
-        values[inner] = _circle_means(u[inner], mu, 0, spec)
+        values[inner] = _circle_means(u[inner], mu[inner], 0, spec)
     elif inner.size:
-        values[inner] = _phi_polar(n, mu, u[inner], spec)
-    return _shaped(values, scalar)
+        values[inner] = _phi_polar(n, mu[inner], u[inner], spec)
+    return _shaped(values, shape)
 
 
-def _phi_polar(n: int, mu: complex, u: np.ndarray,
+def _phi_polar(n: int, mu: np.ndarray, u: np.ndarray,
                spec: QuadratureSpec) -> np.ndarray:
-    # per radius of u, the normalized polar-angle integral of P^mu
+    # per radius u[i], the normalized polar-angle integral of P^mu[i]
     p = n - 2
 
     def f(theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
         r = u[idx, None]
         pk = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(theta) + r * r)
-        return np.exp(mu * np.log(pk)) * np.sin(theta) ** p
+        return np.exp(mu[idx, None] * np.log(pk)) * np.sin(theta) ** p
 
     num, _ = gauss_legendre_adaptive(f, len(u), 0.0, math.pi, spec)
     return num / _sphere_band_norm(n, spec)[0]
@@ -374,16 +407,17 @@ def nbar_normalization(n: int, spec: QuadratureSpec) -> complex:
     return complex(_nbar_radial(n, n - 1.0, spec)[0])
 
 
-def _convergent_exponents(Lam, rho: float) -> tuple[np.ndarray, bool]:
-    """s = i Lam + rho per Lam, after checking absolute convergence,
-    Re(i Lam) > CONVERGENCE_MARGIN, in input order."""
-    lams, scalar = _points(Lam, complex)
+def _convergent_exponents(Lam, rho: float) -> tuple[np.ndarray, tuple]:
+    """s = i Lam + rho per Lam, flat in C order, after checking absolute
+    convergence, Re(i Lam) > CONVERGENCE_MARGIN, in that order; and the
+    shape of Lam."""
+    lams, shape = _grid(Lam)
     for lam in lams:
         if (1j * lam).real <= CONVERGENCE_MARGIN:
             raise DivergentIntegralError(
                 f"need Re(i Lam) > {CONVERGENCE_MARGIN}, got "
                 f"{(1j * lam).real}")
-    return np.array([1j * lam + rho for lam in lams], dtype=complex), scalar
+    return _exponents(lams, rho), shape
 
 
 def quad_c_Nbar(n: int, Lam, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -396,10 +430,10 @@ def quad_c_Nbar(n: int, Lam, spec: QuadratureSpec = DEFAULT_SPEC):
     is a number or an array of them; an array is one exp-sinh batch."""
     if n < 2:
         raise ValueError("need n >= 2")
-    s, scalar = _convergent_exponents(Lam, 0.5 * (n - 1))
+    s, shape = _convergent_exponents(Lam, 0.5 * (n - 1))
     norm = nbar_normalization(n, spec)
     return _shaped([complex(x) / norm for x in _nbar_radial(n, s, spec)],
-                   scalar)
+                   shape)
 
 
 def quad_Csigma_sl2(char_n: int, Lam, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -416,21 +450,22 @@ def quad_Csigma_sl2(char_n: int, Lam, spec: QuadratureSpec = DEFAULT_SPEC):
     if char_n % 2:
         raise ValueError("character weight must be even (fixed-vector "
                          "condition for the centralizer)")
-    s, scalar = _convergent_exponents(Lam, 0.5)
+    s, shape = _convergent_exponents(Lam, 0.5)
     phase = cmath.exp(0.5j * math.pi * char_n)
     norm = nbar_normalization(2, spec)
     return _shaped([phase * complex(x) / norm for x in
-                    _nbar_radial(2, s, spec, extra_char=char_n)], scalar)
+                    _nbar_radial(2, s, spec, extra_char=char_n)], shape)
 
 
 # ---------------------------------------------------------------------------
 # Eisenstein entries on the disk
 
-def entry_function_sl2(char_n: int, Lam: complex, z,
+def entry_function_sl2(char_n: int, Lam, z,
                        spec: QuadratureSpec = DEFAULT_SPEC):
     r"""Fixed-vector matrix entry of the Eisenstein integral for the even
-    circle character of weight char_n, at the disk point z (a number or
-    an array of them, one trapezoid batch):
+    circle character of weight char_n, at the disk point z (Lam and z
+    numbers or arrays that broadcast against each other, the grid one
+    trapezoid batch):
 
         (1/2pi) \int_0^{2pi} P(z, e^{2 i theta})^{i Lam + rho}
                              e^{i char_n theta} dtheta.
@@ -441,87 +476,107 @@ def entry_function_sl2(char_n: int, Lam: complex, z,
     """
     if char_n % 2:
         raise ValueError("character weight must be even")
-    mu = 1j * complex(Lam) + 0.5
-    z, scalar = _points(z, complex)
+    lams, z, shape = _grid(Lam, z, dtype=complex)
     u = np.array([abs(x) for x in z])
     if np.any(u >= 1.0):
         raise ValueError("z must lie inside the unit disk")
     k = char_n // 2
-    values = _circle_means(u, mu, k, spec)
+    values = _circle_means(u, _exponents(lams, 0.5), k, spec)
     return _shaped([cmath.exp(1j * k * cmath.phase(x)) * complex(v)
-                    for x, v in zip(z, values)], scalar)
+                    for x, v in zip(z, values)], shape)
 
 
-def quad_eisenstein_sl2(char_n: int, Lam: complex, t,
+def quad_eisenstein_sl2(char_n: int, Lam, t,
                         spec: QuadratureSpec = DEFAULT_SPEC):
     """Eisenstein entry along the geodesic: at the point of distance t
-    (a number or an array of them)."""
-    t, scalar = _points(t)
-    return _shaped(entry_function_sl2(char_n, Lam, _radii(t), spec), scalar)
+    (Lam and t numbers or arrays that broadcast against each other)."""
+    lams, t, shape = _grid(Lam, t)
+    return _shaped(entry_function_sl2(char_n, lams, _radii(t), spec), shape)
 
 
 # ---------------------------------------------------------------------------
 # functional equations
 
-def functional_equation_check(n: int, Lam: complex, t1: float, t2: float,
-                              spec: QuadratureSpec = DEFAULT_SPEC
-                              ) -> OracleReport:
+def functional_equation_check(n: int, Lam, t1, t2,
+                              spec: QuadratureSpec = DEFAULT_SPEC):
     """Zonal functional equation: the rotation average of
     phi at the composed point against phi(t1) phi(t2).
 
     The group average over K reduces to the polar angle gamma between the
     two geodesic segments, with
     cosh d(gamma) = cosh t1 cosh t2 + sinh t1 sinh t2 cos gamma.
+
+    Lam, t1 and t2 are numbers or arrays that broadcast against each
+    other, one case per point: an OracleReport for numbers, else a list
+    of them, one per case in C order, each with its own case's outer
+    nodes.  The cases are the rows of one outer Gauss-Legendre batch, and
+    at each bisection depth the (Lam, distance) pairs not met before are
+    one quad_phi_K batch, so equal pairs (every node of a case with
+    t1 = 0, say) share one evaluation.
     """
-    # phi at each distance: nodes at one distance (all of them when
-    # t1 = 0) share one evaluation, and the nodes of every panel of a
-    # bisection depth are one quad_phi_K batch
-    cache: dict = {}
-
-    def dist(gamma: np.ndarray) -> np.ndarray:
-        arg = (math.cosh(t1) * math.cosh(t2)
-               + math.sinh(t1) * math.sinh(t2) * np.cos(gamma))
-        return np.arccosh(np.maximum(arg, 1.0))
-
+    lams, t1s, t2s, shape = _grid(Lam, t1, t2)
+    lam_of = np.array(lams, dtype=complex)
+    # per case, the constant terms of cosh d(gamma), in float arithmetic
+    cc = np.array([math.cosh(a) * math.cosh(b) for a, b in zip(t1s, t2s)])
+    ss = np.array([math.sinh(a) * math.sinh(b) for a, b in zip(t1s, t2s)])
     p = n - 2
+    cache: dict = {}
+    nodes = np.zeros(len(lams), dtype=int)
 
     def f(gamma: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        ds = dist(gamma).ravel().tolist()
-        new = [d for d in dict.fromkeys(ds) if d not in cache]
+        nodes[:] += gamma.shape[1] * np.bincount(idx, minlength=len(lams))
+        arg = cc[idx, None] + ss[idx, None] * np.cos(gamma)
+        ds = np.arccosh(np.maximum(arg, 1.0)).ravel().tolist()
+        keys = list(zip(np.repeat(lam_of[idx], gamma.shape[1]).tolist(), ds))
+        new = [k for k in dict.fromkeys(keys) if k not in cache]
         if new:
-            cache.update(zip(new, quad_phi_K(n, Lam, new, spec)))
-        vals = np.array([cache[d] for d in ds],
+            new_lams, new_ds = zip(*new)
+            cache.update(zip(new, quad_phi_K(n, new_lams, new_ds, spec)))
+        vals = np.array([cache[k] for k in keys],
                         dtype=complex).reshape(gamma.shape)
         return vals * np.sin(gamma) ** p if p else vals
 
     outer_spec = QuadratureSpec(
         abs_tol=max(spec.abs_tol, 1e-10), rel_tol=max(spec.rel_tol, 1e-9))
-    num, nodes1 = gauss_legendre_adaptive(f, 1, 0.0, math.pi, outer_spec)
+    num, _ = gauss_legendre_adaptive(f, len(lams), 0.0, math.pi, outer_spec)
     den, nodes2 = _sphere_band_norm(n, outer_spec) if p else (
         math.pi + 0j, 0)
-    lhs = complex(num[0]) / den
-    phi1, phi2 = quad_phi_K(n, Lam, [t1, t2], spec)
-    return OracleReport.build(complex(phi1) * complex(phi2), lhs,
-                              nodes1 + nodes2)
+    phis = quad_phi_K(n, lam_of[:, None],
+                      np.column_stack((t1s, t2s)), spec)
+    reports = [OracleReport.build(complex(phi1) * complex(phi2),
+                                  complex(lhs) / den, nc + nodes2)
+               for lhs, (phi1, phi2), nc in zip(num, phis, nodes)]
+    return reports[0] if shape == () else reports
 
 
-def functional_equation_entry_sl2(char_n: int, Lam: complex, t1: float,
-                                  t2: float,
-                                  spec: QuadratureSpec = DEFAULT_SPEC
-                                  ) -> OracleReport:
+def functional_equation_entry_sl2(char_n: int, Lam, t1, t2,
+                                  spec: QuadratureSpec = DEFAULT_SPEC):
     """Joint-eigenfunction functional equation for the character entry E:
     the rotation average of E(x k y) against E(x) phi(y), with x, y the
-    geodesic points at distances t1, t2."""
-    g1 = a_t_matrix(t1)
-    g2 = a_t_matrix(t2)
+    geodesic points at distances t1, t2.  Lam, t1 and t2 broadcast to the
+    cases as in functional_equation_check; the cases are the rows of one
+    outer trapezoid batch, and the disk points of every case at one
+    level are one entry_function_sl2 batch."""
+    lams, t1s, t2s, shape = _grid(Lam, t1, t2)
+    g1s = [a_t_matrix(t) for t in t1s]
+    g2s = [a_t_matrix(t) for t in t2s]
+    nodes = np.zeros(len(lams), dtype=int)
 
     def mean_of(m: int, idx: np.ndarray, shift: float) -> np.ndarray:
+        # a shifted level's m new nodes complete a rule of 2m points
+        nodes[idx] += m if shift == 0.0 else 2 * m
         theta = 2.0 * math.pi * (np.arange(m) + shift) / m
-        z = _rotated_ball_points(g1, theta, g2)
-        return np.array([complex(np.mean(
-            entry_function_sl2(char_n, Lam, z, spec)))])
+        z = np.concatenate([_rotated_ball_points(g1s[c], theta, g2s[c])
+                            for c in idx.tolist()])
+        values = entry_function_sl2(char_n, np.repeat(np.take(lams, idx), m),
+                                    z, spec)
+        return np.array([complex(np.mean(values[i:i + m]))
+                         for i in range(0, len(values), m)])
 
-    lhs, nodes = trapezoid_doubling(mean_of, 1, spec, n0=16)
-    rhs = (entry_function_sl2(char_n, Lam, sl2_to_ball(g1), spec)
-           * quad_phi_K(2, Lam, t2, spec))
-    return OracleReport.build(rhs, lhs[0], nodes)
+    lhs, _ = trapezoid_doubling(mean_of, len(lams), spec, n0=16)
+    rhs = zip(entry_function_sl2(char_n, lams,
+                                 [sl2_to_ball(g) for g in g1s], spec),
+              quad_phi_K(2, lams, t2s, spec))
+    reports = [OracleReport.build(complex(e) * complex(phi), value, nc)
+               for (e, phi), value, nc in zip(rhs, lhs, nodes)]
+    return reports[0] if shape == () else reports

@@ -11,16 +11,19 @@ Three rules cover every defining integral of the package:
   is supplied in log form so the algebraic tails can never overflow.
 
 Each rule integrates a batch of rows (one integrand each) with one NumPy
-pass per refinement level, or per bisection depth for Gauss-Legendre;
-each row stops where it would stop alone, so a batch returns, bit for
+pass per refinement level, or per bisection depth for Gauss-Legendre.
+The rows of a batch may be integrands of different parameters (the
+oracles of `models` put one row per (Lam, point) pair in one batch).
+Each row stops where it would stop alone, so a batch returns, bit for
 bit, the values of one-row runs.  The trapezoid and double-exponential
 levels are nested: each evaluates only the nodes that are new at that
 level and adds them to the row's running sum.  All routines return
 (values, nodes_used as an int).  nodes_used counts rule points, summed
 over the levels and rows, not integrand evaluations: a nested level of
-2n points evaluates its n new nodes.  When the node budget runs out, they
-raise ToleranceNotMetError with the achieved estimate of the first row,
-in input order, that ran out.
+2n points evaluates its n new nodes.  When the node budget of a row runs
+out, a batch raises the ToleranceNotMetError that the first such row, in
+input order, raises in its one-row run, even where a later row runs out
+at an earlier level or depth.
 """
 
 import math
@@ -31,6 +34,10 @@ from typing import Callable
 import numpy as np
 
 GL_MAX_BISECTIONS = 2 ** 14
+# panels per call of a Gauss-Legendre integrand: bounds the node arrays
+# of a large batch whose rows bisect far (the panels are independent, so
+# the values do not depend on it)
+GL_CHUNK_PANELS = 2 ** 12
 TRAPEZOID_MAX_NODES = 2 ** 18
 EXP_SINH_MAX_LEVEL_NODES = 2 ** 14
 
@@ -96,10 +103,13 @@ def gauss_legendre_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     the nodes x[i] (one row of x per panel).  Each row keeps its own
     panel tree: a panel whose 20- and 40-point values differ by more than
     its share of the tolerance is bisected, and each bisection depth is
-    one call of f over the open panels of every row.  A row's accepted
+    one call of f over the open panels of every row (one call per
+    GL_CHUNK_PANELS of them, where there are more).  A row's accepted
     panels are added left to right with compensated summation, so its
-    value is the one a one-row run gives.  Returns the values and the
-    nodes summed over rows."""
+    value is the one a one-row run gives.  A row that runs out of
+    bisections stops the rows after it, and the rows before it run on,
+    since one of them may run out at a later depth.  Returns the values
+    and the nodes summed over rows."""
     x20, w20 = gl_rule(20)
     x40, w40 = gl_rule(40)
     x = np.concatenate((x20, x40))
@@ -109,34 +119,45 @@ def gauss_legendre_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     hi = np.full(rows, b)
     budget = np.full(rows, GL_MAX_BISECTIONS)
     evaluated, accepted = [], []
+    failure = None  # the error of the first row, in input order, out of budget
     depth = 0
     while row.size:
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        vals = f(mid[:, None] + half[:, None] * x, row)
-        coarse = half * np.add.reduce(w20 * vals[:, :20], axis=1)
-        fine = half * np.add.reduce(w40 * vals[:, 20:], axis=1)
+        coarse = np.empty(row.size, dtype=complex)
+        fine = np.empty(row.size, dtype=complex)
+        for start in range(0, row.size, GL_CHUNK_PANELS):
+            part = slice(start, start + GL_CHUNK_PANELS)
+            vals = f(mid[part, None] + half[part, None] * x, row[part])
+            coarse[part] = half[part] * np.add.reduce(w20 * vals[:, :20],
+                                                      axis=1)
+            fine[part] = half[part] * np.add.reduce(w40 * vals[:, 20:],
+                                                    axis=1)
         evaluated.append(row)
         err = np.abs(fine - coarse)
         tol = (np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))
                * ((hi - lo) / (b - a)))
         split = ~(err <= tol) & (depth < 48)
         accepted.append((row[~split], lo[~split], fine[~split]))
-        # the budget-th bisection of a row raises, as in its one-row run
+        # the budget-th bisection of a row raises, as in its one-row run;
+        # every row still open comes before the failure found so far
         used = np.bincount(row[split], minlength=rows)
-        out = np.flatnonzero(used >= budget)
+        out = np.flatnonzero((used > 0) & (used >= budget))
         if out.size:
             r = out[0]
             i = np.flatnonzero(split & (row == r))[budget[r] - 1]
             nodes = sum(np.count_nonzero(e == r) for e in evaluated)
-            raise ToleranceNotMetError(float(err[i]), float(tol[i]),
-                                       60 * int(nodes))
+            failure = ToleranceNotMetError(float(err[i]), float(tol[i]),
+                                           60 * int(nodes))
+            split &= row < r
         budget -= used
         mid = mid[split]
         row, lo, hi = (np.repeat(v[split], 2) for v in (row, lo, hi))
         lo[1::2] = mid
         hi[::2] = mid
         depth += 1
+    if failure is not None:
+        raise failure
     totals = [_Kahan() for _ in range(rows)]
     if accepted:
         row, lo, fine = (np.concatenate(c) for c in zip(*accepted))

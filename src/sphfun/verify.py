@@ -11,6 +11,7 @@ its own samples.
 """
 
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -105,9 +106,11 @@ def check_phi_vs_integral(spaces, lams, spec=DEFAULT_SPEC) -> list[dict]:
     rows = []
     ts = (0.0, 0.5, 1.0, 2.0, 3.0)
     for n, sp in spaces:
-        for lam in lams:
-            quads = md.quad_phi_K(n, lam, ts, spec)
-            for t, quad in zip(ts, quads):
+        # one batch per space: a row of quads per Lam
+        quads = md.quad_phi_K(n, np.array(lams, dtype=complex)[:, None], ts,
+                              spec)
+        for lam, quads_at in zip(lams, quads):
+            for t, quad in zip(ts, quads_at):
                 closed = r1.phi_tau(sp, r1.TRIVIAL_KTYPE, lam, t)
                 row = _row("phi-vs-integral", f"n={n} lam={lam:.4g} t={t}",
                            OracleReport.build(closed, quad, 0), 1e-8)
@@ -128,13 +131,15 @@ def check_functional_equation(n, lams, entry_lams,
     """Zonal functional equation on the n-ball at each Lam of lams, then
     the character-entry variant on H2 at each Lam of entry_lams."""
     rows = []
-    for lam in lams:
-        for (t1, t2) in ((0.0, 1.0), (1.0, 1.0), (0.5, 2.0)):
-            rep = md.functional_equation_check(n, lam, t1, t2, spec)
-            rows.append(_row("functional-equation",
-                             f"n={n} lam={lam:.4g} t=({t1},{t2})", rep, 1e-6))
-    for lam in entry_lams:
-        rep = md.functional_equation_entry_sl2(2, lam, 1.0, 1.0, spec)
+    ts = ((0.0, 1.0), (1.0, 1.0), (0.5, 2.0))
+    # every (Lam, t1, t2) case in one batch, Lam-major
+    reps = md.functional_equation_check(
+        n, np.array(lams, dtype=complex)[:, None], *np.transpose(ts), spec)
+    for (lam, (t1, t2)), rep in zip(itertools.product(lams, ts), reps):
+        rows.append(_row("functional-equation",
+                         f"n={n} lam={lam:.4g} t=({t1},{t2})", rep, 1e-6))
+    reps = md.functional_equation_entry_sl2(2, entry_lams, 1.0, 1.0, spec)
+    for lam, rep in zip(entry_lams, reps):
         rows.append(_row("functional-equation",
                          f"entry char=2 lam={lam:.4g}", rep, 1e-6))
     return rows
@@ -157,12 +162,15 @@ def suite_eisenstein(spec: QuadratureSpec = DEFAULT_SPEC,
     with a t-independent constant (1/s! in this normalization)."""
     rows = []
     ts = (0.5, 1.0, 2.0)
+    lams = _lambda_samples(3, seed=31, im_range=(-0.5, 0.5))
     for char_n in (2, 4):
         kt = _sl2_char_ktype(char_n, catalog)
-        for lam in _lambda_samples(3, seed=31, im_range=(-0.5, 0.5)):
-            quads = md.quad_eisenstein_sl2(char_n, lam, ts, spec)
+        # one batch per character: a row of quads per Lam
+        quads = md.quad_eisenstein_sl2(
+            char_n, np.array(lams, dtype=complex)[:, None], ts, spec)
+        for lam, quads_at in zip(lams, quads):
             ratios = [complex(quad) / r1.phi_tau(H2, kt, lam, t)
-                      for t, quad in zip(ts, quads)]
+                      for t, quad in zip(ts, quads_at)]
             expected = 1.0 / math.factorial(kt.s)
             spread = max(abs(rt - ratios[0]) for rt in ratios)
             rep = OracleReport.build(expected + 0j, ratios[0], 0)
@@ -248,13 +256,15 @@ def check_cocycle(samples) -> list[dict]:
         worst = 0.0
         rights = list(dict.fromkeys(v for _, v, _ in pairs))
         for lam in pair_lams:
-            # v(lam) and c_v(lam) once per right factor v
-            at = {v: (rd.weyl_apply(datum, v, lam),
-                      cfun.c_sigma(datum, v, lam).value) for v in rights}
+            # one factor record for lam and one per v(lam), v a right
+            # factor, so each (parameter, root) factor is evaluated once
+            at_lam = cfun.FactorRecord(datum, lam)
+            at = {v: (cfun.FactorRecord(datum, rd.weyl_apply(datum, v, lam)),
+                      at_lam.partial(v)) for v in rights}
             for u, v, uv in pairs:
-                v_lam, c_v = at[v]
-                lhs = cfun.c_sigma(datum, uv, lam).value
-                rhs = cfun.c_sigma(datum, u, v_lam).value * c_v
+                at_v_lam, c_v = at[v]
+                lhs = at_lam.partial(uv)
+                rhs = at_v_lam.partial(u) * c_v
                 worst = max(worst, abs(lhs - rhs) / abs(lhs))
         # abs/rel_err carry the worst defect exactly; 1 + worst rounds it
         rep = OracleReport(1.0 + 0j, 1.0 + worst + 0j, worst, worst, 0)
@@ -262,8 +272,9 @@ def check_cocycle(samples) -> list[dict]:
                          1e-10))
         w0 = rd.longest_element(datum)
         for lam in longest_lams:
-            rep = OracleReport.build(cfun.c_full(datum, lam).value,
-                                     cfun.c_sigma(datum, w0, lam).value, 0)
+            at_lam = cfun.FactorRecord(datum, lam)
+            rep = OracleReport.build(at_lam.product(range(datum.n_positive)),
+                                     at_lam.partial(w0), 0)
             rows.append(_row("cocycle", f"{name} longest=full", rep, 1e-13))
     return rows
 

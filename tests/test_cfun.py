@@ -317,6 +317,85 @@ class TestFactorCache:
         assert len(screens) == len(distinct)
 
 
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+class TestFactorRecord:
+    @pytest.fixture
+    def c_alpha_calls(self, monkeypatch):
+        # the root index of each c_alpha call
+        calls, c_alpha = [], cfun.c_alpha
+
+        def counted(Lam, m, m2, root_index=None):
+            calls.append(root_index)
+            return c_alpha(Lam, m, m2, root_index)
+        monkeypatch.setattr(cfun, "c_alpha", counted)
+        return calls
+
+    def test_products_have_the_bits_of_c_sigma(self, c_alpha_calls):
+        rng = np.random.default_rng(5)
+        for d in RANK_TWO:
+            lam = verify._weyl_lambda(rng)
+            elements = rd.enumerate_weyl(d)
+            want = [bits(cfun.c_sigma(d, w, lam).value) for w in elements]
+            full = bits(cfun.c_full(d, lam).value)
+            c_alpha_calls.clear()
+            record = cfun.FactorRecord(d, lam)
+            assert [bits(record.partial(w)) for w in elements] == want
+            assert bits(record.product(range(d.n_positive))) == full
+            # each root's factor once, over every product
+            assert sorted(c_alpha_calls) == list(range(d.n_positive))
+
+    def test_pole_raises_on_every_request_and_is_not_stored(self):
+        # root 1 of A1xA1 restricts to w = i Lam_2 = -1, a numerator pole
+        d = rd.datum_a1xa1()
+        record = cfun.FactorRecord(d, rd.SpectralParam.of([0.7 - 0.3j, 1j]))
+        for _ in range(2):
+            with pytest.raises(cfun.CPoleError) as exc:
+                record.product([0, 1])
+            assert (exc.value.kind, exc.value.root_index) == ("numerator", 1)
+            assert record._factors[1] is None
+        assert record.partial(rd.WeylElement.of(1)) == record._factors[0]
+
+    def test_cocycle_check_evaluates_each_factor_once(self, c_alpha_calls):
+        # one c_alpha call per (parameter, root) the check multiplies: at
+        # lam, the negative sets of every pair uv and right factor v; at
+        # v(lam), those of the left factors u of v; at a longest-element
+        # lam, every root.  The worst defect has the bits of the products
+        # of c_sigma
+        samples = verify._cocycle_samples()
+        rows = verify.check_cocycle(samples)
+        calls = len(c_alpha_calls)
+        expected, worst = 0, []
+        for _, d, pair_lams, longest_lams in samples:
+            elements = rd.enumerate_weyl(d)
+            pairs = [(u, v, rd.WeylElement(u.word + v.word))
+                     for u in elements for v in elements
+                     if u.word and v.word
+                     and rd.is_reduced(d, rd.WeylElement(u.word + v.word))]
+            at_lam, at_v = set(), {}
+            for u, v, uv in pairs:
+                at_lam.update(rd.negative_set_indices(d, v))
+                at_lam.update(rd.negative_set_indices(d, uv))
+                at_v.setdefault(v, set()).update(
+                    rd.negative_set_indices(d, u))
+            expected += len(pair_lams) * (
+                len(at_lam) + sum(len(s) for s in at_v.values()))
+            expected += len(longest_lams) * d.n_positive
+            defects = [0.0]
+            for lam in pair_lams:
+                for u, v, uv in pairs:
+                    lhs = cfun.c_sigma(d, uv, lam).value
+                    rhs = (cfun.c_sigma(d, u, rd.weyl_apply(d, v, lam)).value
+                           * cfun.c_sigma(d, v, lam).value)
+                    defects.append(abs(lhs - rhs) / abs(lhs))
+            worst.append(max(defects))
+        assert calls == expected
+        assert [row["abs_err"] for row in rows
+                if "pairs=" in row["case"]] == worst
+
+
 class TestFactorsMatchMpmath:
     """Hypothesis differential tests against 40-digit mpmath.  Near a
     pole the bound adds ``rounding_allowance``; within POLE_TOL of one the

@@ -184,6 +184,23 @@ class TestPhiEval:
         assert [bool(r["error"]) for r in rows] == [False] * 3 + [True]
         assert rows[0]["phi_series_re"] and rows[-1]["phi_closed_re"] == ""
 
+    def test_failing_method_keeps_the_other_values(self):
+        # c(0) is a pole of the series; the closed form at Lam = 0 is
+        # finite, so each row keeps it and names the series' error
+        code, out, _ = run_cli(
+            "phi-eval", "--space", "hn:3", "--lambda", "0,0",
+            "--t-grid", "0.5:3:6", "--methods", "closed,series")
+        assert code == 1
+        rows = rows_of(out)
+        assert len(rows) == 6
+        for row in rows:
+            assert row["error"] == ("series: numerator gamma pole at "
+                                    "argument 0j")
+            closed = r1.phi_tau(r1.RankOneSpace(2, 0), r1.TRIVIAL_KTYPE,
+                                0j, float(row["t"]))
+            assert float(row["phi_closed_re"]) == closed.real
+            assert "phi_series_re" not in row
+
     def test_single_method_no_err_column(self):
         code, out, _ = run_cli(
             "phi-eval", "--space", "h2", "--lambda", "0.7,0.2",

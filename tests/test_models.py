@@ -423,6 +423,97 @@ class TestBatchedRules:
         assert errors[0][2] == 60 * 15  # the root, then two panels a depth
 
 
+    def test_gauss_legendre_budget_error_of_a_row_that_runs_out_later(
+            self, monkeypatch):
+        # row 0 jumps once and bisects one panel a depth; row 1 jumps
+        # three times, so it bisects three panels a depth and runs out at
+        # an earlier depth; the batch raises row 0's error all the same,
+        # as its one-row run reports it
+        monkeypatch.setattr(quadrature, "GL_MAX_BISECTIONS", 8)
+
+        def run(rows):
+            def f(x, idx):
+                more = rows[idx, None] == 1
+                return (np.where(x < 1.0 / math.pi, 1j, 3.0 + 1j)
+                        + np.where(more & (x >= 0.7), 5.0, 0.0)
+                        + np.where(more & (x >= 0.9), 2.0, 0.0))
+            return gauss_legendre_adaptive(f, len(rows), 0.0, 1.0)
+
+        errors = []
+        for rows in (np.arange(2), np.array([0]), np.array([1])):
+            with pytest.raises(ToleranceNotMetError) as exc:
+                run(rows)
+            errors.append((exc.value.achieved, exc.value.target,
+                           exc.value.nodes))
+        assert errors[0] == errors[1] != errors[2]
+        assert errors[1][2] == 60 * 15  # depth 7: two panels a depth
+        assert errors[2][2] == 60 * 13  # depth 3: 1 + 2 + 4 + 6 panels
+
+    def test_circle_sum_takes_an_exponent_per_radius(self):
+        u = np.array([0.05, 0.3, 0.76, 0.9])
+        mu = 1j * np.array([0.7 + 0.2j, 1.1 - 0.4j, 0.3, 2.0 + 0.5j]) + 0.5
+        for k, m, shift in ((0, 32, 0.0), (2, 64, 0.5)):
+            rows = kernels.poisson_circle_sum(u, mu, k, m, shift)
+            assert rows.tobytes() == np.concatenate(
+                [kernels.poisson_circle_sum(u[i:i + 1], complex(mu[i]), k,
+                                            m, shift)
+                 for i in range(len(u))]).tobytes()
+
+    # the oracles on a Lam x point grid: one batch, whose rows have the
+    # bits of the calls at one Lam
+    GRID_LAMS = np.array([0.7 + 0.2j, 1.4 - 0.5j, 0.45 + 0.1j])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_phi_lambda_grid_matches_per_lambda_calls(self, n):
+        ts = [0.0, 0.5, 1.3, 3.0]
+        grid = md.quad_phi_K(n, self.GRID_LAMS[:, None], ts)
+        assert grid.shape == (3, 4)
+        for lam, row in zip(self.GRID_LAMS, grid):
+            assert row.tobytes() == md.quad_phi_K(n, lam, ts).tobytes()
+
+    def test_entry_and_eisenstein_lambda_grids_match_per_lambda_calls(self):
+        zs = [0.3 + 0.2j, -0.45 + 0.3j, 0j, -0.6 + 0j]
+        ts = [0.0, 0.5, 1.3, 3.0]
+        for char_n in (2, 4):
+            entries = md.entry_function_sl2(char_n, self.GRID_LAMS[:, None],
+                                            zs)
+            eis = md.quad_eisenstein_sl2(char_n, self.GRID_LAMS[:, None], ts)
+            assert entries.shape == eis.shape == (3, 4)
+            for lam, e_row, q_row in zip(self.GRID_LAMS, entries, eis):
+                assert e_row.tobytes() == md.entry_function_sl2(
+                    char_n, lam, zs).tobytes()
+                assert q_row.tobytes() == md.quad_eisenstein_sl2(
+                    char_n, lam, ts).tobytes()
+
+    @staticmethod
+    def report_bits(rep):
+        return (rep.closed_form.real.hex(), rep.closed_form.imag.hex(),
+                rep.quadrature.real.hex(), rep.quadrature.imag.hex(),
+                rep.nodes_used)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_functional_equation_cases_match_per_case_reports(self, n):
+        lams = [0.7 + 0.2j, 3.0 - 0.2j]
+        t1, t2 = [0.0, 1.0, 2.0], [1.0, 1.0, 2.0]
+        reps = md.functional_equation_check(n, np.array(lams)[:, None],
+                                            t1, t2)
+        singles = [md.functional_equation_check(n, lam, a, b)
+                   for lam in lams for a, b in zip(t1, t2)]
+        assert [self.report_bits(r) for r in reps] == \
+            [self.report_bits(r) for r in singles]
+        # the cases stop at different depths of the outer rule
+        assert len({r.nodes_used for r in singles}) > 1
+
+    def test_entry_functional_equation_cases_match_per_case_reports(self):
+        t1, t2 = [1.0, 0.5], [1.0, 2.0]
+        reps = md.functional_equation_entry_sl2(
+            2, self.GRID_LAMS[:, None], t1, t2)
+        singles = [md.functional_equation_entry_sl2(2, lam, a, b)
+                   for lam in self.GRID_LAMS for a, b in zip(t1, t2)]
+        assert [self.report_bits(r) for r in reps] == \
+            [self.report_bits(r) for r in singles]
+
+
 def reference_circle_mean(u, mu, harmonic, spec, n0=32):
     """One radius by the plain trapezoid sequence: the full-grid complex
     mean at n0, 2 n0, ... until two levels agree.  Returns the value, the
@@ -694,16 +785,25 @@ class TestBatchedOracles:
             md.entry_function_sl2(2, 0.5, [0.2, 1.0])
 
     def test_equal_distances_are_evaluated_once(self, monkeypatch):
-        # at t1 = 0 every node of the outer rule is at distance t2
+        # at t1 = 0 every node of the outer rule is at distance t2, so a
+        # case puts one (Lam, distance) row in the inner batch, and cases
+        # with equal Lam and t2 share it
         rows = []
         quad_phi_K = md.quad_phi_K
 
         def counted(n, lam, t, spec=md.DEFAULT_SPEC):
-            rows.append(np.size(t))
+            rows.append(np.broadcast(lam, t).size)
             return quad_phi_K(n, lam, t, spec)
 
         monkeypatch.setattr(md, "quad_phi_K", counted)
         rep = md.functional_equation_check(2, 0.8 + 0.1j, 0.0, 1.0)
         # one row for the integrand, two for phi(t1) phi(t2)
-        assert sum(rows) == 3
+        assert rows == [1, 2]
         assert rep.rel_err < 1e-10
+        rows.clear()
+        lams = np.array([0.8 + 0.1j, 0.6 - 0.3j])[:, None]
+        reps = md.functional_equation_check(2, lams, 0.0, [1.0, 1.5, 1.0])
+        # 2 Lam x 2 distances for the integrands, then phi(t1) phi(t2)
+        # for each of the 6 cases
+        assert rows == [4, 12]
+        assert all(r.rel_err < 1e-10 for r in reps)
