@@ -29,9 +29,11 @@ the A2 and B2 catalog data and the A2 datum from a JSON file, then
 ``rootdata.restrict``, ``weyl_apply`` and ``cfun.c_sigma`` at the
 longest A2 element on one datum, and ``verify --suite cocycle`` and
 ``det-a`` through ``cli.main`` in process.  A sixth (L3/L4) times each
-verify suite in process (``verify.run_suites``, best of the repeats)
-and counts the calls it makes of each quadrature oracle of ``models``,
-nested calls included.  The last (L5) times
+verify suite in process (``verify.run_suites``, best of the repeats),
+counts the calls it makes of each quadrature oracle of ``models``,
+nested calls included, and the rule points each quadrature rule uses
+for them (in a warm run: a measure constant the oracles cache, such as
+``nbar_normalization``, is not counted again).  The last (L5) times
 ``cli.build_parser`` for each command and for all of them, and one
 in-process ``cli.main`` call.
 """
@@ -326,40 +328,58 @@ ORACLES = ("quad_phi_K", "quad_c_Nbar", "quad_Csigma_sl2",
            "functional_equation_check", "functional_equation_entry_sl2")
 
 
-def oracle_calls(fn):
+RULES = {"gauss_legendre_adaptive": "gauss-legendre",
+         "trapezoid_doubling": "trapezoid", "exp_sinh_halfline": "exp-sinh"}
+
+
+def oracle_counts(fn):
     """The calls fn() makes of each oracle of ``models`` that it calls,
-    nested calls included."""
-    counts = dict.fromkeys(ORACLES, 0)
-    originals = {name: getattr(models, name) for name in ORACLES}
+    nested calls included, and the rule points each quadrature rule
+    returns to ``models``."""
+    calls = dict.fromkeys(ORACLES, 0)
+    points = dict.fromkeys(RULES, 0)
+    originals = {name: getattr(models, name) for name in (*ORACLES, *RULES)}
 
     def counted(name):
         def wrapped(*args, **kwargs):
-            counts[name] += 1
+            calls[name] += 1
             return originals[name](*args, **kwargs)
+        return wrapped
+
+    def measured(name):
+        def wrapped(*args, **kwargs):
+            values, nodes = originals[name](*args, **kwargs)
+            points[name] += nodes
+            return values, nodes
         return wrapped
     for name in ORACLES:
         setattr(models, name, counted(name))
+    for name in RULES:
+        setattr(models, name, measured(name))
     try:
         fn()
     finally:
         for name, orig in originals.items():
             setattr(models, name, orig)
-    return {name: n for name, n in counts.items() if n}
+    return ({name: n for name, n in calls.items() if n},
+            {RULES[name]: n for name, n in points.items() if n})
 
 
 def suite_table(repeat, scale):
     runs = max(1, int(20 * scale))
     print("\nverify suites in process")
-    print(f"{'suite':<22}{'ms':>8}  oracle calls")
+    print(f"{'suite':<22}{'ms':>8}  oracle calls; rule points")
     for suite in verify.SUITES:
         def run():
             for _ in range(runs):
                 verify.run_suites([suite])
         run()
         ms = timed(run, repeat) / runs * 1e3
-        calls = oracle_calls(lambda: verify.run_suites([suite]))
-        print(f"{suite:<22}{ms:>8.2f}  "
-              + (", ".join(f"{k} {n}" for k, n in calls.items()) or "-"))
+        calls, points = oracle_counts(lambda: verify.run_suites([suite]))
+        counts = ", ".join(f"{k} {n}" for k, n in calls.items()) or "-"
+        if points:
+            counts += "; " + ", ".join(f"{k} {n}" for k, n in points.items())
+        print(f"{suite:<22}{ms:>8.2f}  {counts}")
 
 
 def cli_table(repeat, scale):

@@ -1,5 +1,5 @@
 """Complex special-function layer: Gamma, log-Gamma, Gauss 2F1 and the
-overflow-free log_cosh / log_sinh of a real t.
+overflow-free log_cosh of a real t.
 
 Thin validating wrappers around the scalar kernels of
 ``sphfun._kernels_py``.  All pole screening (each Gamma argument passes
@@ -10,8 +10,6 @@ pure functions of their arguments.
 import cmath
 import math
 import sys
-
-import numpy as np
 
 from ._backend import kernels
 
@@ -170,17 +168,9 @@ def gauss_2f1_at_one(a: complex, b: complex, c: complex) -> complex:
     return _coeff((c, d), (c - a, c - b))
 
 
-def log_cosh(t):
-    """log cosh t for a real t >= 0 or array of them, free of overflow;
-    a float takes math's functions, an array NumPy's."""
-    if isinstance(t, float):
-        return t - _LOG2 + math.log1p(math.exp(-2.0 * t))
-    return t - _LOG2 + np.log1p(np.exp(-2.0 * t))
-
-
-def log_sinh(t):
-    """log sinh t for a real t > 0 or array of them, free of overflow."""
-    return t - math.log(2.0) + np.log(-np.expm1(-2.0 * t))
+def log_cosh(t: float) -> float:
+    """log cosh t for a real t >= 0, free of overflow."""
+    return t - _LOG2 + math.log1p(math.exp(-2.0 * t))
 
 
 def _checked(result, where, arg, head=0j) -> complex:

@@ -6,9 +6,10 @@ Three rules cover every defining integral of the package:
   by the 20- vs 40-point discrepancy, accepted panels added left to right
   with compensated summation, so results are reproducible bit for bit);
 * trapezoid doubling for smooth periodic integrands;
-* a double-exponential rule, the one rule for half-line integrals,
-  applied after the x = sinh u substitution by the callers; the integrand
-  is supplied in log form so the algebraic tails can never overflow.
+* a double-exponential (exp-sinh) rule, the one rule for half-line
+  integrals, built for integrands that decay algebraically, so the
+  callers apply it to their variable directly; the integrand is supplied
+  in log form so the algebraic tails can never overflow.
 
 Each rule integrates a batch of rows (one integrand each) with one NumPy
 pass per refinement level, or per bisection depth for Gauss-Legendre.

@@ -246,6 +246,44 @@ class TestCSigmaOracle:
             2, spec)
 
 
+def domain_lams(seed, count):
+    """count Lam with Re Lam in [-7.5, 7.5] and -Im Lam in [0.06, 1.5]:
+    the opposite-unipotent integrals up to 0.01 from their margin."""
+    rng = np.random.default_rng(seed)
+    return list(rng.uniform(-7.5, 7.5, count)
+                - 1j * rng.uniform(0.06, 1.5, count))
+
+
+class TestNbarOraclesOverTheDomain:
+    # near the margin the radial integrand decays like r^{-1.12}; these
+    # rows need the rule on r itself, not on u with r = sinh u
+    MARGIN_LAMS = [3 - 0.06j, 7.5 - 0.06j, 15 - 0.2j]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_c_matches_gamma_quotient(self, n):
+        mp = pytest.importorskip("mpmath")
+        lams = domain_lams(200 + n, 40)
+        if n <= 4:
+            lams += self.MARGIN_LAMS
+        quads = md.quad_c_Nbar(n, lams)
+        rho = mp.mpf(n - 1) / 2
+        with mp.workdps(30):
+            for lam, quad in zip(lams, quads):
+                il = 1j * mp.mpc(lam)
+                want = complex(mp.gamma(il) * mp.gamma(2 * rho)
+                               / (mp.gamma(il + rho) * mp.gamma(rho)))
+                assert abs(quad - want) <= 1e-12 * abs(want), lam
+
+    @pytest.mark.parametrize("char_n", [0, 2, 4, 6])
+    def test_csigma_matches_closed_form(self, char_n):
+        h2 = r1.RankOneSpace(1, 0)
+        kt = r1.sl2_ktype_for_char(char_n)
+        lams = domain_lams(210 + char_n, 40)
+        for lam, quad in zip(lams, md.quad_Csigma_sl2(char_n, lams)):
+            want = r1.C_sigma_minus(h2, kt, lam)
+            assert abs(quad - want) <= 1e-12 * abs(want), lam
+
+
 class TestFunctionalEquation:
     def test_degenerate_first_argument(self):
         rep = md.functional_equation_check(2, 0.8 + 0.1j, 0.0, 1.0)
