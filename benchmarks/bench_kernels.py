@@ -6,7 +6,9 @@ Usage:
     python benchmarks/bench_kernels.py [--repeat 5] [--scale 1.0]
 
 The first table (L0) times each kernel of ``sphfun._kernels_py`` on a
-representative workload: microseconds per call, best of the repeats.  A
+representative workload: microseconds per call, best of the repeats.
+The Poisson-kernel circle mean is no kernel: ``models._circle_means``
+forms it, and it is timed inside the verify suites of the L3/L4 table.  A
 second table (L1) times ``complexmath.gauss_2f1`` on each of its
 branches: microseconds per call with its per-(a, b, c) constants held
 in one ``Gauss2F1Plan`` (warm) and computed afresh by each
@@ -76,16 +78,6 @@ def workloads(scale):
                  rng.uniform(-0.85, 0.85)) for _ in range(n_hyp)]
     recursions = [(m, m2) for (m, m2) in ((1, 0), (2, 0), (2, 1), (4, 3))
                   for _ in range(int(50 * scale))]
-    # the sizes the quadrature oracles use: one `sphfun verify --suite
-    # all` makes 163 circle-sum calls over 2053 radii in all, up to 64
-    # radii a call, at 32 to 512 nodes
-    radii = np.linspace(0.05, 0.9, 16)
-    n_circle = int(125 * scale)
-
-    def circle(nodes):
-        return lambda: [k.poisson_circle_sum(radii, 0.8 - 0.3j, j % 3, nodes)
-                        for j in range(n_circle)]
-
     return [
         ("log-gamma scalar grid", n_gamma,
          lambda: [k.clgamma(z) for z in zs]),
@@ -95,8 +87,7 @@ def workloads(scale):
         ("series recursion", len(recursions),
          lambda: [k.hc_gamma_coeffs(m, m2, 0.9 - 0.4j, 60)
                   for (m, m2) in recursions]),
-    ] + [(f"circle sum, {n} nodes", n_circle, circle(n))
-         for n in (32, 64, 128, 256, 512)]
+    ]
 
 
 # (branch, a, b, c - a - b, z); the first four are series and connection

@@ -1,8 +1,10 @@
-"""Hot numeric kernels, in pure Python and NumPy.
+"""Hot numeric kernels, in pure Python.
 
-The one implementation of ``clgamma``, ``hyp2f1_series``,
-``hc_gamma_coeffs`` and ``poisson_circle_sum``.  Everything here is a
-pure function of its arguments.
+The one implementation of ``clgamma``, ``hyp2f1_series`` and
+``hc_gamma_coeffs``.  Everything here is a pure function of its
+arguments, on plain Python floats and complex numbers.  The Poisson
+kernel of the quadrature oracles is no kernel here: ``models`` forms it
+from the radius and its complement, which it takes from the distance t.
 
 The log-Gamma kernel uses a 15-term Lanczos rational approximation
 (g = 607/128) with reflection into the left half plane, good to roughly
@@ -13,9 +15,6 @@ magnified next to the poles.
 
 import cmath
 import math
-from functools import lru_cache
-
-import numpy as np
 
 _LANCZOS_G = 4.7421875  # 607/128
 _LANCZOS = (
@@ -152,39 +151,3 @@ def hc_gamma_coeffs(m_alpha: int, m_2alpha: int, lam: complex,
         acc = 2.0 * m_alpha * every + 4.0 * m_2alpha * by_residue[n % 4 // 2]
         g[n] = -acc / (n * (n - 2.0 * ilam))
     return g
-
-
-@lru_cache(maxsize=64)
-def _half_circle(nphi: int, shift: float,
-                 harmonic: int) -> tuple[np.ndarray, np.ndarray]:
-    # cos psi at the grid nodes with 0 <= psi <= pi, and each node's
-    # weight in the mean: 2 cos(harmonic psi) / nphi, the mirror node
-    # included, or 1/nphi at psi = 0 and psi = pi, their own mirrors
-    j2 = 2 * np.arange(int(0.5 * nphi - shift) + 1) + int(2 * shift)
-    psi = j2 * (math.pi / nphi)  # twice (j + shift), times pi/nphi
-    weight = np.where((j2 == 0) | (j2 == nphi), 1.0, 2.0) / nphi
-    if harmonic:
-        weight = weight * np.cos(harmonic * psi)
-    cos_psi = np.cos(psi)
-    cos_psi.flags.writeable = False
-    weight.flags.writeable = False
-    return cos_psi, weight
-
-
-def poisson_circle_sum(u, mu, harmonic: int, nphi: int,
-                       shift: float = 0.0) -> np.ndarray:
-    """For each radius in the 1-D array u, the mean over the uniform
-    nphi-point grid psi_j = 2pi (j + shift)/nphi on [0, 2pi) of
-    P(u, psi)^mu e^{i harmonic psi} with P = (1-u^2)/(1-2u cos psi+u^2).
-    mu is one complex number for every radius, or a 1-D array of them,
-    one per radius.
-
-    shift is 0 or 1/2, so the grid is symmetric under psi -> -psi.  P is
-    even in psi, so the sum runs over the nodes with 0 <= psi <= pi only,
-    each paired with its mirror through the weight 2 cos(harmonic psi).
-    The nodes and weights are tables of (nphi, shift, harmonic) alone."""
-    cos_psi, weight = _half_circle(nphi, float(shift), harmonic)
-    u = np.asarray(u, dtype=float)[:, None]
-    mu = np.asarray(mu, dtype=complex).reshape(-1, 1)
-    pk = (1.0 - u * u) / (1.0 - 2.0 * u * cos_psi + u * u)
-    return np.sum(np.exp(mu * np.log(pk)) * weight, axis=1)

@@ -37,6 +37,10 @@ the ball sits at Euclidean radius tanh(t/2); the boundary image of the
 rotation k_theta is e^{2 i theta}; the opposite-unipotent coordinate is
 normalized so that e^{alpha(H(nbar(v)))} = 1 + |v|^2/4, which matches the
 matrix-model Iwasawa projection at n = 2 under v = 2x.
+
+Radii.  Along the geodesic the oracles take the radius u = tanh(t/2) and
+its complement v = 2 e^{-t}/(1 + e^{-t}) each from t, and every ball-model
+oracle forms the Poisson kernel from them in `_log_poisson`.
 """
 
 import cmath
@@ -46,7 +50,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._backend import kernels
 from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _exp_sinh_nodes,
                          exp_sinh_halfline, exp_sinh_level,
                          gauss_legendre_adaptive, trapezoid_doubling)
@@ -257,28 +260,62 @@ def _shaped(values, shape: tuple):
     return np.asarray(values, dtype=complex).reshape(shape)
 
 
-def _radii(ts: list[float]) -> np.ndarray:
+def _radii(ts: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """u = tanh(t/2) and v = 1 - u = 2 e^{-t}/(1 + e^{-t}) per distance t,
+    each formed from t: v keeps its precision where u rounds to 1."""
     if any(t < 0 for t in ts):
         raise ValueError("t must be >= 0")
-    return np.array([geodesic_radius(t) for t in ts])
+    u = np.array([geodesic_radius(t) for t in ts])
+    v = np.array([2.0 * math.exp(-t) / (1.0 + math.exp(-t)) for t in ts])
+    return u, v
 
 
-# radii times circle nodes per kernel call: bounds the node arrays of a
+def _log_poisson(u, v, s2):
+    """log P, P = (1 - u^2)/(1 - 2u cos psi + u^2), at radius u with
+    v = 1 - u and s2 = sin^2(psi/2), as log(v (2 - v)/(v^2 + 4 u s2)):
+    no term cancels, not even at the peak psi = 0, where P = (1 + u)/v."""
+    return np.log(v * (2.0 - v)) - np.log(v * v + 4.0 * u * s2)
+
+
+@lru_cache(maxsize=64)
+def _half_circle(nphi: int, shift: float,
+                 harmonic: int) -> tuple[np.ndarray, np.ndarray]:
+    """sin^2(psi/2) at the nodes psi_j = 2pi (j + shift)/nphi with
+    0 <= psi <= pi, and each node's weight in the mean: 2 cos(harmonic
+    psi)/nphi, the mirror node included, or 1/nphi at psi = 0 and
+    psi = pi, their own mirrors.  Read-only, since every later call
+    shares them."""
+    j2 = 2 * np.arange(int(0.5 * nphi - shift) + 1) + int(2 * shift)
+    psi = j2 * (math.pi / nphi)  # twice (j + shift), times pi/nphi
+    weight = np.where((j2 == 0) | (j2 == nphi), 1.0, 2.0) / nphi
+    if harmonic:
+        weight = weight * np.cos(harmonic * psi)
+    s2 = np.sin(0.5 * psi) ** 2
+    s2.flags.writeable = False
+    weight.flags.writeable = False
+    return s2, weight
+
+
+# radii times circle nodes per level sum: bounds the node arrays of a
 # large batch at a fine level (the radii are independent, so the values
 # do not depend on it)
 CIRCLE_CHUNK_NODES = 2 ** 18
 
 
-def _circle_means(u: np.ndarray, mu: np.ndarray, harmonic: int,
-                  spec: QuadratureSpec) -> np.ndarray:
-    """Per radius u[i], the limit of the circle means of the Poisson
-    kernel power P(u[i], psi)^mu[i] e^{i harmonic psi}: one trapezoid
-    batch."""
+def _circle_means(u: np.ndarray, v: np.ndarray, mu: np.ndarray,
+                  harmonic: int, spec: QuadratureSpec) -> np.ndarray:
+    """Per radius u[i], with v[i] = 1 - u[i], the limit of the circle
+    means of P(u[i], psi)^mu[i] e^{i harmonic psi}: one trapezoid batch.
+    P is even in psi, so each level sums the nodes with 0 <= psi <= pi,
+    each paired with its mirror through its weight."""
     def mean_of(m: int, idx: np.ndarray, shift: float) -> np.ndarray:
+        s2, weight = _half_circle(m, float(shift), harmonic)
         step = max(1, CIRCLE_CHUNK_NODES // m)
+        parts = (idx[i:i + step] for i in range(0, len(idx), step))
         return np.concatenate([
-            kernels.poisson_circle_sum(u[part], mu[part], harmonic, m, shift)
-            for part in (idx[i:i + step] for i in range(0, len(idx), step))])
+            np.sum(np.exp(mu[part, None] * _log_poisson(
+                u[part, None], v[part, None], s2)) * weight, axis=1)
+            for part in parts])
 
     values, _ = trapezoid_doubling(mean_of, len(u), spec)
     return values
@@ -289,17 +326,11 @@ def _exponents(lams: list, rho: float) -> np.ndarray:
     return np.array([1j * lam + rho for lam in lams], dtype=complex)
 
 
-@lru_cache(maxsize=64)
-def _sphere_band_norm(n: int, spec: QuadratureSpec) -> tuple[complex, int]:
-    # \int_0^pi sin^{n-2} theta dtheta by the same adaptive rule used for
-    # the numerator (self-normalizing the polar slice of the sphere)
-    p = n - 2
-
-    def f(theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.sin(theta) ** p + 0j
-
-    values, nodes = gauss_legendre_adaptive(f, 1, 0.0, math.pi, spec)
-    return complex(values[0]), nodes
+def _sphere_band_norm(n: int) -> float:
+    # \int_0^pi sin^{n-2} theta dtheta = sqrt(pi) Gamma((n-1)/2)/Gamma(n/2),
+    # the polar slice of the sphere
+    return math.sqrt(math.pi) * math.exp(math.lgamma(0.5 * (n - 1))
+                                         - math.lgamma(0.5 * n))
 
 
 def quad_phi_K(n: int, Lam, t, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -312,29 +343,29 @@ def quad_phi_K(n: int, Lam, t, spec: QuadratureSpec = DEFAULT_SPEC):
     if n < 2:
         raise ValueError("need n >= 2")
     lams, t, shape = _grid(Lam, t)
-    u = _radii(t)
+    u, v = _radii(t)
     mu = _exponents(lams, 0.5 * (n - 1))
     values = np.ones(len(u), dtype=complex)
     inner = np.flatnonzero(u != 0.0)
     if n == 2:
-        values[inner] = _circle_means(u[inner], mu[inner], 0, spec)
+        values[inner] = _circle_means(u[inner], v[inner], mu[inner], 0, spec)
     elif inner.size:
-        values[inner] = _phi_polar(n, mu[inner], u[inner], spec)
+        values[inner] = _phi_polar(n, mu[inner], u[inner], v[inner], spec)
     return _shaped(values, shape)
 
 
-def _phi_polar(n: int, mu: np.ndarray, u: np.ndarray,
+def _phi_polar(n: int, mu: np.ndarray, u: np.ndarray, v: np.ndarray,
                spec: QuadratureSpec) -> np.ndarray:
     # per radius u[i], the normalized polar-angle integral of P^mu[i]
     p = n - 2
 
     def f(theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        r = u[idx, None]
-        pk = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(theta) + r * r)
-        return np.exp(mu[idx, None] * np.log(pk)) * np.sin(theta) ** p
+        log_p = _log_poisson(u[idx, None], v[idx, None],
+                             np.sin(0.5 * theta) ** 2)
+        return np.exp(mu[idx, None] * log_p) * np.sin(theta) ** p
 
     num, _ = gauss_legendre_adaptive(f, len(u), 0.0, math.pi, spec)
-    return num / _sphere_band_norm(n, spec)[0]
+    return num / _sphere_band_norm(n)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +519,7 @@ def entry_function_sl2(char_n: int, Lam, z,
     if np.any(u >= 1.0):
         raise ValueError("z must lie inside the unit disk")
     k = char_n // 2
-    values = _circle_means(u, _exponents(lams, 0.5), k, spec)
+    values = _circle_means(u, 1.0 - u, _exponents(lams, 0.5), k, spec)
     return _shaped([cmath.exp(1j * k * cmath.phase(x)) * complex(v)
                     for x, v in zip(z, values)], shape)
 
@@ -496,9 +527,15 @@ def entry_function_sl2(char_n: int, Lam, z,
 def quad_eisenstein_sl2(char_n: int, Lam, t,
                         spec: QuadratureSpec = DEFAULT_SPEC):
     """Eisenstein entry along the geodesic: at the point of distance t
-    (Lam and t numbers or arrays that broadcast against each other)."""
+    (Lam and t numbers or arrays that broadcast against each other), the
+    entry_function_sl2 at the radius tanh(t/2), with the radius and its
+    complement formed from t."""
     lams, t, shape = _grid(Lam, t)
-    return _shaped(entry_function_sl2(char_n, lams, _radii(t), spec), shape)
+    u, v = _radii(t)
+    if char_n % 2:
+        raise ValueError("character weight must be even")
+    return _shaped(_circle_means(u, v, _exponents(lams, 0.5), char_n // 2,
+                                 spec), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +583,11 @@ def functional_equation_check(n: int, Lam, t1, t2,
     outer_spec = QuadratureSpec(
         abs_tol=max(spec.abs_tol, 1e-10), rel_tol=max(spec.rel_tol, 1e-9))
     num, _ = gauss_legendre_adaptive(f, len(lams), 0.0, math.pi, outer_spec)
-    den, nodes2 = _sphere_band_norm(n, outer_spec) if p else (
-        math.pi + 0j, 0)
+    den = _sphere_band_norm(n) if p else math.pi
     phis = quad_phi_K(n, lam_of[:, None],
                       np.column_stack((t1s, t2s)), spec)
     reports = [OracleReport.build(complex(phi1) * complex(phi2),
-                                  complex(lhs) / den, nc + nodes2)
+                                  complex(lhs) / den, nc)
                for lhs, (phi1, phi2), nc in zip(num, phis, nodes)]
     return reports[0] if shape == () else reports
 
@@ -560,10 +596,11 @@ def functional_equation_entry_sl2(char_n: int, Lam, t1, t2,
                                   spec: QuadratureSpec = DEFAULT_SPEC):
     """Joint-eigenfunction functional equation for the character entry E:
     the rotation average of E(x k y) against E(x) phi(y), with x, y the
-    geodesic points at distances t1, t2.  Lam, t1 and t2 broadcast to the
-    cases as in functional_equation_check; the cases are the rows of one
-    outer trapezoid batch, and the disk points of every case at one
-    level are one entry_function_sl2 batch."""
+    geodesic points at distances t1, t2.  The average runs over theta in
+    [0, pi): k_{theta + pi} = -k_theta gives the same disk point.  Lam,
+    t1 and t2 broadcast to the cases as in functional_equation_check; the
+    cases are the rows of one outer trapezoid batch, and the disk points
+    of every case at one level are one entry_function_sl2 batch."""
     lams, t1s, t2s, shape = _grid(Lam, t1, t2)
     g1s = [a_t_matrix(t) for t in t1s]
     g2s = [a_t_matrix(t) for t in t2s]
@@ -572,7 +609,7 @@ def functional_equation_entry_sl2(char_n: int, Lam, t1, t2,
     def mean_of(m: int, idx: np.ndarray, shift: float) -> np.ndarray:
         # a shifted level's m new nodes complete a rule of 2m points
         nodes[idx] += m if shift == 0.0 else 2 * m
-        theta = 2.0 * math.pi * (np.arange(m) + shift) / m
+        theta = math.pi * (np.arange(m) + shift) / m
         z = np.concatenate([_rotated_ball_points(g1s[c], theta, g2s[c])
                             for c in idx.tolist()])
         values = entry_function_sl2(char_n, np.repeat(np.take(lams, idx), m),
@@ -580,7 +617,7 @@ def functional_equation_entry_sl2(char_n: int, Lam, t1, t2,
         return np.array([complex(np.mean(values[i:i + m]))
                          for i in range(0, len(values), m)])
 
-    lhs, _ = trapezoid_doubling(mean_of, len(lams), spec, n0=16)
+    lhs, _ = trapezoid_doubling(mean_of, len(lams), spec, n0=8)
     rhs = zip(entry_function_sl2(char_n, lams,
                                  [sl2_to_ball(g) for g in g1s], spec),
               quad_phi_K(2, lams, t2s, spec))

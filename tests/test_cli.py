@@ -8,6 +8,7 @@ import math
 import re
 import shlex
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -223,6 +224,35 @@ class TestPhiEval:
         # quadrature entry differs from the closed form by the fixed
         # normalization 1/s!; for s=1 they agree
         assert float(row["max_pairwise_err"]) < 1e-7
+
+    def test_quadrature_beyond_the_rounding_of_tanh(self):
+        # tanh(t/2) rounds to 1 from t = 38.2; the entry oracle takes its
+        # radius and complement from t, so every row keeps the closed
+        # form, and the rows past what the trapezoid rule resolves name
+        # its error
+        code, out, err = run_cli(
+            "phi-eval", "--space", "h2", "--ktype", "s1r0",
+            "--lambda", "1.4,-0.5", "--t-grid", "10:40:4",
+            "--methods", "closed,quadrature")
+        assert code == 1 and err == ""
+        rows = rows_of(out)
+        assert [float(r["t"]) for r in rows] == [10.0, 20.0, 30.0, 40.0]
+        assert all(r["phi_closed_re"] and r["phi_closed_im"] for r in rows)
+        assert float(rows[0]["max_pairwise_err"]) < 1e-12
+        assert all(r["error"].startswith("quadrature: ") for r in rows[1:])
+
+    def test_large_t_quadrature_warns_nothing(self):
+        # at t = 40 the kernel's peak is (1 + u)/v with v = 1 - u of
+        # 8.5e-18: finite, so no log of 0 and a finite error estimate
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                "phi-eval", "--space", "h2", "--lambda", "1.4,-0.5",
+                "--t", "40", "--methods", "closed,quadrature")
+        assert code == 1 and err == ""
+        assert [w for w in caught if w.category is RuntimeWarning] == []
+        row = rows_of(out)[0]
+        assert row["phi_closed_re"] and "nan" not in row["error"]
 
     def test_empty_methods_exits_2(self):
         code, out, err = run_cli("phi-eval", "--space", "h2", "--lambda",

@@ -298,6 +298,76 @@ class TestGauss2F1:
             assert abs(lhs) < 1e-10
 
 
+def gap_next_to_a_pole(mp, a, b, c):
+    """Whether c - a - b is an integer while a, b, c - a or c - b lies
+    nearer than the working precision to a pole of Gamma, but not on it.
+    mpmath's hyp2f1 resolves an integer gap near z = 1 by perturbing a
+    and b at about that precision; next to a pole it raises the
+    precision until the perturbation is below the distance."""
+    eps = mp.mpf(2) ** -mp.mp.prec
+    with mp.workprec(2200):  # sums of doubles, exactly
+        a, b, c = mp.mpc(a), mp.mpc(b), mp.mpc(c)
+        if not mp.isint(c - a - b):
+            return False
+        for x in (a, b, c - a, c - b):
+            k = mp.nint(mp.re(x))
+            if k <= 0 and 0 < abs(x - k) < eps:
+                return True
+    return False
+
+
+class RoutedMpmath:
+    """mpmath, with a hyp2f1 that takes mp_hyp2f1_integer_gap where
+    mpmath's own takes its 1 - z transformation at an integer gap next
+    to a pole (gap_next_to_a_pole), and mpmath's hyp2f1 everywhere else.
+    At the one such draw of TestGauss2F1MatchesMpmath (a = -5.5e-298j,
+    c - a - b = -1, 1 - z = 2.7e-188, 227 digits) the two agree to
+    2.6e-228 relative; mpmath took 56 s, the formula 0.3 s."""
+
+    def __init__(self, mp):
+        self._mp = mp
+
+    def __getattr__(self, name):
+        return getattr(self._mp, name)
+
+    def hyp2f1(self, a, b, c, z):
+        mp = self._mp
+        if abs(z) > 0.8 and abs(1 - z) <= 0.75 and \
+                gap_next_to_a_pole(mp, a, b, c):
+            return mp_hyp2f1_integer_gap(mp, a, b, c, z)
+        return mp.hyp2f1(a, b, c, z)
+
+
+def mp_hyp2f1_integer_gap(mp, a, b, c, z):
+    """2F1(a, b; c; z) for an integer c - a - b, |1 - z| < 1, none of a,
+    b, c - a and c - b a pole of Gamma: the logarithmic connection
+    formula (Abramowitz and Stegun 15.3.10-11), after Euler's
+    transformation where the gap is negative."""
+    a, b, c, z = mp.mpc(a), mp.mpc(b), mp.mpc(c), mp.mpc(z)
+    m = int(mp.nint(mp.re(c - a - b)))
+    if m < 0:
+        return (1 - z) ** m * mp_hyp2f1_integer_gap(mp, c - a, c - b, c, z)
+    w = 1 - z
+    head = 0
+    if m:
+        head = (mp.gamma(m) * mp.gamma(c) * mp.rgamma(a + m)
+                * mp.rgamma(b + m)
+                * mp.fsum(mp.rf(a, n) * mp.rf(b, n) * w ** n
+                          / (mp.factorial(n) * mp.rf(1 - m, n))
+                          for n in range(m)))
+    tail, coef, n = 0, 1 / mp.factorial(m), 0
+    while True:
+        term = coef * (mp.log(w) - mp.digamma(n + 1) - mp.digamma(n + m + 1)
+                       + mp.digamma(a + n + m) + mp.digamma(b + n + m))
+        tail += term
+        if n > 2 and abs(term) <= mp.eps * abs(tail):
+            break
+        coef *= (a + m + n) * (b + m + n) * w / ((n + 1) * (n + m + 1))
+        n += 1
+    return head - ((z - 1) ** m * mp.gamma(c) * mp.rgamma(a) * mp.rgamma(b)
+                   * tail)
+
+
 class TestGauss2F1MatchesMpmath:
     """The three 2F1 entry points against mpmath hyp2f1 at 40 digits, plus
     the digits 1 - z needs, on the power series and the connection
@@ -305,7 +375,9 @@ class TestGauss2F1MatchesMpmath:
     terminating a."""
 
     def test_matches_mpmath(self):
-        mp = pytest.importorskip("mpmath")
+        # the reference is routed outside check, whose source seeds its
+        # derandomized draws
+        mp = RoutedMpmath(pytest.importorskip("mpmath"))
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
 

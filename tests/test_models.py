@@ -18,12 +18,12 @@ from sphfun import models as md
 from sphfun import rankone as r1
 from sphfun import quadrature
 from sphfun import verify as vf
-from sphfun._backend import kernels
 from sphfun.quadrature import (QuadratureSpec, ToleranceNotMetError,
                                _exp_sinh_nodes, exp_sinh_halfline,
                                exp_sinh_level, gauss_legendre_adaptive,
                                gl_rule, trapezoid_doubling)
 from test_acceptance import margin_samples
+from test_rankone import mp_phi_and_limit
 
 RNG = np.random.default_rng(77)
 
@@ -284,6 +284,58 @@ class TestNbarOraclesOverTheDomain:
             assert abs(quad - want) <= 1e-12 * abs(want), lam
 
 
+def poisson_domain(seed, count, t_min=0.0):
+    """count (Lam, t) with t in [t_min, 10], Re Lam in [0, 3] and
+    |Im Lam| <= 0.9, Lam = 0 in every tenth: the Poisson-kernel oracles
+    out to where the kernel's peak is e^{-10} wide."""
+    rng = np.random.default_rng(seed)
+    lams = rng.uniform(0.0, 3.0, count) + 1j * rng.uniform(-0.9, 0.9, count)
+    lams[::10] = 0.0
+    return list(lams), list(rng.uniform(t_min, 10.0, count))
+
+
+class TestPoissonOraclesOverTheDomain:
+    # out to t = 10: formed as (1 - u^2)/(1 - 2u cos psi + u^2), the
+    # kernel lost digits at its peak from t of about 6, and the n >= 3
+    # rule ran out of bisections
+    SPEC = QuadratureSpec(abs_tol=1e-300)
+    FIXED = [(3, 1.4 - 0.5j, 6.5), (2, 0.3 - 0.05j, 8.0),
+             (2, 0.3 - 0.05j, 10.0)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_phi_matches_mpmath(self, n):
+        mp = pytest.importorskip("mpmath")
+        lams, ts = poisson_domain(220 + n, 30)
+        fixed = [(lam, t) for m, lam, t in self.FIXED if m == n]
+        lams += [lam for lam, _ in fixed]
+        ts += [t for _, t in fixed]
+        space = r1.RankOneSpace(n - 1, 0)
+        for lam, t, quad in zip(lams, ts,
+                                md.quad_phi_K(n, lams, ts, self.SPEC)):
+            want = mp_phi_and_limit(mp, space, r1.TRIVIAL_KTYPE, lam, t)[0]
+            assert abs(quad - want) <= 1e-11 * abs(want), (lam, t)
+
+    def test_three_ball_point_that_ran_out_of_bisections(self):
+        mp = pytest.importorskip("mpmath")
+        want = mp_phi_and_limit(mp, r1.RankOneSpace(2, 0), r1.TRIVIAL_KTYPE,
+                                1.4 - 0.5j, 6.5)[0]
+        quad = md.quad_phi_K(3, 1.4 - 0.5j, 6.5)
+        assert abs(quad - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("char_n", [2, 4, 6])
+    def test_eisenstein_matches_closed_form(self, char_n):
+        # from t = 0.1: the entry of weight 2k is O(t^k) at small t, the
+        # circle mean of terms of size 1, so its relative error there is
+        # the rounding of those terms over t^k, whatever the kernel's form
+        h2 = r1.RankOneSpace(1, 0)
+        kt = r1.sl2_ktype_for_char(char_n)
+        lams, ts = poisson_domain(230 + char_n, 30, t_min=0.1)
+        quads = md.quad_eisenstein_sl2(char_n, lams, ts, self.SPEC)
+        for lam, t, quad in zip(lams, ts, quads):
+            want = r1.phi_tau(h2, kt, lam, t) / math.factorial(kt.s)
+            assert abs(quad - want) <= 1e-10 * abs(want), (lam, t)
+
+
 class TestFunctionalEquation:
     def test_degenerate_first_argument(self):
         rep = md.functional_equation_check(2, 0.8 + 0.1j, 0.0, 1.0)
@@ -343,8 +395,7 @@ class TestBatchedRules:
 
     @staticmethod
     def circle_rows(u, mu, k):
-        return lambda m, idx, shift: kernels.poisson_circle_sum(
-            u[idx], mu, k, m, shift)
+        return circle_level(u, 1.0 - u, mu, k)
 
     def test_trapezoid_rows_match_one_row_runs(self):
         u = np.array([0.05, 0.3, 0.76, 0.9])
@@ -491,10 +542,10 @@ class TestBatchedRules:
         u = np.array([0.05, 0.3, 0.76, 0.9])
         mu = 1j * np.array([0.7 + 0.2j, 1.1 - 0.4j, 0.3, 2.0 + 0.5j]) + 0.5
         for k, m, shift in ((0, 32, 0.0), (2, 64, 0.5)):
-            rows = kernels.poisson_circle_sum(u, mu, k, m, shift)
+            rows = self.circle_rows(u, mu, k)(m, np.arange(len(u)), shift)
             assert rows.tobytes() == np.concatenate(
-                [kernels.poisson_circle_sum(u[i:i + 1], complex(mu[i]), k,
-                                            m, shift)
+                [self.circle_rows(u[i:i + 1], complex(mu[i]), k)(
+                    m, np.arange(1), shift)
                  for i in range(len(u))]).tobytes()
 
     # the oracles on a Lam x point grid: one batch, whose rows have the
@@ -550,6 +601,25 @@ class TestBatchedRules:
                    for lam in self.GRID_LAMS for a, b in zip(t1, t2)]
         assert [self.report_bits(r) for r in reps] == \
             [self.report_bits(r) for r in singles]
+
+
+def circle_level(u, v, mu, harmonic):
+    """The level sum md._circle_means hands the trapezoid rule, for the
+    radii u, their complements v and the exponents mu (one, or one per
+    radius): mean_of(m, idx, shift), the mean over the m-point grid of
+    the rows idx."""
+    levels = []
+
+    def capture(mean_of, rows, spec):
+        levels.append(mean_of)
+        return np.zeros(rows, dtype=complex), 0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(md, "trapezoid_doubling", capture)
+        md._circle_means(u, v, np.broadcast_to(np.asarray(mu, complex),
+                                               np.shape(u)),
+                         harmonic, md.DEFAULT_SPEC)
+    return levels[0]
 
 
 def reference_circle_mean(u, mu, harmonic, spec, n0=32):
@@ -671,9 +741,8 @@ class TestNestedRulesMatchReference:
             u = np.array([r[0] for r in rows])
             mu = np.array([r[1] for r in rows])
             for i in range(len(rows)):
-                value, nodes = trapezoid_doubling(
-                    lambda m, idx, shift: kernels.poisson_circle_sum(
-                        u[i:i + 1], mu[i], harmonic, m, shift), 1)
+                value, nodes = trapezoid_doubling(circle_level(
+                    u[i:i + 1], 1.0 - u[i:i + 1], mu[i], harmonic), 1)
                 want, want_nodes, scale = reference_circle_mean(
                     u[i], mu[i], harmonic, self.SPEC)
                 assert nodes == want_nodes
@@ -724,8 +793,8 @@ class TestPoissonCircleSum:
                    st.integers(32, 1024), st.sampled_from([0.0, 0.5]))
         def check(u, mu_re, mu_im, harmonic, nphi, shift):
             mu = complex(mu_re, mu_im)
-            got = kernels.poisson_circle_sum(np.array([u]), mu, harmonic,
-                                             nphi, shift)[0]
+            got = circle_level(np.array([u]), np.array([1.0 - u]), mu,
+                               harmonic)(nphi, np.arange(1), shift)[0]
             psi = 2.0 * math.pi * (np.arange(nphi) + shift) / nphi
             pk = (1.0 - u * u) / (1.0 - 2.0 * u * np.cos(psi) + u * u)
             power = np.exp(mu * np.log(pk))
@@ -742,7 +811,7 @@ class TestPoissonCircleSum:
 class TestRuleTablesReadOnly:
     def test_cached_arrays_reject_writes(self):
         for table in (gl_rule(20), gl_rule(40), _exp_sinh_nodes(0),
-                      _exp_sinh_nodes(3), kernels._half_circle(32, 0.5, 2),
+                      _exp_sinh_nodes(3), md._half_circle(32, 0.5, 2),
                       md._level_radial_terms(2, 4)):
             for arr in table:
                 with pytest.raises(ValueError, match="read-only"):
