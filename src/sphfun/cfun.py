@@ -6,16 +6,14 @@ The single-root factor is, with w the scalar <i lam, alpha_0>,
     2^{-(w - rho0)} G((m + m2 + 1)/2) G(w)
     / [ G((m/2 + 1 + w)/2) G((m/2 + m2 + w)/2) ],       rho0 = m/2 + m2,
 
-evaluated through log-Gamma differences, then multiplied by a calibration
-constant kappa(m, m2) fixed once by requiring the value 1 at w = rho0.
-That normalization matches the measure convention of the defining
-integral over the opposite unipotent group used by the quadrature oracle
-(total mass 1 at the calibration point); kappa comes out to 1 in double
-precision, and ``calibration_report`` exposes the verbatim-product value
-so the convention can be audited rather than silently absorbed.
-G((m + m2 + 1)/2) and kappa are evaluated once per (m, m2).  For even m
-and even m2 the calibrated factor is elementary, a quotient of
-Pochhammer symbols (see ``_factor_value``).
+evaluated through log-Gamma differences.  At w = rho0 its Gammas cancel
+in pairs, G((m + m2 + 1)/2) against the first denominator and G(rho0)
+against the second, so c_alpha(-i rho0) = 1 with no calibration
+constant.  That matches the measure convention of the defining integral
+over the opposite unipotent group used by the quadrature oracle (total
+mass 1 at the calibration point).  G((m + m2 + 1)/2) is evaluated once
+per (m, m2).  For even m and even m2 the factor is elementary, a
+quotient of Pochhammer symbols (see ``_factor_value``).
 
 Numerator poles (w a non-positive integer) are genuine poles of c and are
 reported distinctly from denominator poles, which are zeros of c and mark
@@ -73,20 +71,6 @@ def _log_gamma_half_dim(m: int, m2: int) -> complex:
     return cm.log_gamma(0.5 * (m + m2 + 1.0))
 
 
-def _log_verbatim(w: complex, m: int, m2: int) -> complex:
-    # log of the printed factor, its arguments screened by the caller
-    num, (den1, den2) = _factor_arguments(w, m, m2)
-    return ((0.5 * m + m2 - w) * _LOG2 + _log_gamma_half_dim(m, m2)
-            + kernels.clgamma(num) - kernels.clgamma(den1)
-            - kernels.clgamma(den2))
-
-
-@lru_cache(maxsize=None)
-def _log_kappa(m: int, m2: int) -> complex:
-    # fixed by factor(w = rho0) == 1
-    return -_log_verbatim(0.5 * m + m2, m, m2)
-
-
 # c_full, c_sigma and the identities built on them meet the same few
 # factor arguments many times: the Weyl orbit of one lam gives at most
 # 2 n_positive of them.  Equal w that differ in the sign of a zero part
@@ -95,18 +79,21 @@ def _log_kappa(m: int, m2: int) -> complex:
 # every call, with that call's root_index
 @lru_cache(maxsize=cm.CACHE_SIZE)
 def _factor_value(w: complex, m: int, m2: int) -> complex:
-    """The calibrated single-root factor.  For even m and m2 it is
+    """The single-root factor.  For even m and m2 it is
     elementary: by Legendre's duplication formula (DLMF 5.5.5)
     G(w) = 2^{w-1} G(w/2) G((w+1)/2) / sqrt(pi), and each denominator
     Gamma lies an integer above w/2 or (w+1)/2, so the factor is
     P(rho0) / P(w) with P(w) = (w/2)_j ((w+1)/2)_k.  Otherwise it is
-    exp(log verbatim factor + log kappa)."""
+    exp of the printed factor's log."""
     num, dens = _factor_arguments(w, m, m2)
     cm.screen_poles((num,), dens)
     if m % 2 == 0 and m2 % 2 == 0:
         return _pochhammer_pair(0.5 * m + m2, m, m2) / _pochhammer_pair(
             w, m, m2)
-    return cmath.exp(_log_verbatim(w, m, m2) + _log_kappa(m, m2))
+    den1, den2 = dens
+    return cmath.exp((0.5 * m + m2 - w) * _LOG2 + _log_gamma_half_dim(m, m2)
+                     + kernels.clgamma(num) - kernels.clgamma(den1)
+                     - kernels.clgamma(den2))
 
 
 def _pochhammer_pair(w: complex, m: int, m2: int) -> complex:
@@ -127,19 +114,6 @@ def _factor(w: complex, m: int, m2: int,
         return _factor_value(w, m, m2)
     except cm.PoleError as exc:
         raise CPoleError(exc.side, exc.z, root_index) from None
-
-
-def calibration_report(m_alpha: int, m_2alpha: int) -> dict:
-    """Audit of the printed-formula convention: the verbatim product value
-    at the calibration point and the kappa that rescales it to 1."""
-    verbatim = cmath.exp(_log_verbatim(
-        0.5 * m_alpha + m_2alpha, m_alpha, m_2alpha))
-    return {
-        "m_alpha": m_alpha,
-        "m_2alpha": m_2alpha,
-        "verbatim_at_calibration": verbatim,
-        "kappa": cmath.exp(_log_kappa(m_alpha, m_2alpha)),
-    }
 
 
 def c_alpha(Lam: complex, m_alpha: int, m_2alpha: int,
@@ -196,20 +170,6 @@ def c_sigma(datum: RootDatum, w: WeylElement,
     """Partial c-function: the factor product restricted to the positive
     roots sent negative by w."""
     return CFunctionValue(FactorRecord(datum, lam).partial(w))
-
-
-def gamma_plus_X(datum: RootDatum, lam: SpectralParam) -> complex:
-    """The denominator Gamma product of the c-function (`the Gamma
-    function of the space`)."""
-    acc = 0j
-    for i in range(datum.n_positive):
-        m, m2 = datum.mult_of(i)
-        _, dens = _factor_arguments(1j * restrict(datum, lam, i), m, m2)
-        try:
-            acc = cm.log_gamma_quotient(dens, (), acc)
-        except cm.PoleError as exc:
-            raise CPoleError("denominator", exc.z, i) from None
-    return cmath.exp(acc)
 
 
 def is_simple(datum: RootDatum, lam: SpectralParam,

@@ -10,6 +10,7 @@ pure functions of their arguments.
 import cmath
 import math
 import sys
+from functools import lru_cache
 
 from ._backend import kernels
 
@@ -31,9 +32,10 @@ MAX_TERMS = 100_000
 CANCELLATION_LIMIT = 1e6
 # Entries of each cache of a constant that depends on Lam alone (the
 # closed-form plans, c_{Lam,delta} and the series terms in rankone, the
-# single-root factors of cfun): a caller evaluates one Lam, and -Lam, at
-# many t, or the at most 2 n_positive factors of one lam's Weyl orbit
-# many times; the bound keeps a run over many Lam from growing
+# single-root factors of cfun) or on a 2F1's c alone (its log Gamma):
+# a caller evaluates one Lam, and -Lam, at many t, or the at most
+# 2 n_positive factors of one lam's Weyl orbit many times; the bound
+# keeps a run over many Lam from growing
 CACHE_SIZE = 32
 _LOG2 = math.log(2.0)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -98,16 +100,17 @@ def screen_poles(numerators, denominators) -> None:
         _pole_free(z, "denominator")
 
 
-def log_gamma_quotient(numerators, denominators, start=0j) -> complex:
-    """start + sum log_gamma(num) - sum log_gamma(den), added in order.
-    All arguments are screened, numerators first, before any is
-    evaluated; the first pole raises PoleError with its side set."""
+def log_gamma_quotient(numerators, denominators) -> complex:
+    """sum log_gamma(num) - sum log_gamma(den), added in order.  All
+    arguments are screened, numerators first, before any is evaluated;
+    the first pole raises PoleError with its side set."""
     screen_poles(numerators, denominators)
+    total = 0j
     for z in numerators:
-        start += kernels.clgamma(z)
+        total += kernels.clgamma(z)
     for z in denominators:
-        start -= kernels.clgamma(z)
-    return start
+        total -= kernels.clgamma(z)
+    return total
 
 
 def gamma_ratio(numerators, denominators) -> complex:
@@ -261,7 +264,18 @@ def _log_gamma_step_pair(x: complex, h: float, eps: complex) -> complex:
     return base + shift if k >= 0 else base - shift
 
 
-def _connection_coeffs(a, b, c, b_minus_a=None, log_gamma_c=None):
+# log Gamma(c) of the connection constants: a caller meets one c for
+# many (a, b), rankone's closed forms the c = s + dim X / 2 of a K-type.
+# c = x + 0j and x - 0j are equal keys, but for x < 0 they lie on either
+# side of the branch cut, where log Gamma differs by a multiple of
+# 2 pi i and the 2F1 in its last bits, so the sign of Im c is part of
+# the key (that of a zero Re c moves no bit)
+@lru_cache(maxsize=CACHE_SIZE)
+def _log_gamma_c(c: complex, im_sign: float) -> complex:
+    return kernels.clgamma(c)
+
+
+def _connection_coeffs(a, b, c, b_minus_a=None):
     """Constants (m, eps, finite, w0, h0, R0) of the z -> 1-z connection
     formula for c - a - b = m + eps, m = round(Re(c - a - b)) >= 0:
 
@@ -283,9 +297,9 @@ def _connection_coeffs(a, b, c, b_minus_a=None, log_gamma_c=None):
 
     finite[0] and w0 share G = Gamma(c) Gamma(1 + eps) / (Gamma(c - a)
     Gamma(c - b)): finite[0] = G (1 + eps)_{m-1} and w0 = +-G times
-    prod_{n<m} (a + n)(b + n) / (n + 1).  A caller that meets one c for
-    many (a, b) passes log Gamma(c).  A caller whose b - a is an integer
-    or half-integer passes it exactly as b_minus_a: Gamma(c - a)
+    prod_{n<m} (a + n)(b + n) / (n + 1); log Gamma(c) comes from a cache
+    (_log_gamma_c).  A caller whose b - a is an integer or half-integer
+    passes it exactly as b_minus_a: Gamma(c - a)
     Gamma(c - b) then takes one log-Gamma (_log_gamma_pair), and the
     steps at a + m and b + m one step (_log_gamma_step_pair).  Every
     Gamma argument is screened, numerators first: a pole of Gamma(c - a)
@@ -297,13 +311,12 @@ def _connection_coeffs(a, b, c, b_minus_a=None, log_gamma_c=None):
     m = round(d.real)
     eps = d - m
     screen_poles((c, d, 1.0 + eps) if m else (c, 1.0 + eps), (c - a, c - b))
-    if log_gamma_c is None:
-        log_gamma_c = kernels.clgamma(c)
     if b_minus_a is None:
         log_dens = kernels.clgamma(c - a) + kernels.clgamma(c - b)
     else:
         log_dens = _log_gamma_pair(c - a, -b_minus_a)
-    g = cmath.exp(log_gamma_c - log_dens + kernels.clgamma(1.0 + eps))
+    g = cmath.exp(_log_gamma_c(c, math.copysign(1.0, c.imag)) - log_dens
+                  + kernels.clgamma(1.0 + eps))
     finite = []
     if m:
         finite.append(g * pochhammer(eps, m - 1, 1.0))
@@ -413,12 +426,11 @@ class Gauss2F1Plan:
     branch, that branch's choice.  The public functions build one per
     call; a caller that evaluates one (a, b, c) at many z (rankone's
     closed forms) holds its own and calls at_log_complement, passing the
-    exact b - a and log Gamma(c) it knows on to _connection_coeffs."""
+    exact b - a it knows on to _connection_coeffs."""
 
-    __slots__ = ("a", "b", "c", "terms", "choice", "b_minus_a",
-                 "log_gamma_c")
+    __slots__ = ("a", "b", "c", "terms", "choice", "b_minus_a")
 
-    def __init__(self, a, b, c, b_minus_a=None, log_gamma_c=None):
+    def __init__(self, a, b, c, b_minus_a=None):
         a, b, c = complex(a), complex(b), complex(c)
         if distance_to_nonpos_int(c) <= POLE_TOL:
             raise PoleError(c, f"2F1 parameter pole at c = {c}")
@@ -427,7 +439,6 @@ class Gauss2F1Plan:
                            if _is_nonpos_int(p)), 0)
         self.choice = None
         self.b_minus_a = b_minus_a
-        self.log_gamma_c = log_gamma_c
 
     def _choose(self):
         # Euler's transformation F(a, b; c; z) = zc^d F(c-a, c-b; c; z)
@@ -441,8 +452,7 @@ class Gauss2F1Plan:
                 return "terminating", (-round(p.real), swap)
         if round((c - a - b).real) < 0:
             return "euler", Gauss2F1Plan(c - a, c - b, c)
-        return "connection", _connection_coeffs(a, b, c, self.b_minus_a,
-                                                self.log_gamma_c)
+        return "connection", _connection_coeffs(a, b, c, self.b_minus_a)
 
     def _near_one(self, zc, log_zc) -> complex:
         # F(a, b; c; z) on the connection branch, |1 - z| <= 0.5

@@ -60,15 +60,6 @@ def validate_table(datum: RootDatum, table: FactorKTypeTable) -> None:
             validate_ktype(space, table.entry(j, i))
 
 
-def trivial_table(datum: RootDatum, w: WeylElement,
-                  ell: int = 1) -> FactorKTypeTable:
-    """Table of trivial K-types for every factor."""
-    entries = {(j, i): KTypeRankOne(0.0, 0.0, 0, 0)
-               for j in range(1, len(w.word) + 1)
-               for i in range(1, ell + 1)}
-    return FactorKTypeTable(w.word, ell, entries)
-
-
 def lambda_chain(datum: RootDatum, w: WeylElement,
                  lam: SpectralParam) -> list[complex]:
     """[lam_1, ..., lam_p]: restriction of the tail-transformed parameter

@@ -55,8 +55,8 @@ from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _exp_sinh_nodes,
                          gauss_legendre_adaptive, trapezoid_doubling)
 
 __all__ = [
-    "Matrix2", "BallPoint", "BoundaryPoint", "QuadratureSpec",
-    "OracleReport", "DEFAULT_SPEC", "iwasawa_H", "iwasawa_decompose",
+    "Matrix2", "QuadratureSpec", "OracleReport", "DEFAULT_SPEC",
+    "iwasawa_H", "iwasawa_decompose",
     "horocycle_bracket", "quad_phi_K", "quad_c_Nbar",
     "quad_eisenstein_sl2", "quad_Csigma_sl2", "functional_equation_check",
     "functional_equation_entry_sl2", "a_t_matrix", "k_theta_matrix",
@@ -102,34 +102,6 @@ class Matrix2:
 
 
 @dataclass(frozen=True)
-class BallPoint:
-    """Interior point of the unit ball model."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        if _norm(self.coords) >= 1.0:
-            raise ValueError("ball point must have norm < 1")
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Point of the boundary sphere."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        if abs(_norm(self.coords) - 1.0) > 1e-12:
-            raise ValueError("boundary point must have norm 1")
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
-
-@dataclass(frozen=True)
 class OracleReport:
     """A closed-form vs quadrature comparison record."""
 
@@ -149,10 +121,6 @@ class OracleReport:
         rel_err = abs_err / scale if scale > 0 else abs_err
         return OracleReport(closed_form, quadrature,
                             abs_err, rel_err, int(nodes_used))
-
-
-def _norm(coords) -> float:
-    return math.sqrt(sum(float(x) * float(x) for x in coords))
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +194,10 @@ def boundary_circle_point(theta: float) -> complex:
 
 def horocycle_bracket(x, b) -> float:
     """Horocycle bracket A(x, b)(H) = log[(1-|x|^2)/|x-b|^2] in the ball
-    model with alpha(H) = 1, rho(H) = (n-1)/2."""
-    xv = x.array() if isinstance(x, BallPoint) else np.asarray(x, float)
-    bv = b.array() if isinstance(b, BoundaryPoint) else np.asarray(b, float)
+    model with alpha(H) = 1, rho(H) = (n-1)/2, at the coordinates x of an
+    interior point and b of a boundary point."""
+    xv = np.asarray(x, float)
+    bv = np.asarray(b, float)
     diff = xv - bv
     d2 = float(diff @ diff)
     if d2 < 1e-28:

@@ -239,11 +239,6 @@ def _hyp_parameters(space: RankOneSpace, kt: KTypeRankOne, Lam: complex):
     return l, a, b, c
 
 
-# log Gamma(c) of the 2F1's connection constants: c = s + dim X / 2 is a
-# constant of the K-type
-_log_gamma_c = lru_cache(maxsize=None)(cm.log_gamma)
-
-
 class _ClosedFormPlan:
     """What _closed_form needs that t does not change: the 2F1's plan, the
     cosh power, 2^{-l} with limit, and c_{Lam,delta}, which the first call
@@ -257,9 +252,9 @@ class _ClosedFormPlan:
 def _closed_form_plan(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
                       limit: bool) -> _ClosedFormPlan:
     """The _ClosedFormPlan of (space, kt, Lam, limit), the K-type
-    validated.  The 2F1's plan knows b - a = (1 - m_2alpha)/2 - r exactly
-    and log Gamma(c), so that its connection constants take one
-    log-Gamma for Gamma(c - a) Gamma(c - b).
+    validated.  The 2F1's plan knows b - a = (1 - m_2alpha)/2 - r
+    exactly, so that its connection constants take one log-Gamma for
+    Gamma(c - a) Gamma(c - b).
 
     For Im Lam > 0 that 2F1 grows like cosh^{2 Im Lam} t while cosh^l t
     decays, and at large t each alone over- or underflows.  There Euler's
@@ -275,7 +270,7 @@ def _closed_form_plan(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
         a, b, power = c - a, c - b, power - 2j * complex(Lam)
         b_minus_a = -b_minus_a
     plan = _ClosedFormPlan()
-    plan.hyp = cm.Gauss2F1Plan(a, b, c, b_minus_a, _log_gamma_c(c))
+    plan.hyp = cm.Gauss2F1Plan(a, b, c, b_minus_a)
     plan.power = power
     plan.scale = cmath.exp(-l * math.log(2.0)) if limit else None
     plan.const = None

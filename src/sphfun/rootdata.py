@@ -311,24 +311,18 @@ def enumerate_weyl(datum: RootDatum) -> list[WeylElement]:
 
 
 def longest_element(datum: RootDatum) -> WeylElement:
-    """Reduced word for the longest element, from the table of supported
-    types (A1, A1xA1, A2, B2/BC2)."""
-    npos = datum.n_positive
-    if datum.rank == 1 and npos == 1:
-        w = WeylElement.of(1)
-    elif datum.rank == 2 and npos == 2:
-        w = WeylElement.of(1, 2)
-    elif datum.rank == 2 and npos == 3:
-        w = WeylElement.of(1, 2, 1)
-    elif datum.rank == 2 and npos == 4:
-        w = WeylElement.of(1, 2, 1, 2)
-    else:
-        raise RootDatumError(
-            f"no longest-element table entry for rank {datum.rank} with "
-            f"{npos} positive roots")
-    if len(negative_set_indices(datum, w)) != npos:
-        raise RootDatumError("longest-element table inconsistent with datum")
-    return w
+    """Reduced word for the longest element: from the identity, append
+    the smallest letter that leaves the word reduced, until no letter
+    does.  Every reduced word extends to a reduced word of the longest
+    element, the one element that no letter lengthens."""
+    word = ()
+    while True:
+        for letter in range(1, datum.rank + 1):
+            if is_reduced(datum, WeylElement(word + (letter,))):
+                word += (letter,)
+                break
+        else:
+            return WeylElement(word)
 
 
 # ---------------------------------------------------------------------------

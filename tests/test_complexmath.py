@@ -504,6 +504,27 @@ class TestConnectionCache:
         # calls alone: as often as by one fresh call
         assert screens >= 2 and len(calls) == 2 * screens
 
+    @pytest.mark.parametrize("c", [-2.5, -0.5, 1.5])
+    def test_log_gamma_c_keeps_the_sign_of_a_zero_im_c(self, c):
+        # log Gamma(c) is cached; for Re c < 0, c = x + 0j and x - 0j lie
+        # on either side of its branch cut, and each 2F1 keeps the bits
+        # of a fresh call whichever of the two was cached first
+        a, b, z = 0.3 + 0.2j, -1.1 + 0.5j, 0.8 + 0.1j
+        twins = (complex(c, 0.0), complex(c, -0.0))
+
+        def bits(c):
+            v = cm.gauss_2f1(a, b, c, z)
+            return v.real.hex(), v.imag.hex()
+
+        fresh = []
+        for twin in twins:
+            cm._log_gamma_c.cache_clear()
+            fresh.append(bits(twin))
+        for order in (0, 1), (1, 0):
+            cm._log_gamma_c.cache_clear()
+            assert [bits(twins[i]) for i in order] == \
+                [fresh[i] for i in order]
+
     def test_pole_raises_on_every_call(self):
         # c = -1 is a pole of the 2F1 itself
         for _ in range(3):

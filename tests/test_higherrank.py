@@ -78,7 +78,9 @@ class TestDetA:
         d = rd.datum_a2()
         w0 = rd.longest_element(d)
         lam = random_param(d)
-        table = hr.trivial_table(d, w0, ell=2)
+        table = hr.FactorKTypeTable(w0.word, 2, {
+            (j, i): r1.TRIVIAL_KTYPE
+            for j in range(1, len(w0.word) + 1) for i in (1, 2)})
         det = hr.det_A(d, w0, lam, table)
         assert det == pytest.approx(cfun.c_sigma(d, w0, lam).value ** 2,
                                     rel=1e-13)
@@ -123,7 +125,8 @@ class TestDetA:
 
     def test_word_mismatch_rejected(self):
         d = rd.datum_a2()
-        table = hr.trivial_table(d, rd.WeylElement.of(1, 2), 1)
+        table = hr.FactorKTypeTable((1, 2), 1, {
+            (j, 1): r1.TRIVIAL_KTYPE for j in (1, 2)})
         with pytest.raises(ValueError):
             hr.det_A(d, rd.WeylElement.of(2, 1), random_param(d), table)
 

@@ -112,13 +112,6 @@ class TestHorocycleBracket:
             rhs = md.horocycle_bracket([z.real, z.imag], [b.real, b.imag])
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    def test_point_validation(self):
-        with pytest.raises(ValueError):
-            md.BallPoint((1.2, 0.0))
-        with pytest.raises(ValueError):
-            md.BoundaryPoint((0.5, 0.0))
-        assert md.BallPoint((0.2, 0.1)).array().shape == (2,)
-
 
 class TestPhiOracle:
     def test_at_origin(self):

@@ -590,7 +590,7 @@ class TestTimeGrids:
 
 def clear_caches():
     for fn in (r1.c_lambda_delta, r1.hc_series_gammas, r1._series_terms,
-               r1._closed_form_plan, r1._log_gamma_c):
+               r1._closed_form_plan, cm._log_gamma_c):
         fn.cache_clear()
 
 

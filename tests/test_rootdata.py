@@ -210,27 +210,32 @@ class TestLongestAndEnumeration:
         assert len(elements) == 6
         maxlen = max(len(w.word) for w in elements)
         assert len(rd.longest_element(d).word) == maxlen == 3
+        assert rd.longest_element(d).word == (1, 2, 1)
 
     def test_b2_via_enumeration(self):
         d = rd.datum_b2()
         elements = rd.enumerate_weyl(d)
         assert len(elements) == 8
-        assert len(rd.longest_element(d).word) == 4
+        assert rd.longest_element(d).word == (1, 2, 1, 2)
+        # BC2 has the Weyl group of B2
+        assert rd.longest_element(rd.datum_b2(1, 2, 1)).word == (1, 2, 1, 2)
 
     def test_a1xa1(self):
         d = rd.datum_a1xa1()
         assert len(rd.enumerate_weyl(d)) == 4
-        assert len(rd.longest_element(d).word) == 2
+        assert rd.longest_element(d).word == (1, 2)
 
     def test_unsupported(self):
-        # a fake rank-3 orthogonal system is outside the table
+        # a rank-3 orthogonal system, outside the catalog: its longest
+        # element is derived as well, and sends every root negative
         d = rd.RootDatum(
             3,
             ((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0)),
             ((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0)),
             ((1, 0),) * 3)
-        with pytest.raises(rd.RootDatumError):
-            rd.longest_element(d)
+        w0 = rd.longest_element(d)
+        assert w0.word == (1, 2, 3)
+        assert rd.negative_set_indices(d, w0) == [0, 1, 2]
 
 
 class TestRestrict:

@@ -1,8 +1,10 @@
 """Package source hygiene."""
 
+import ast
 import inspect
 import re
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,66 @@ def test_every_kernel_is_called_by_the_library():
     uncalled = {name for name in public
                 if not re.search(rf"\bkernels\.{name}\(", library)}
     assert not uncalled
+
+
+# public names that nothing in the package calls, each kept for a reason
+KEEP = {
+    "higherrank.det_C_sigma_at": "the adjoint identity for det C_sigma, "
+                                 "checked against the scalar second "
+                                 "coefficient",
+    "rankone.radial_eigen_residual": "acceptance criterion 15 (the radial "
+                                     "ODE residual)",
+    "rankone.SeriesCoefficients.growth_exponent": "acceptance criterion 7 "
+                                                  "(the series' growth)",
+    "rootdata.datum_to_dict": "writes the datum-file format that the CLI "
+                              "reads",
+    "complexmath.gauss_2f1": "the one-call 2F1: bench_kernels times it "
+                             "cold and perfbench's tracer hooks it",
+    **{f"models.{name}": "a matrix/ball convention helper, a reference "
+                         "the tests compare the oracles' conventions against"
+       for name in ("nbar_matrix", "n_matrix", "iwasawa_decompose",
+                    "boundary_circle_point", "horocycle_bracket")},
+}
+
+
+def _names_used(node) -> Counter:
+    # identifiers and attribute names; a string (__all__, a docstring)
+    # is no reference
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _public_defs():
+    """(qualified name, def node) of every public function, class and
+    method of the package."""
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            yield f"{path.stem}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item
+
+
+def _registered_suite(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "_register" for d in node.decorator_list)
+
+
+def test_every_public_name_has_a_caller():
+    # a public function, class or method that the package refers to
+    # nowhere outside its own def is dead code, unless KEEP says why not;
+    # a verify suite is called through its registration
+    used = sum((_names_used(ast.parse(p.read_text(encoding="utf-8")))
+                for p in SOURCES), Counter())
+    uncalled = {qualname for qualname, node in _public_defs()
+                if not _registered_suite(node)
+                and used[node.name] == _names_used(node)[node.name]}
+    assert uncalled - KEEP.keys() == set()
+    # and every KEEP entry names a public name that is still uncalled
+    assert KEEP.keys() <= uncalled
