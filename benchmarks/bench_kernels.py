@@ -8,7 +8,8 @@ Usage:
 The first table (L0) times each kernel of ``sphfun._kernels_py`` on a
 representative workload: microseconds per call, best of the repeats.
 The Poisson-kernel circle mean is no kernel: ``models._circle_means``
-forms it, and it is timed inside the verify suites of the L3/L4 table.  A
+forms it in the half-distance chart; the L3/L4 table times it inside
+the verify suites.  A
 second table (L1) times ``complexmath.gauss_2f1`` on each of its
 branches: microseconds per call with its per-(a, b, c) constants held
 in one ``Gauss2F1Plan`` (warm) and computed afresh by each

@@ -30,7 +30,7 @@ so every point gets, bit for bit, the value of a call at that point
 alone.  If any point raises, the call raises what the first failing
 point, in C order, raises alone (a functional-equation check whose inner
 batch runs out raises for the first failing (Lam, distance) pair of the
-outer depth where that happens).
+outer level or depth where that happens).
 
 Conventions pinned by cross-checks: the geodesic point at distance t in
 the ball sits at Euclidean radius tanh(t/2); the boundary image of the
@@ -40,7 +40,11 @@ matrix-model Iwasawa projection at n = 2 under v = 2x.
 
 Radii.  Along the geodesic the oracles take the radius u = tanh(t/2) and
 its complement v = 2 e^{-t}/(1 + e^{-t}) each from t, and every ball-model
-oracle forms the Poisson kernel from them in `_log_poisson`.
+oracle forms the Poisson kernel from them in `_log_poisson`.  The circle
+means behind the plane's oracles take the mean in the half-distance
+chart (see `_circle_means`): the kernel's peak of width e^{-t} becomes two
+of width e^{-t/2}, so the trapezoid rule resolves them with about e^{t/2}
+nodes, and converges out to t of about 20.
 """
 
 import cmath
@@ -247,22 +251,21 @@ def _log_poisson(u, v, s2):
 
 
 @lru_cache(maxsize=64)
-def _half_circle(nphi: int, shift: float,
-                 harmonic: int) -> tuple[np.ndarray, np.ndarray]:
-    """sin^2(psi/2) at the nodes psi_j = 2pi (j + shift)/nphi with
-    0 <= psi <= pi, and each node's weight in the mean: 2 cos(harmonic
-    psi)/nphi, the mirror node included, or 1/nphi at psi = 0 and
-    psi = pi, their own mirrors.  Read-only, since every later call
-    shares them."""
+def _half_circle(nphi: int, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """sin^2(s/2) and cos^2(s/2), the rows of one array, at the nodes
+    s_j = 2pi (j + shift)/nphi with 0 <= s <= pi, and each node's weight
+    in the mean: 2/nphi, the mirror node included, or 1/nphi at s = 0 and
+    s = pi, their own mirrors.  cos^2(s/2) is sin^2 of half of pi - s,
+    formed from its own integer multiple of pi/nphi, so it keeps its
+    relative precision near s = pi as sin^2(s/2) does near s = 0.
+    Read-only, since every later call shares them."""
     j2 = 2 * np.arange(int(0.5 * nphi - shift) + 1) + int(2 * shift)
-    psi = j2 * (math.pi / nphi)  # twice (j + shift), times pi/nphi
+    step = math.pi / nphi  # s is twice (j + shift), times pi/nphi
     weight = np.where((j2 == 0) | (j2 == nphi), 1.0, 2.0) / nphi
-    if harmonic:
-        weight = weight * np.cos(harmonic * psi)
-    s2 = np.sin(0.5 * psi) ** 2
-    s2.flags.writeable = False
+    sc = np.sin(0.5 * step * np.stack((j2, nphi - j2))) ** 2
+    sc.flags.writeable = False
     weight.flags.writeable = False
-    return s2, weight
+    return sc, weight
 
 
 # radii times circle nodes per level sum: bounds the node arrays of a
@@ -275,16 +278,47 @@ def _circle_means(u: np.ndarray, v: np.ndarray, mu: np.ndarray,
                   harmonic: int, spec: QuadratureSpec) -> np.ndarray:
     """Per radius u[i], with v[i] = 1 - u[i], the limit of the circle
     means of P(u[i], psi)^mu[i] e^{i harmonic psi}: one trapezoid batch.
-    P is even in psi, so each level sums the nodes with 0 <= psi <= pi,
-    each paired with its mirror through its weight."""
+
+    The rule runs in the half-distance chart: psi is the boundary image
+    of s under the disk automorphism z -> (z + r)/(1 + r z), with
+    r = tanh(t/4) the radius of the geodesic midpoint, formed as
+    u/(1 + w) and 1 - r = (v + w)/(1 + w), w = sqrt(v (2 - v)).  By the
+    conformal invariance of the Poisson kernel the mean is that of
+    P(r, s)^mu P(-r, s)^{1 - mu} T_k(cos psi(s)) over s, k = |harmonic|
+    (the odd part of e^{i k psi} has mean 0): the kernel's one peak of
+    width e^{-t} becomes two of width e^{-t/2}, at s = 0 and s = pi.
+    P(-r, s) = P(r, pi - s), so both kernels are _log_poisson's, at
+    sin^2(s/2) and at cos^2(s/2), and
+    cos psi = (cos^2(s/2) - q sin^2(s/2))/(cos^2(s/2) + q sin^2(s/2)) with
+    q = ((1 - r)/(1 + r))^2.  The integrand is even in s, so each level
+    sums the nodes with 0 <= s <= pi, each paired with its mirror through
+    its weight."""
+    w = np.sqrt(v * (2.0 - v))
+    r = (u / (1.0 + w))[:, None, None]
+    rc = ((v + w) / (1.0 + w))[:, None, None]
+    q = (rc / (1.0 + r))[:, 0] ** 2
+    mu = mu[:, None]
+    k = abs(harmonic)
+
+    def weighted_sum(part: np.ndarray, sc: np.ndarray,
+                     weight: np.ndarray) -> np.ndarray:
+        # log P(r, s) and log P(r, pi - s) = log P(-r, s)
+        log_p = _log_poisson(r[part], rc[part], sc)
+        power = np.exp(log_p[:, 1] + mu[part] * (log_p[:, 0] - log_p[:, 1]))
+        if k:
+            qs2 = q[part] * sc[0]
+            x = (sc[1] - qs2) / (sc[1] + qs2)  # cos psi
+            t_prev, t_k = 1.0, x
+            for _ in range(k - 1):  # T_k(x), by the Chebyshev recurrence
+                t_prev, t_k = t_k, 2.0 * x * t_k - t_prev
+            weight = t_k * weight
+        return np.sum(power * weight, axis=1)
+
     def mean_of(m: int, idx: np.ndarray, shift: float) -> np.ndarray:
-        s2, weight = _half_circle(m, float(shift), harmonic)
+        sc, weight = _half_circle(m, float(shift))
         step = max(1, CIRCLE_CHUNK_NODES // m)
-        parts = (idx[i:i + step] for i in range(0, len(idx), step))
-        return np.concatenate([
-            np.sum(np.exp(mu[part, None] * _log_poisson(
-                u[part, None], v[part, None], s2)) * weight, axis=1)
-            for part in parts])
+        return np.concatenate([weighted_sum(idx[i:i + step], sc, weight)
+                               for i in range(0, len(idx), step)])
 
     values, _ = trapezoid_doubling(mean_of, len(u), spec)
     return values
@@ -307,8 +341,9 @@ def quad_phi_K(n: int, Lam, t, spec: QuadratureSpec = DEFAULT_SPEC):
     distance t, as the normalized boundary integral of the Poisson kernel
     power P(x, b)^{i Lam + rho}.  Lam and t are numbers or arrays that
     broadcast against each other (see Grids above).  The whole grid of
-    (Lam, t) points is one batch: of the trapezoid rule on the plane, of
-    the adaptive Gauss-Legendre rule in the polar angle above it."""
+    (Lam, t) points is one batch: of the trapezoid rule on the plane, in
+    the half-distance chart of _circle_means, of the adaptive
+    Gauss-Legendre rule in the polar angle above it."""
     if n < 2:
         raise ValueError("need n >= 2")
     lams, t, shape = _grid(Lam, t)
@@ -522,10 +557,14 @@ def functional_equation_check(n: int, Lam, t1, t2,
     Lam, t1 and t2 are numbers or arrays that broadcast against each
     other, one case per point: an OracleReport for numbers, else a list
     of them, one per case in C order, each with its own case's outer
-    nodes.  The cases are the rows of one outer Gauss-Legendre batch, and
-    at each bisection depth the (Lam, distance) pairs not met before are
-    one quad_phi_K batch, so equal pairs (every node of a case with
-    t1 = 0, say) share one evaluation.
+    nodes (the integrand's evaluations).  The cases are the rows of one
+    outer batch, and at each of its levels (bisection depths) the
+    (Lam, distance) pairs not met before are one quad_phi_K batch, so
+    equal pairs (every node of a case with t1 = 0, say) share one
+    evaluation.  On the plane (n = 2) the average is over the circle,
+    by the trapezoid rule on the half-circle table from 8 points, as in
+    quad_phi_K; above it, by adaptive Gauss-Legendre in gamma with the
+    weight sin^{n-2} gamma.
     """
     lams, t1s, t2s, shape = _grid(Lam, t1, t2)
     lam_of = np.array(lams, dtype=complex)
@@ -536,28 +575,42 @@ def functional_equation_check(n: int, Lam, t1, t2,
     cache: dict = {}
     nodes = np.zeros(len(lams), dtype=int)
 
-    def f(gamma: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        nodes[:] += gamma.shape[1] * np.bincount(idx, minlength=len(lams))
-        arg = cc[idx, None] + ss[idx, None] * np.cos(gamma)
+    def phi_at(idx: np.ndarray, cos_gamma: np.ndarray) -> np.ndarray:
+        # phi at the composed points of case idx[i], one per cos_gamma[i]
+        nodes[:] += cos_gamma.shape[1] * np.bincount(idx, minlength=len(lams))
+        arg = cc[idx, None] + ss[idx, None] * cos_gamma
         ds = np.arccosh(np.maximum(arg, 1.0)).ravel().tolist()
-        keys = list(zip(np.repeat(lam_of[idx], gamma.shape[1]).tolist(), ds))
+        keys = list(zip(np.repeat(lam_of[idx], cos_gamma.shape[1]).tolist(),
+                        ds))
         new = [k for k in dict.fromkeys(keys) if k not in cache]
         if new:
             new_lams, new_ds = zip(*new)
             cache.update(zip(new, quad_phi_K(n, new_lams, new_ds, spec)))
-        vals = np.array([cache[k] for k in keys],
-                        dtype=complex).reshape(gamma.shape)
-        return vals * np.sin(gamma) ** p if p else vals
+        return np.array([cache[k] for k in keys],
+                        dtype=complex).reshape(cos_gamma.shape)
 
     outer_spec = QuadratureSpec(
         abs_tol=max(spec.abs_tol, 1e-10), rel_tol=max(spec.rel_tol, 1e-9))
-    num, _ = gauss_legendre_adaptive(f, len(lams), 0.0, math.pi, outer_spec)
-    den = _sphere_band_norm(n) if p else math.pi
+    if p:
+        def f(gamma: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            return phi_at(idx, np.cos(gamma)) * np.sin(gamma) ** p
+
+        num, _ = gauss_legendre_adaptive(f, len(lams), 0.0, math.pi,
+                                         outer_spec)
+        lhs = num / _sphere_band_norm(n)
+    else:
+        def mean_of(m: int, idx: np.ndarray, shift: float) -> np.ndarray:
+            sc, weight = _half_circle(m, float(shift))
+            cos_gamma = np.broadcast_to(sc[1] - sc[0],
+                                        (len(idx), len(weight)))
+            return np.sum(phi_at(idx, cos_gamma) * weight, axis=1)
+
+        lhs, _ = trapezoid_doubling(mean_of, len(lams), outer_spec, n0=8)
     phis = quad_phi_K(n, lam_of[:, None],
                       np.column_stack((t1s, t2s)), spec)
     reports = [OracleReport.build(complex(phi1) * complex(phi2),
-                                  complex(lhs) / den, nc)
-               for lhs, (phi1, phi2), nc in zip(num, phis, nodes)]
+                                  complex(value), nc)
+               for value, (phi1, phi2), nc in zip(lhs, phis, nodes)]
     return reports[0] if shape == () else reports
 
 

@@ -26,6 +26,7 @@ from test_acceptance import margin_samples
 from test_rankone import mp_phi_and_limit
 
 RNG = np.random.default_rng(77)
+EPS = np.finfo(float).eps
 
 
 def random_group_element(rng):
@@ -329,6 +330,82 @@ class TestPoissonOraclesOverTheDomain:
             assert abs(quad - want) <= 1e-10 * abs(want), (lam, t)
 
 
+class TestPlaneOraclesBeyondTen:
+    # the circle means run in the half-distance chart, where the kernel's
+    # peak of width e^{-t} is two of width e^{-t/2}: on the plane the rule
+    # resolves them out to t of about 20, where it ran out from t of
+    # about 11 in psi itself.  The rows are within 4e-15 of mpmath; with
+    # cos^2(s/2) formed from s rather than from pi - s, the nodes of the
+    # peak at s = pi move by the rounding of s, and rows move by up to
+    # 2e-13 (phi) and 1.1e-12 (the entries)
+    SPEC = QuadratureSpec(abs_tol=1e-300)
+    REL = 5e-14
+
+    @staticmethod
+    def domain(seed):
+        lams, ts = poisson_domain(seed, 30)
+        return lams, [10.0 + 0.6 * t for t in ts]  # t in [10, 16]
+
+    def test_phi_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        lams, ts = self.domain(240)
+        lams.append(1.4 - 0.5j)
+        ts.append(20.0)
+        h2 = r1.RankOneSpace(1, 0)
+        for lam, t, quad in zip(lams, ts,
+                                md.quad_phi_K(2, lams, ts, self.SPEC)):
+            want = mp_phi_and_limit(mp, h2, r1.TRIVIAL_KTYPE, lam, t)[0]
+            assert abs(quad - want) <= self.REL * abs(want), (lam, t)
+
+    @pytest.mark.parametrize("char_n", [2, 4])
+    def test_eisenstein_matches_mpmath(self, char_n):
+        mp = pytest.importorskip("mpmath")
+        h2 = r1.RankOneSpace(1, 0)
+        kt = r1.sl2_ktype_for_char(char_n)
+        lams, ts = self.domain(250 + char_n)
+        quads = md.quad_eisenstein_sl2(char_n, lams, ts, self.SPEC)
+        for lam, t, quad in zip(lams, ts, quads):
+            want = (mp_phi_and_limit(mp, h2, kt, lam, t)[0]
+                    / math.factorial(kt.s))
+            assert abs(quad - want) <= self.REL * abs(want), (lam, t)
+
+    def test_functional_equation_at_large_distances(self):
+        # at (5, 5) the distance of the composed point falls to 0 within
+        # about e^{-5} of gamma = pi, a peak of the average's integrand
+        lams = np.array([0.9 - 0.2j, 0.0, 1.3 + 0.4j])[:, None]
+        reps = md.functional_equation_check(2, lams, [5.0, 2.0], [5.0, 6.0])
+        assert len(reps) == 6
+        for rep in reps:
+            assert rep.rel_err <= 1e-10, rep
+
+
+class TestGaussLegendreTables:
+    def test_entries_are_the_nearest_doubles(self):
+        # each node a 40-digit root of P_n, each weight
+        # 2/((1 - x^2) P_n'(x)^2) there, rounded once to a double
+        mp = pytest.importorskip("mpmath")
+
+        def legendre(n, x):  # P_n(x) and P_n'(x), by the recurrence
+            p0, p1 = mp.mpf(1), x
+            for k in range(1, n):
+                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            return p1, n * (x * p1 - p0) / (x * x - 1)
+
+        with mp.workdps(40):
+            for n in (20, 40):
+                x, w = gl_rule(n)
+                for i in range(n // 2):
+                    guess = mp.cos(mp.pi * (i + mp.mpf(3) / 4)
+                                   / (n + mp.mpf(1) / 2))
+                    root = mp.findroot(lambda y: legendre(n, y)[0], guess,
+                                       solver="newton",
+                                       df=lambda y: legendre(n, y)[1])
+                    weight = 2 / ((1 - root ** 2) * legendre(n, root)[1] ** 2)
+                    # the table is in increasing order, mirrored
+                    assert x[n - 1 - i] == float(root) == -x[i], (n, i)
+                    assert w[n - 1 - i] == float(weight) == w[i], (n, i)
+
+
 class TestFunctionalEquation:
     def test_degenerate_first_argument(self):
         rep = md.functional_equation_check(2, 0.8 + 0.1j, 0.0, 1.0)
@@ -615,15 +692,40 @@ def circle_level(u, v, mu, harmonic):
     return levels[0]
 
 
+def charted_integrand(u, mu, harmonic, s):
+    """The integrand md._circle_means sums, in plain form at the angles s:
+    P(r, s)^mu P(-r, s)^{1 - mu} e^{i harmonic psi(s)}, with
+    r = u/(1 + sqrt(1 - u^2)) the radius of the half-distance point and
+    e^{i psi} = (e^{i s} + r)/(1 + r e^{i s}), the boundary point the
+    chart moves e^{i s} to."""
+    r = u / (1.0 + math.sqrt(1.0 - u * u))
+    cos = np.cos(s)
+    p_plus = (1.0 - r * r) / (1.0 - 2.0 * r * cos + r * r)
+    p_minus = (1.0 - r * r) / (1.0 + 2.0 * r * cos + r * r)
+    z = np.exp(1j * s)
+    return (np.exp(mu * np.log(p_plus) + (1.0 - mu) * np.log(p_minus))
+            * ((z + r) / (1.0 + r * z)) ** harmonic)
+
+
+def chart_growth(u, mu, harmonic):
+    """The factor by which the plain form of the charted integrand
+    magnifies an error of eps in cos s: each kernel's log by
+    2r/(1 - r)^2 at its peak, times its exponent, and psi by the chart's
+    largest stretch (1 + r)/(1 - r), times the harmonic."""
+    r = u / (1.0 + math.sqrt(1.0 - u * u))
+    return (1.0 + (abs(mu) + abs(1.0 - mu)) * 2.0 * r / (1.0 - r) ** 2
+            + abs(harmonic) * (1.0 + r) / (1.0 - r))
+
+
 def reference_circle_mean(u, mu, harmonic, spec, n0=32):
     """One radius by the plain trapezoid sequence: the full-grid complex
-    mean at n0, 2 n0, ... until two levels agree.  Returns the value, the
-    rule points used and the mean of |integrand| at the last level."""
+    mean of the charted integrand at n0, 2 n0, ... until two levels
+    agree.  Returns the value, the rule points used and the mean of
+    |integrand| at the last level."""
     prev, nodes, n = None, 0, n0
     while True:
-        psi = np.arange(n) * (2.0 * math.pi / n)
-        pk = (1.0 - u * u) / (1.0 - 2.0 * u * np.cos(psi) + u * u)
-        vals = np.exp(mu * np.log(pk)) * np.exp(1j * harmonic * psi)
+        vals = charted_integrand(u, mu, harmonic,
+                                 np.arange(n) * (2.0 * math.pi / n))
         cur = complex(vals.mean())
         nodes += n
         if prev is not None and abs(cur - prev) <= max(
@@ -658,7 +760,7 @@ def reference_gauss_legendre(f, a, b, spec):
     total, nodes = [0j, 0j], [0]
 
     def panel(lo, hi, n):
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = gl_rule(n)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         return half * complex(np.sum(w * f(mid + half * x)))
 
@@ -679,12 +781,16 @@ def reference_gauss_legendre(f, a, b, spec):
     return total[0], nodes[0]
 
 
-def fe_distances(t1, t2):
-    # the distances of the outer rule's first 20 + 40 nodes in
-    # functional_equation_check
-    x = np.concatenate([np.polynomial.legendre.leggauss(n)[0]
-                        for n in (20, 40)])
-    gamma = 0.5 * math.pi * (1.0 + x)
+def fe_distances(t1, t2, n=3):
+    """The distances of the first outer nodes of functional_equation_check
+    on the n-ball: on the plane (n = 2), the nodes 0 <= gamma <= pi of the
+    first two circle levels, of 8 and 16 points; above it, the 20 + 40
+    nodes of the first Gauss-Legendre panel."""
+    if n == 2:
+        gamma = np.arange(9) * (math.pi / 8)
+    else:
+        x = np.concatenate([gl_rule(m)[0] for m in (20, 40)])
+        gamma = 0.5 * math.pi * (1.0 + x)
     arg = (math.cosh(t1) * math.cosh(t2)
            + math.sinh(t1) * math.sinh(t2) * np.cos(gamma))
     return np.arccosh(np.maximum(arg, 1.0))
@@ -704,8 +810,8 @@ def circle_samples():
             for lam in vf._lambda_samples(3, seed=31, im_range=(-0.5, 0.5))
             for k in (1, 2) for t in (0.5, 1.0, 2.0)]
     out += [(md.geodesic_radius(d), 1j * lam + 0.5, 0) for lam in fe_lams
-            for d in np.concatenate([fe_distances(1.0, 1.0),
-                                     fe_distances(0.5, 2.0)])[::3]]
+            for d in np.concatenate([fe_distances(1.0, 1.0, 2),
+                                     fe_distances(0.5, 2.0, 2)])]
     return out
 
 
@@ -788,15 +894,14 @@ class TestPoissonCircleSum:
             mu = complex(mu_re, mu_im)
             got = circle_level(np.array([u]), np.array([1.0 - u]), mu,
                                harmonic)(nphi, np.arange(1), shift)[0]
-            psi = 2.0 * math.pi * (np.arange(nphi) + shift) / nphi
-            pk = (1.0 - u * u) / (1.0 - 2.0 * u * np.cos(psi) + u * u)
-            power = np.exp(mu * np.log(pk))
-            want = complex(np.mean(power * np.exp(1j * harmonic * psi)))
-            # the mirror nodes round cos psi differently, an error that
-            # the power magnifies by |mu| |d log P / d cos psi|
-            growth = 1.0 + abs(mu) * 2.0 * u / (1.0 - u) ** 2
-            bound = 8.0 * np.finfo(float).eps * growth
-            assert abs(got - want) <= bound * np.mean(np.abs(power))
+            vals = charted_integrand(
+                u, mu, harmonic,
+                2.0 * math.pi * (np.arange(nphi) + shift) / nphi)
+            want = complex(np.mean(vals))
+            # the full grid forms cos s at each node and its mirror, each
+            # rounded, an error the plain kernels and the chart magnify
+            bound = 8.0 * EPS * chart_growth(u, mu, harmonic)
+            assert abs(got - want) <= bound * np.mean(np.abs(vals))
 
         check()
 
@@ -804,7 +909,7 @@ class TestPoissonCircleSum:
 class TestRuleTablesReadOnly:
     def test_cached_arrays_reject_writes(self):
         for table in (gl_rule(20), gl_rule(40), _exp_sinh_nodes(0),
-                      _exp_sinh_nodes(3), md._half_circle(32, 0.5, 2),
+                      _exp_sinh_nodes(3), md._half_circle(32, 0.5),
                       md._level_radial_terms(2, 4)):
             for arr in table:
                 with pytest.raises(ValueError, match="read-only"):
