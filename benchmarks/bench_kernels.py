@@ -7,10 +7,9 @@ Usage:
 
 The first table (L0) times each kernel of ``sphfun._kernels_py`` on a
 representative workload: microseconds per call, best of the repeats.
-The Poisson-kernel circle mean is no kernel: ``models._circle_means``
-forms it in the half-distance chart; the L3/L4 table times it inside
-the verify suites.  A
-second table (L1) times ``complexmath.gauss_2f1`` on each of its
+The Poisson-kernel boundary integrals are no kernel: ``models`` runs
+them in the boundary variable theta, with y = -log P = t cos theta; the
+L3/L4 table times them inside the verify suites.  A second table (L1) times ``complexmath.gauss_2f1`` on each of its
 branches: microseconds per call with its per-(a, b, c) constants held
 in one ``Gauss2F1Plan`` (warm) and computed afresh by each
 ``gauss_2f1`` call (cold), and the series terms per call.  A third (L2)

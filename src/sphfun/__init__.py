@@ -5,8 +5,8 @@ quadrature oracles for every defining integral.
 Subpackages follow the pipeline: ``complexmath`` (Gamma / 2F1 kernels),
 ``rootdata`` (restricted root systems and Weyl words), ``cfun`` (the
 c-function product formulas), ``rankone`` (K-type spherical functions and
-their asymptotics), ``models`` (matrix / ball realizations and quadrature
-oracles), ``higherrank`` (cocycle and determinant composites), ``cli``.
+their asymptotics), ``models`` (quadrature oracles on the ball model),
+``higherrank`` (cocycle and determinant composites), ``cli``.
 """
 
 __version__ = "0.1.0"

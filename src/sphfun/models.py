@@ -1,16 +1,9 @@
-"""Concrete realizations and quadrature oracles.
+"""Quadrature oracles on the ball model of hyperbolic space.
 
-Two models are implemented in full:
-
-* the unimodular 2x2 matrix group acting on the hyperbolic plane, with
-  the explicit K A N factorization (K rotations, A positive diagonal with
-  a_t = diag(e^{t/2}, e^{-t/2}) so that alpha(H) = 1 and rho(H) = 1/2,
-  N upper unipotent);
-* the ball model of n-dimensional hyperbolic space, whose horocycle
-  bracket is the logarithm of the Poisson kernel
-  A(x, b)(H) = log[(1 - |x|^2) / |x - b|^2].
-
-Every defining integral of the theory is realized as a deterministic
+The ball model of n-dimensional hyperbolic space, whose horocycle bracket
+is the logarithm of the Poisson kernel A(x, b)(H) =
+log[(1 - |x|^2) / |x - b|^2], with alpha(H) = 1 and rho(H) = (n - 1)/2,
+realizes every defining integral of the theory as a deterministic
 quadrature: the boundary integral for the zonal spherical function, the
 integral of e^{-(i lam + rho) H} over the opposite unipotent group for
 the c-function (self-normalized so the value at lam = -i rho is exactly
@@ -32,19 +25,36 @@ point, in C order, raises alone (a functional-equation check whose inner
 batch runs out raises for the first failing (Lam, distance) pair of the
 outer level or depth where that happens).
 
-Conventions pinned by cross-checks: the geodesic point at distance t in
+Conventions, pinned by cross-checks against the unimodular 2x2 matrix
+model and its K A N factorization: the geodesic point at distance t in
 the ball sits at Euclidean radius tanh(t/2); the boundary image of the
 rotation k_theta is e^{2 i theta}; the opposite-unipotent coordinate is
 normalized so that e^{alpha(H(nbar(v)))} = 1 + |v|^2/4, which matches the
 matrix-model Iwasawa projection at n = 2 under v = 2x.
 
-Radii.  Along the geodesic the oracles take the radius u = tanh(t/2) and
-its complement v = 2 e^{-t}/(1 + e^{-t}) each from t, and every ball-model
-oracle forms the Poisson kernel from them in `_log_poisson`.  The circle
-means behind the plane's oracles take the mean in the half-distance
-chart (see `_circle_means`): the kernel's peak of width e^{-t} becomes two
-of width e^{-t/2}, so the trapezoid rule resolves them with about e^{t/2}
-nodes, and converges out to t of about 20.
+Boundary variable.  At distance t the Poisson kernel of the boundary
+point at angle psi is P = 1/(cosh t - sinh t cos psi).  Every
+Poisson-kernel oracle integrates in theta in [0, pi] with
+y = -log P = t cos theta, the Mehler-Laplace representation of the Jacobi
+function (Koornwinder 1984; Helgason, Groups and Geometric Analysis,
+Ch. IV).  With s2 = sin^2(theta/2), c2 = cos^2(theta/2) and
+F(x) = sinh(t x)/x (F(0) = t):
+
+    phi_Lam(t) = (1/B_n) int_0^pi cos(Lam t cos theta) t |sin theta|^{n-2}
+                 (F(s2) F(c2))^{(n-3)/2} / sinh^{n-2} t dtheta,
+
+B_n = int_0^pi sin^{n-2} theta dtheta, and the plane's entry of weight 2k
+is
+
+    (1/pi) int_0^pi e^{-i Lam t cos theta} T_k(cos psi)
+           t (F(s2) F(c2))^{-1/2} dtheta,  cos psi = (cosh t - e^y)/sinh t.
+
+`_log_weight` forms the log of both weights from t, s2 and c2, with no
+term that cancels or overflows (out to t = 1000 and beyond).  The
+integrand has no peak: on the plane it is analytic, even and
+2 pi-periodic in theta, so the trapezoid rule converges geometrically on
+the half-circle table; for n >= 3 adaptive Gauss-Legendre runs it on
+[0, pi/2].
 """
 
 import cmath
@@ -59,50 +69,17 @@ from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _exp_sinh_nodes,
                          gauss_legendre_adaptive, trapezoid_doubling)
 
 __all__ = [
-    "Matrix2", "QuadratureSpec", "OracleReport", "DEFAULT_SPEC",
-    "iwasawa_H", "iwasawa_decompose",
-    "horocycle_bracket", "quad_phi_K", "quad_c_Nbar",
-    "quad_eisenstein_sl2", "quad_Csigma_sl2", "functional_equation_check",
-    "functional_equation_entry_sl2", "a_t_matrix", "k_theta_matrix",
-    "nbar_matrix", "n_matrix", "sl2_to_ball", "boundary_circle_point",
+    "QuadratureSpec", "OracleReport", "DEFAULT_SPEC", "quad_phi_K",
+    "quad_c_Nbar", "quad_eisenstein_sl2", "quad_Csigma_sl2",
+    "functional_equation_check", "functional_equation_entry_sl2",
     "entry_function_sl2", "nbar_normalization",
 ]
 
-_DET_TOL = 1e-12
 CONVERGENCE_MARGIN = 0.05
 
 
 class DivergentIntegralError(ValueError):
     """Spectral parameter outside the absolute-convergence region."""
-
-
-@dataclass(frozen=True)
-class Matrix2:
-    """Element of the unimodular 2x2 group."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        if abs(self.det - 1.0) > _DET_TOL:
-            raise ValueError(f"matrix must have determinant 1, got {self.det}")
-
-    @property
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def __matmul__(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inv(self) -> "Matrix2":
-        return Matrix2(self.d, -self.b, -self.c, self.a)
 
 
 @dataclass(frozen=True)
@@ -127,94 +104,6 @@ class OracleReport:
                             abs_err, rel_err, int(nodes_used))
 
 
-# ---------------------------------------------------------------------------
-# matrix model
-
-def a_t_matrix(t: float) -> Matrix2:
-    return Matrix2(math.exp(0.5 * t), 0.0, 0.0, math.exp(-0.5 * t))
-
-
-def k_theta_matrix(theta: float) -> Matrix2:
-    return Matrix2(math.cos(theta), math.sin(theta),
-                   -math.sin(theta), math.cos(theta))
-
-
-def nbar_matrix(x: float) -> Matrix2:
-    """Lower unipotent element of the opposite group."""
-    return Matrix2(1.0, 0.0, x, 1.0)
-
-
-def n_matrix(x: float) -> Matrix2:
-    return Matrix2(1.0, x, 0.0, 1.0)
-
-
-def iwasawa_H(g: Matrix2) -> float:
-    """H-coordinate h of the K A N factorization g = k exp(h H) n, i.e.
-    e^h = (first column norm)^2."""
-    return math.log(g.a * g.a + g.c * g.c)
-
-
-def iwasawa_decompose(g: Matrix2) -> tuple[float, float, float]:
-    """(theta, h, x) with g = k_theta a_h n(x)."""
-    h = iwasawa_H(g)
-    theta = math.atan2(-g.c, g.a)
-    ka = k_theta_matrix(theta) @ a_t_matrix(h)
-    n = ka.inv() @ g
-    return theta, h, n.b
-
-
-def mobius_upper(g: Matrix2, z: complex) -> complex:
-    return (g.a * z + g.b) / (g.c * z + g.d)
-
-
-def sl2_to_ball(g: Matrix2) -> complex:
-    """Image in the disk of the coset g K (base point i of the upper half
-    plane, Cayley transform z -> (z - i)/(z + i))."""
-    z = mobius_upper(g, 1j)
-    return (z - 1j) / (z + 1j)
-
-
-def _rotated_ball_points(g1: Matrix2, theta: np.ndarray,
-                         g2: Matrix2) -> np.ndarray:
-    """sl2_to_ball(g1 @ k_theta_matrix(theta) @ g2) at each angle of the
-    array theta, with the products of Matrix2 written out."""
-    cos, sin = np.cos(theta), np.sin(theta)
-    a = g1.a * cos + g1.b * -sin
-    b = g1.a * sin + g1.b * cos
-    c = g1.c * cos + g1.d * -sin
-    d = g1.c * sin + g1.d * cos
-    z = ((a * g2.a + b * g2.c) * 1j + (a * g2.b + b * g2.d)) / (
-        (c * g2.a + d * g2.c) * 1j + (c * g2.b + d * g2.d))
-    return (z - 1j) / (z + 1j)
-
-
-def boundary_circle_point(theta: float) -> complex:
-    """Disk boundary image of the coset k_theta M: e^{2 i theta}."""
-    return cmath.exp(2j * theta)
-
-
-# ---------------------------------------------------------------------------
-# ball model
-
-def horocycle_bracket(x, b) -> float:
-    """Horocycle bracket A(x, b)(H) = log[(1-|x|^2)/|x-b|^2] in the ball
-    model with alpha(H) = 1, rho(H) = (n-1)/2, at the coordinates x of an
-    interior point and b of a boundary point."""
-    xv = np.asarray(x, float)
-    bv = np.asarray(b, float)
-    diff = xv - bv
-    d2 = float(diff @ diff)
-    if d2 < 1e-28:
-        raise ValueError("x degenerately close to the boundary point b")
-    return math.log((1.0 - float(xv @ xv)) / d2)
-
-
-def geodesic_radius(t: float) -> float:
-    """Euclidean radius of the point at hyperbolic distance t from the
-    origin: tanh(t/2)."""
-    return math.tanh(0.5 * t)
-
-
 def _grid(Lam, *points, dtype=float) -> tuple:
     """Lam and points, each a number or an array of them, broadcast
     against each other: per argument a flat list in C order (complex for
@@ -233,22 +122,8 @@ def _shaped(values, shape: tuple):
     return np.asarray(values, dtype=complex).reshape(shape)
 
 
-def _radii(ts: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """u = tanh(t/2) and v = 1 - u = 2 e^{-t}/(1 + e^{-t}) per distance t,
-    each formed from t: v keeps its precision where u rounds to 1."""
-    if any(t < 0 for t in ts):
-        raise ValueError("t must be >= 0")
-    u = np.array([geodesic_radius(t) for t in ts])
-    v = np.array([2.0 * math.exp(-t) / (1.0 + math.exp(-t)) for t in ts])
-    return u, v
-
-
-def _log_poisson(u, v, s2):
-    """log P, P = (1 - u^2)/(1 - 2u cos psi + u^2), at radius u with
-    v = 1 - u and s2 = sin^2(psi/2), as log(v (2 - v)/(v^2 + 4 u s2)):
-    no term cancels, not even at the peak psi = 0, where P = (1 + u)/v."""
-    return np.log(v * (2.0 - v)) - np.log(v * v + 4.0 * u * s2)
-
+# ---------------------------------------------------------------------------
+# boundary integrals
 
 @lru_cache(maxsize=64)
 def _half_circle(nphi: int, shift: float) -> tuple[np.ndarray, np.ndarray]:
@@ -268,65 +143,68 @@ def _half_circle(nphi: int, shift: float) -> tuple[np.ndarray, np.ndarray]:
     return sc, weight
 
 
-# radii times circle nodes per level sum: bounds the node arrays of a
-# large batch at a fine level (the radii are independent, so the values
-# do not depend on it)
-CIRCLE_CHUNK_NODES = 2 ** 18
+def _scaled_sinhc(z: np.ndarray) -> np.ndarray:
+    """g(z) = (1 - e^{-2z})/(2z) = e^{-z} sinh(z)/z at each z >= 0, and
+    g(0) = 1: a number in (0, 1], formed through expm1, so it neither
+    cancels near 0 nor overflows at large z."""
+    return np.divide(-np.expm1(-2.0 * z), 2.0 * z, out=np.ones(z.shape),
+                     where=z > 0.0)
 
 
-def _circle_means(u: np.ndarray, v: np.ndarray, mu: np.ndarray,
-                  harmonic: int, spec: QuadratureSpec) -> np.ndarray:
-    """Per radius u[i], with v[i] = 1 - u[i], the limit of the circle
-    means of P(u[i], psi)^mu[i] e^{i harmonic psi}: one trapezoid batch.
+def _log_weight(n: int, t: np.ndarray, sc: np.ndarray) -> tuple:
+    """The log of the weight t |sin theta|^{n-2} (F(s2) F(c2))^{(n-3)/2}
+    / sinh^{n-2} t of the boundary integral (see Boundary variable
+    above), one row per distance t (shape (rows, 1, 1)), and g at t s2
+    and at t c2, stacked as sc stacks s2 = sin^2(theta/2) and
+    c2 = cos^2(theta/2) on its second-to-last axis.  Since
+    F(x) = t e^{t x} g(t x), s2 + c2 = 1 and sin theta = 2 sqrt(s2 c2),
+    the log is
 
-    The rule runs in the half-distance chart: psi is the boundary image
-    of s under the disk automorphism z -> (z + r)/(1 + r z), with
-    r = tanh(t/4) the radius of the geodesic midpoint, formed as
-    u/(1 + w) and 1 - r = (v + w)/(1 + w), w = sqrt(v (2 - v)).  By the
-    conformal invariance of the Poisson kernel the mean is that of
-    P(r, s)^mu P(-r, s)^{1 - mu} T_k(cos psi(s)) over s, k = |harmonic|
-    (the odd part of e^{i k psi} has mean 0): the kernel's one peak of
-    width e^{-t} becomes two of width e^{-t/2}, at s = 0 and s = pi.
-    P(-r, s) = P(r, pi - s), so both kernels are _log_poisson's, at
-    sin^2(s/2) and at cos^2(s/2), and
-    cos psi = (cos^2(s/2) - q sin^2(s/2))/(cos^2(s/2) + q sin^2(s/2)) with
-    q = ((1 - r)/(1 + r))^2.  The integrand is even in s, so each level
-    sums the nodes with 0 <= s <= pi, each paired with its mirror through
-    its weight."""
-    w = np.sqrt(v * (2.0 - v))
-    r = (u / (1.0 + w))[:, None, None]
-    rc = ((v + w) / (1.0 + w))[:, None, None]
-    q = (rc / (1.0 + r))[:, 0] ** 2
-    mu = mu[:, None]
-    k = abs(harmonic)
+        -rho t + ((n-3)/2) log(g(t s2) g(t c2))
+               + (n-2) log(2 sqrt(s2 c2)/g(t)),
 
-    def weighted_sum(part: np.ndarray, sc: np.ndarray,
-                     weight: np.ndarray) -> np.ndarray:
-        # log P(r, s) and log P(r, pi - s) = log P(-r, s)
-        log_p = _log_poisson(r[part], rc[part], sc)
-        power = np.exp(log_p[:, 1] + mu[part] * (log_p[:, 0] - log_p[:, 1]))
-        if k:
-            qs2 = q[part] * sc[0]
-            x = (sc[1] - qs2) / (sc[1] + qs2)  # cos psi
-            t_prev, t_k = 1.0, x
-            for _ in range(k - 1):  # T_k(x), by the Chebyshev recurrence
-                t_prev, t_k = t_k, 2.0 * x * t_k - t_prev
-            weight = t_k * weight
-        return np.sum(power * weight, axis=1)
+    rho = (n - 1)/2, whose terms neither cancel nor overflow."""
+    g = _scaled_sinhc(t * sc)
+    log_w = 0.5 * (n - 3) * np.log(g[:, 0] * g[:, 1]) - 0.5 * (n - 1) * t[:, 0]
+    if n > 2:
+        log_w += (n - 2) * (0.5 * np.log(4.0 * sc[..., 0, :] * sc[..., 1, :])
+                            - np.log(_scaled_sinhc(t[:, 0])))
+    return log_w, g
+
+
+def _plane_means(lams: np.ndarray, t: np.ndarray, k: int,
+                 spec: QuadratureSpec) -> np.ndarray:
+    """Per row, the plane's entry of weight 2k at Lam lams[i] and distance
+    t[i] > 0: the limit of the trapezoid means over theta of
+    e^{log w - i Lam t cos theta} T_|k|(cos psi), one batch.  The integrand
+    is a function of cos theta, so each level sums the nodes
+    0 <= theta <= pi of the half-circle table, each paired with its mirror
+    through its weight, with cos theta = c2 - s2 and cos psi from
+
+        1 + cos psi = 2 s2 g(t s2)/g(t),
+        1 - cos psi = 2 c2 g(t c2) e^{-2 t s2}/g(t),
+
+    e^{-2 t s2} = 1 - 2 t s2 g(t s2), none of which cancels as t -> 0."""
+    k = abs(k)
+    t = t[:, None, None]
+    ilt = (1j * lams)[:, None] * t[:, 0]
+    g_t = _scaled_sinhc(t[:, 0])
 
     def mean_of(m: int, idx: np.ndarray, shift: float) -> np.ndarray:
         sc, weight = _half_circle(m, float(shift))
-        step = max(1, CIRCLE_CHUNK_NODES // m)
-        return np.concatenate([weighted_sum(idx[i:i + step], sc, weight)
-                               for i in range(0, len(idx), step)])
+        log_w, g = _log_weight(2, t[idx], sc)
+        terms = np.exp(log_w - ilt[idx] * (sc[1] - sc[0]))
+        if k:
+            s2g, c2g = sc[0] * g[:, 0], sc[1] * g[:, 1]
+            x = (s2g - c2g * (1.0 - 2.0 * t[idx, 0] * s2g)) / g_t[idx]
+            prev, cheb = 1.0, x
+            for _ in range(k - 1):  # T_k(x), by the Chebyshev recurrence
+                prev, cheb = cheb, 2.0 * x * cheb - prev
+            weight = cheb * weight
+        return np.sum(terms * weight, axis=1)
 
-    values, _ = trapezoid_doubling(mean_of, len(u), spec)
+    values, _ = trapezoid_doubling(mean_of, len(lams), spec)
     return values
-
-
-def _exponents(lams: list, rho: float) -> np.ndarray:
-    """i Lam + rho per Lam, each formed in complex scalar arithmetic."""
-    return np.array([1j * lam + rho for lam in lams], dtype=complex)
 
 
 def _sphere_band_norm(n: int) -> float:
@@ -336,40 +214,55 @@ def _sphere_band_norm(n: int) -> float:
                                          - math.lgamma(0.5 * n))
 
 
+def _ball_means(n: int, lams: np.ndarray, t: np.ndarray,
+                spec: QuadratureSpec) -> np.ndarray:
+    """Per row, phi_Lam(t) on the n-ball, n >= 3, at Lam lams[i] and
+    distance t[i] > 0, by adaptive Gauss-Legendre on [0, pi/2]: the weight
+    is even about theta = pi/2, where y changes sign, so the integral
+    over [0, pi] is that of 2 cos(Lam y) = e^{i Lam y} + e^{-i Lam y} over
+    [0, pi/2]."""
+    t = t[:, None, None]
+    ilt = (1j * lams)[:, None] * t[:, 0]
+
+    def f(theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        sc = np.stack((np.sin(0.5 * theta), np.cos(0.5 * theta)), axis=1) ** 2
+        log_w, _ = _log_weight(n, t[idx], sc)
+        phase = ilt[idx] * (sc[:, 1] - sc[:, 0])
+        return np.exp(log_w + phase) + np.exp(log_w - phase)
+
+    num, _ = gauss_legendre_adaptive(f, len(t), 0.0, 0.5 * math.pi, spec)
+    return num / _sphere_band_norm(n)
+
+
+def _boundary_means(n: int, k: int, lams, t, spec: QuadratureSpec
+                    ) -> np.ndarray:
+    """phi_Lam(t) on the n-ball (k = 0), or the plane's entry of weight
+    2k (n = 2), at each (lams[i], t[i]); at t = 0 exactly 1 for k = 0 and
+    0 for k != 0."""
+    lams, t = np.asarray(lams, dtype=complex), np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("t must be >= 0")
+    values = np.full(len(t), float(k == 0), dtype=complex)
+    inner = np.flatnonzero(t > 0.0)
+    if n == 2:
+        values[inner] = _plane_means(lams[inner], t[inner], k, spec)
+    else:
+        values[inner] = _ball_means(n, lams[inner], t[inner], spec)
+    return values
+
+
 def quad_phi_K(n: int, Lam, t, spec: QuadratureSpec = DEFAULT_SPEC):
     """Zonal spherical function on n-dimensional hyperbolic space at
     distance t, as the normalized boundary integral of the Poisson kernel
-    power P(x, b)^{i Lam + rho}.  Lam and t are numbers or arrays that
-    broadcast against each other (see Grids above).  The whole grid of
-    (Lam, t) points is one batch: of the trapezoid rule on the plane, in
-    the half-distance chart of _circle_means, of the adaptive
-    Gauss-Legendre rule in the polar angle above it."""
+    power P(x, b)^{i Lam + rho}, in the boundary variable theta (see
+    above).  Lam and t are numbers or arrays that broadcast against each
+    other (see Grids above).  The whole grid of (Lam, t) points is one
+    batch: of the trapezoid rule on the plane, of adaptive Gauss-Legendre
+    above it."""
     if n < 2:
         raise ValueError("need n >= 2")
     lams, t, shape = _grid(Lam, t)
-    u, v = _radii(t)
-    mu = _exponents(lams, 0.5 * (n - 1))
-    values = np.ones(len(u), dtype=complex)
-    inner = np.flatnonzero(u != 0.0)
-    if n == 2:
-        values[inner] = _circle_means(u[inner], v[inner], mu[inner], 0, spec)
-    elif inner.size:
-        values[inner] = _phi_polar(n, mu[inner], u[inner], v[inner], spec)
-    return _shaped(values, shape)
-
-
-def _phi_polar(n: int, mu: np.ndarray, u: np.ndarray, v: np.ndarray,
-               spec: QuadratureSpec) -> np.ndarray:
-    # per radius u[i], the normalized polar-angle integral of P^mu[i]
-    p = n - 2
-
-    def f(theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        log_p = _log_poisson(u[idx, None], v[idx, None],
-                             np.sin(0.5 * theta) ** 2)
-        return np.exp(mu[idx, None] * log_p) * np.sin(theta) ** p
-
-    num, _ = gauss_legendre_adaptive(f, len(u), 0.0, math.pi, spec)
-    return num / _sphere_band_norm(n)
+    return _shaped(_boundary_means(n, 0, lams, t, spec), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +337,17 @@ def nbar_normalization(n: int, spec: QuadratureSpec) -> complex:
 
 
 def _convergent_exponents(Lam, rho: float) -> tuple[np.ndarray, tuple]:
-    """s = i Lam + rho per Lam, flat in C order, after checking absolute
-    convergence, Re(i Lam) > CONVERGENCE_MARGIN, in that order; and the
-    shape of Lam."""
+    """s = i Lam + rho per Lam, flat in C order, each formed in complex
+    scalar arithmetic, after checking absolute convergence,
+    Re(i Lam) > CONVERGENCE_MARGIN, in that order; and the shape of
+    Lam."""
     lams, shape = _grid(Lam)
     for lam in lams:
         if (1j * lam).real <= CONVERGENCE_MARGIN:
             raise DivergentIntegralError(
                 f"need Re(i Lam) > {CONVERGENCE_MARGIN}, got "
                 f"{(1j * lam).real}")
-    return _exponents(lams, rho), shape
+    return np.array([1j * lam + rho for lam in lams], dtype=complex), shape
 
 
 def quad_c_Nbar(n: int, Lam, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -514,36 +408,118 @@ def entry_function_sl2(char_n: int, Lam, z,
 
     In psi = 2 theta this is the k-th Fourier coefficient, k = char_n/2,
     and the Poisson kernel is rotation invariant, so it equals
-    e^{i k arg z} times the same coefficient at the radius |z|.
+    e^{i k arg z} times the entry at the distance 2 atanh|z| of z from the
+    origin.
     """
     if char_n % 2:
         raise ValueError("character weight must be even")
     lams, z, shape = _grid(Lam, z, dtype=complex)
-    u = np.array([abs(x) for x in z])
-    if np.any(u >= 1.0):
+    z = np.asarray(z, dtype=complex)
+    radius = np.abs(z)
+    if np.any(radius >= 1.0):
         raise ValueError("z must lie inside the unit disk")
     k = char_n // 2
-    values = _circle_means(u, 1.0 - u, _exponents(lams, 0.5), k, spec)
-    return _shaped([cmath.exp(1j * k * cmath.phase(x)) * complex(v)
-                    for x, v in zip(z, values)], shape)
+    values = _boundary_means(2, k, lams, 2.0 * np.arctanh(radius), spec)
+    return _shaped(np.exp(1j * k * np.angle(z)) * values, shape)
 
 
 def quad_eisenstein_sl2(char_n: int, Lam, t,
                         spec: QuadratureSpec = DEFAULT_SPEC):
-    """Eisenstein entry along the geodesic: at the point of distance t
-    (Lam and t numbers or arrays that broadcast against each other), the
-    entry_function_sl2 at the radius tanh(t/2), with the radius and its
-    complement formed from t."""
-    lams, t, shape = _grid(Lam, t)
-    u, v = _radii(t)
+    """Eisenstein entry along the geodesic: entry_function_sl2 at the
+    point of distance t (Lam and t numbers or arrays that broadcast
+    against each other), integrated in the boundary variable from t
+    itself."""
     if char_n % 2:
         raise ValueError("character weight must be even")
-    return _shaped(_circle_means(u, v, _exponents(lams, 0.5), char_n // 2,
-                                 spec), shape)
+    lams, t, shape = _grid(Lam, t)
+    return _shaped(_boundary_means(2, char_n // 2, lams, t, spec), shape)
 
 
 # ---------------------------------------------------------------------------
 # functional equations
+
+def _composed_distances(t1, t2, c2):
+    """Distance from the origin of x k y, with x and y the geodesic points
+    at distances t1 and t2 and k the rotation by the angle gamma between
+    the two segments, at c2 = cos^2(gamma/2).  Of
+    cosh d = cosh t1 cosh t2 + sinh t1 sinh t2 cos gamma it takes the form
+    sinh^2(d/2) = sinh^2((t1 - t2)/2) + sinh t1 sinh t2 c2, whose terms are
+    >= 0, so d keeps its relative precision down to 0."""
+    return 2.0 * np.arcsinh(np.sqrt(np.sinh(0.5 * (t1 - t2)) ** 2
+                                    + np.sinh(t1) * np.sinh(t2) * c2))
+
+
+def _composed_angles(t1, t2, s2, c2):
+    """Argument of the disk point of x k y (as in _composed_distances),
+    at s2 = sin^2(gamma/2) and c2 = cos^2(gamma/2).  The disk translation
+    z -> (z + u1)/(1 + u1 z), u1 = tanh(t1/2), takes u2 e^{i gamma},
+    u2 = tanh(t2/2), to that point; scaled by 2/((1 - u1^2)(1 - u2^2)),
+    (u2 e^{i gamma} + u1) times the conjugate of (1 + u1 u2 e^{i gamma}) is
+    sinh t1 cosh t2 + cosh t1 sinh t2 cos gamma + i sinh t2 sin gamma, whose
+    real part is taken as sinh(t1 - t2) + 2 cosh t1 sinh t2 c2, so that it
+    does not cancel where the point nears the origin."""
+    return np.arctan2(2.0 * np.sinh(t2) * np.sqrt(s2 * c2),
+                      np.sinh(t1 - t2) + 2.0 * np.cosh(t1) * np.sinh(t2) * c2)
+
+
+def _functional_equation(n: int, k: int, Lam, t1, t2,
+                         spec: QuadratureSpec):
+    """The rotation average of phi (k = 0) or of the plane's entry E of
+    weight 2k at x k y, against phi(x) phi(y) or E(x) phi(y), per case
+    (Lam, t1, t2) of the broadcast: a report, or a list of them."""
+    lams, t1s, t2s, shape = _grid(Lam, t1, t2)
+    lam_of = np.array(lams, dtype=complex)
+    t1s, t2s = np.array(t1s), np.array(t2s)
+    cache: dict = {}
+    nodes = np.zeros(len(lams), dtype=int)
+
+    def at(idx: np.ndarray, s2, c2: np.ndarray) -> np.ndarray:
+        # the integrand at the composed points of case idx[i], one per
+        # c2[i, j] (and s2[i, j] for the entry's angle)
+        nodes[:] += c2.shape[1] * np.bincount(idx, minlength=len(lams))
+        t1, t2 = t1s[idx, None], t2s[idx, None]
+        ds = _composed_distances(t1, t2, c2).ravel().tolist()
+        keys = list(zip(np.repeat(lam_of[idx], c2.shape[1]).tolist(), ds))
+        new = [key for key in dict.fromkeys(keys) if key not in cache]
+        if new:
+            new_lams, new_ds = zip(*new)
+            cache.update(zip(new, quad_eisenstein_sl2(2 * k, new_lams, new_ds,
+                                                      spec)
+                             if k else quad_phi_K(n, new_lams, new_ds, spec)))
+        values = np.array([cache[key] for key in keys],
+                          dtype=complex).reshape(c2.shape)
+        if k:
+            values *= np.cos(k * _composed_angles(t1, t2, s2, c2))
+        return values
+
+    outer_spec = QuadratureSpec(
+        abs_tol=max(spec.abs_tol, 1e-10), rel_tol=max(spec.rel_tol, 1e-9))
+    if n > 2:
+        def f(gamma: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            return (at(idx, None, np.cos(0.5 * gamma) ** 2)
+                    * np.sin(gamma) ** (n - 2))
+
+        num, _ = gauss_legendre_adaptive(f, len(lams), 0.0, math.pi,
+                                         outer_spec)
+        lhs = num / _sphere_band_norm(n)
+    else:
+        def mean_of(m: int, idx: np.ndarray, shift: float) -> np.ndarray:
+            sc, weight = _half_circle(m, float(shift))
+            s2, c2 = np.broadcast_to(sc[:, None], (2, len(idx), len(weight)))
+            return np.sum(at(idx, s2, c2) * weight, axis=1)
+
+        lhs, _ = trapezoid_doubling(mean_of, len(lams), outer_spec, n0=8)
+    if k:
+        rhs = (quad_eisenstein_sl2(2 * k, lam_of, t1s, spec)
+               * quad_phi_K(2, lam_of, t2s, spec))
+    else:
+        phis = quad_phi_K(n, lam_of[:, None], np.column_stack((t1s, t2s)),
+                          spec)
+        rhs = phis[:, 0] * phis[:, 1]
+    reports = [OracleReport.build(closed, value, nc)
+               for closed, value, nc in zip(rhs, lhs, nodes)]
+    return reports[0] if shape == () else reports
+
 
 def functional_equation_check(n: int, Lam, t1, t2,
                               spec: QuadratureSpec = DEFAULT_SPEC):
@@ -551,8 +527,8 @@ def functional_equation_check(n: int, Lam, t1, t2,
     phi at the composed point against phi(t1) phi(t2).
 
     The group average over K reduces to the polar angle gamma between the
-    two geodesic segments, with
-    cosh d(gamma) = cosh t1 cosh t2 + sinh t1 sinh t2 cos gamma.
+    two geodesic segments, and the composed point lies at the distance d
+    of cosh d = cosh t1 cosh t2 + sinh t1 sinh t2 cos gamma.
 
     Lam, t1 and t2 are numbers or arrays that broadcast against each
     other, one case per point: an OracleReport for numbers, else a list
@@ -564,54 +540,10 @@ def functional_equation_check(n: int, Lam, t1, t2,
     evaluation.  On the plane (n = 2) the average is over the circle,
     by the trapezoid rule on the half-circle table from 8 points, as in
     quad_phi_K; above it, by adaptive Gauss-Legendre in gamma with the
-    weight sin^{n-2} gamma.
+    weight sin^{n-2} gamma.  The outer rule asks for no less than
+    abs_tol 1e-10 and rel_tol 1e-9, the accuracy of its inner rows.
     """
-    lams, t1s, t2s, shape = _grid(Lam, t1, t2)
-    lam_of = np.array(lams, dtype=complex)
-    # per case, the constant terms of cosh d(gamma), in float arithmetic
-    cc = np.array([math.cosh(a) * math.cosh(b) for a, b in zip(t1s, t2s)])
-    ss = np.array([math.sinh(a) * math.sinh(b) for a, b in zip(t1s, t2s)])
-    p = n - 2
-    cache: dict = {}
-    nodes = np.zeros(len(lams), dtype=int)
-
-    def phi_at(idx: np.ndarray, cos_gamma: np.ndarray) -> np.ndarray:
-        # phi at the composed points of case idx[i], one per cos_gamma[i]
-        nodes[:] += cos_gamma.shape[1] * np.bincount(idx, minlength=len(lams))
-        arg = cc[idx, None] + ss[idx, None] * cos_gamma
-        ds = np.arccosh(np.maximum(arg, 1.0)).ravel().tolist()
-        keys = list(zip(np.repeat(lam_of[idx], cos_gamma.shape[1]).tolist(),
-                        ds))
-        new = [k for k in dict.fromkeys(keys) if k not in cache]
-        if new:
-            new_lams, new_ds = zip(*new)
-            cache.update(zip(new, quad_phi_K(n, new_lams, new_ds, spec)))
-        return np.array([cache[k] for k in keys],
-                        dtype=complex).reshape(cos_gamma.shape)
-
-    outer_spec = QuadratureSpec(
-        abs_tol=max(spec.abs_tol, 1e-10), rel_tol=max(spec.rel_tol, 1e-9))
-    if p:
-        def f(gamma: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            return phi_at(idx, np.cos(gamma)) * np.sin(gamma) ** p
-
-        num, _ = gauss_legendre_adaptive(f, len(lams), 0.0, math.pi,
-                                         outer_spec)
-        lhs = num / _sphere_band_norm(n)
-    else:
-        def mean_of(m: int, idx: np.ndarray, shift: float) -> np.ndarray:
-            sc, weight = _half_circle(m, float(shift))
-            cos_gamma = np.broadcast_to(sc[1] - sc[0],
-                                        (len(idx), len(weight)))
-            return np.sum(phi_at(idx, cos_gamma) * weight, axis=1)
-
-        lhs, _ = trapezoid_doubling(mean_of, len(lams), outer_spec, n0=8)
-    phis = quad_phi_K(n, lam_of[:, None],
-                      np.column_stack((t1s, t2s)), spec)
-    reports = [OracleReport.build(complex(phi1) * complex(phi2),
-                                  complex(value), nc)
-               for value, (phi1, phi2), nc in zip(lhs, phis, nodes)]
-    return reports[0] if shape == () else reports
+    return _functional_equation(n, 0, Lam, t1, t2, spec)
 
 
 def functional_equation_entry_sl2(char_n: int, Lam, t1, t2,
@@ -619,30 +551,13 @@ def functional_equation_entry_sl2(char_n: int, Lam, t1, t2,
     """Joint-eigenfunction functional equation for the character entry E:
     the rotation average of E(x k y) against E(x) phi(y), with x, y the
     geodesic points at distances t1, t2.  The average runs over theta in
-    [0, pi): k_{theta + pi} = -k_theta gives the same disk point.  Lam,
-    t1 and t2 broadcast to the cases as in functional_equation_check; the
-    cases are the rows of one outer trapezoid batch, and the disk points
-    of every case at one level are one entry_function_sl2 batch."""
-    lams, t1s, t2s, shape = _grid(Lam, t1, t2)
-    g1s = [a_t_matrix(t) for t in t1s]
-    g2s = [a_t_matrix(t) for t in t2s]
-    nodes = np.zeros(len(lams), dtype=int)
-
-    def mean_of(m: int, idx: np.ndarray, shift: float) -> np.ndarray:
-        # a shifted level's m new nodes complete a rule of 2m points
-        nodes[idx] += m if shift == 0.0 else 2 * m
-        theta = math.pi * (np.arange(m) + shift) / m
-        z = np.concatenate([_rotated_ball_points(g1s[c], theta, g2s[c])
-                            for c in idx.tolist()])
-        values = entry_function_sl2(char_n, np.repeat(np.take(lams, idx), m),
-                                    z, spec)
-        return np.array([complex(np.mean(values[i:i + m]))
-                         for i in range(0, len(values), m)])
-
-    lhs, _ = trapezoid_doubling(mean_of, len(lams), spec, n0=8)
-    rhs = zip(entry_function_sl2(char_n, lams,
-                                 [sl2_to_ball(g) for g in g1s], spec),
-              quad_phi_K(2, lams, t2s, spec))
-    reports = [OracleReport.build(complex(e) * complex(phi), value, nc)
-               for (e, phi), value, nc in zip(rhs, lhs, nodes)]
-    return reports[0] if shape == () else reports
+    [0, pi): k_{theta + pi} = -k_theta gives the same disk point, at the
+    angle gamma = 2 theta.  E(x k y) is e^{i k angle} times the entry at
+    the composed point's distance, and the points at gamma and -gamma
+    share that distance with opposite angles, so the average is that of
+    cos(k angle) times the entry at the distance over the half circle, as
+    in functional_equation_check on the plane, whose batching it shares
+    (the inner batches are quad_eisenstein_sl2's)."""
+    if char_n % 2:
+        raise ValueError("character weight must be even")
+    return _functional_equation(2, char_n // 2, Lam, t1, t2, spec)

@@ -22,6 +22,7 @@ from sphfun.quadrature import (QuadratureSpec, ToleranceNotMetError,
                                _exp_sinh_nodes, exp_sinh_halfline,
                                exp_sinh_level, gauss_legendre_adaptive,
                                gl_rule, trapezoid_doubling)
+import conventions as cv
 from test_acceptance import margin_samples
 from test_rankone import mp_phi_and_limit
 
@@ -30,50 +31,50 @@ EPS = np.finfo(float).eps
 
 
 def random_group_element(rng):
-    return (md.k_theta_matrix(rng.uniform(0, 2 * math.pi))
-            @ md.a_t_matrix(rng.uniform(0, 2.5))
-            @ md.k_theta_matrix(rng.uniform(0, 2 * math.pi)))
+    return (cv.k_theta_matrix(rng.uniform(0, 2 * math.pi))
+            @ cv.a_t_matrix(rng.uniform(0, 2.5))
+            @ cv.k_theta_matrix(rng.uniform(0, 2 * math.pi)))
 
 
 class TestIwasawa:
     def test_identity(self):
-        assert md.iwasawa_H(md.a_t_matrix(0.0)) == 0.0
+        assert cv.iwasawa_H(cv.a_t_matrix(0.0)) == 0.0
 
     def test_diagonal_flow(self):
         for t in (-1.3, 0.4, 2.2):
-            assert md.iwasawa_H(md.a_t_matrix(t)) == pytest.approx(t)
+            assert cv.iwasawa_H(cv.a_t_matrix(t)) == pytest.approx(t)
 
     def test_lower_unipotent(self):
-        assert md.iwasawa_H(md.nbar_matrix(1.0)) == pytest.approx(
+        assert cv.iwasawa_H(cv.nbar_matrix(1.0)) == pytest.approx(
             math.log(2.0), abs=1e-15)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
             g = random_group_element(rng)
-            theta, h, x = md.iwasawa_decompose(g)
-            rec = (md.k_theta_matrix(theta) @ md.a_t_matrix(h)
-                   @ md.n_matrix(x))
+            theta, h, x = cv.iwasawa_decompose(g)
+            rec = (cv.k_theta_matrix(theta) @ cv.a_t_matrix(h)
+                   @ cv.n_matrix(x))
             for name in "abcd":
                 assert getattr(rec, name) == pytest.approx(
                     getattr(g, name), abs=1e-12)
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
-            md.Matrix2(2.0, 0.0, 0.0, 1.0)
+            cv.Matrix2(2.0, 0.0, 0.0, 1.0)
 
 
 class TestHorocycleBracket:
     def test_origin(self):
         for theta in (0.0, 1.0, 2.5):
-            b = md.boundary_circle_point(theta)
-            assert md.horocycle_bracket([0.0, 0.0],
+            b = cv.boundary_circle_point(theta)
+            assert cv.horocycle_bracket([0.0, 0.0],
                                         [b.real, b.imag]) == 0.0
 
     def test_radial_value(self):
         for t in (0.3, 1.7):
-            u = md.geodesic_radius(t)
-            assert md.horocycle_bracket([u, 0.0], [1.0, 0.0]) == \
+            u = cv.geodesic_radius(t)
+            assert cv.horocycle_bracket([u, 0.0], [1.0, 0.0]) == \
                 pytest.approx(t, abs=1e-13)
 
     def test_rotation_invariance(self):
@@ -81,10 +82,10 @@ class TestHorocycleBracket:
         for _ in range(50):
             r = rng.uniform(0, 0.95)
             phi_x, phi_b, rot = rng.uniform(0, 2 * math.pi, 3)
-            a = md.horocycle_bracket(
+            a = cv.horocycle_bracket(
                 [r * math.cos(phi_x), r * math.sin(phi_x)],
                 [math.cos(phi_b), math.sin(phi_b)])
-            b = md.horocycle_bracket(
+            b = cv.horocycle_bracket(
                 [r * math.cos(phi_x + rot), r * math.sin(phi_x + rot)],
                 [math.cos(phi_b + rot), math.sin(phi_b + rot)])
             assert a == pytest.approx(b, abs=1e-10)
@@ -93,11 +94,11 @@ class TestHorocycleBracket:
         x = [0.2, -0.1, 0.4]
         b = np.array([1.0, 2.0, -2.0]) / 3.0
         expected = math.log((1 - 0.21) / float((x - b) @ (x - b)))
-        assert md.horocycle_bracket(x, b) == pytest.approx(expected)
+        assert cv.horocycle_bracket(x, b) == pytest.approx(expected)
 
     def test_boundary_degenerate(self):
         with pytest.raises(ValueError):
-            md.horocycle_bracket([1.0 - 1e-16, 0.0], [1.0, 0.0])
+            cv.horocycle_bracket([1.0 - 1e-16, 0.0], [1.0, 0.0])
 
     def test_matrix_model_agreement(self):
         # A(k^{-1} g) = -H(g^{-1} k) equals the ball bracket under the
@@ -106,11 +107,11 @@ class TestHorocycleBracket:
         for _ in range(100):
             g = random_group_element(rng)
             theta = rng.uniform(0, 2 * math.pi)
-            k = md.k_theta_matrix(theta)
-            lhs = -md.iwasawa_H(g.inv() @ k)
-            z = md.sl2_to_ball(g)
-            b = md.boundary_circle_point(theta)
-            rhs = md.horocycle_bracket([z.real, z.imag], [b.real, b.imag])
+            k = cv.k_theta_matrix(theta)
+            lhs = -cv.iwasawa_H(g.inv() @ k)
+            z = cv.sl2_to_ball(g)
+            b = cv.boundary_circle_point(theta)
+            rhs = cv.horocycle_bracket([z.real, z.imag], [b.real, b.imag])
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -291,7 +292,8 @@ def poisson_domain(seed, count, t_min=0.0):
 class TestPoissonOraclesOverTheDomain:
     # out to t = 10: formed as (1 - u^2)/(1 - 2u cos psi + u^2), the
     # kernel lost digits at its peak from t of about 6, and the n >= 3
-    # rule ran out of bisections
+    # rule ran out of bisections; in the boundary variable theta there is
+    # no peak to lose them at
     SPEC = QuadratureSpec(abs_tol=1e-300)
     FIXED = [(3, 1.4 - 0.5j, 6.5), (2, 0.3 - 0.05j, 8.0),
              (2, 0.3 - 0.05j, 10.0)]
@@ -331,13 +333,12 @@ class TestPoissonOraclesOverTheDomain:
 
 
 class TestPlaneOraclesBeyondTen:
-    # the circle means run in the half-distance chart, where the kernel's
-    # peak of width e^{-t} is two of width e^{-t/2}: on the plane the rule
-    # resolves them out to t of about 20, where it ran out from t of
-    # about 11 in psi itself.  The rows are within 4e-15 of mpmath; with
-    # cos^2(s/2) formed from s rather than from pi - s, the nodes of the
-    # peak at s = pi move by the rounding of s, and rows move by up to
-    # 2e-13 (phi) and 1.1e-12 (the entries)
+    # in the boundary variable theta the plane's integrand has no peak:
+    # in psi the Poisson kernel's peak is e^{-t} wide, and the trapezoid
+    # rule ran out of nodes from t of about 11 (about 20 after a change
+    # of chart that split it into two peaks of width e^{-t/2}).  The
+    # tightest bound of the Poisson oracles: every t here is beyond
+    # where the rules in psi reached
     SPEC = QuadratureSpec(abs_tol=1e-300)
     REL = 5e-14
 
@@ -377,6 +378,87 @@ class TestPlaneOraclesBeyondTen:
         assert len(reps) == 6
         for rep in reps:
             assert rep.rel_err <= 1e-10, rep
+
+
+class TestPoissonOraclesMatchMpmath:
+    # the reach of the boundary variable: phi on the n-ball, n = 2-5, from
+    # t = 0.05 to 60 (on the plane to t = 1000), and the plane's entries of
+    # characters 2 and 4 to t = 40, against mpmath.  For complex Lam the
+    # bound is relative.  For real Lam the functions have zeros, so it is
+    # absolute, against the envelope 2 |c(Lam)| e^{-rho t} of their
+    # large-t expansion (c(Lam) leads the entries' expansion too); Lam = 0
+    # is real, but c has its pole there and the functions keep their sign,
+    # so its bound is relative.  The rows n = 3 at t = 24 and 40 and n = 4
+    # at t = 24, at Lam = 1.4 - 0.5i, are where the rule in the polar angle
+    # psi missed the kernel's peak and printed a wrong value
+    SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
+    LAMS = [1.4 - 0.5j, 0.3 - 0.05j, 0j, 3.0, 2 + 0.6j, -1 + 0.3j,
+            7.5 - 0.06j]
+    TS = [0.05, 0.5, 2.0, 6.0, 12.0, 24.0, 40.0, 60.0]
+    # the rows the stopping rule cannot finish: see below
+    MARGIN = 7.5 - 0.06j
+
+    @staticmethod
+    def scale(mp, n, lam, t, want):
+        if lam.imag != 0 or lam == 0:
+            return abs(want)
+        rho = mp.mpf(n - 1) / 2
+        with mp.workdps(30):
+            il = 1j * mp.mpf(lam.real)
+            c = mp.gamma(il) * mp.gamma(2 * rho) / (mp.gamma(il + rho)
+                                                     * mp.gamma(rho))
+            return float(2 * abs(c) * mp.exp(-rho * t))
+
+    @staticmethod
+    def plane_phi(mp, lam, t):
+        # the conical function P_{-1/2 + i Lam}(cosh t): mpmath needs no
+        # extra digits for it at large t, as it does for the 2F1 at
+        # tanh^2 t
+        with mp.workdps(30):
+            return complex(mp.legenp(-0.5 + 1j * mp.mpc(lam), 0,
+                                     mp.cosh(t), type=3))
+
+    @pytest.mark.parametrize("lam", LAMS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_phi(self, n, lam):
+        mp = pytest.importorskip("mpmath")
+        ts = self.TS + ([100.0, 1000.0] if n == 2 else [])
+        if n > 2 and lam == self.MARGIN:
+            ts = [t for t in ts if t < 40.0]
+        space = r1.RankOneSpace(n - 1, 0)
+        for t, quad in zip(ts, md.quad_phi_K(n, lam, ts, self.SPEC)):
+            want = (self.plane_phi(mp, lam, t) if t > 60.0 else
+                    mp_phi_and_limit(mp, space, r1.TRIVIAL_KTYPE, lam, t)[0])
+            assert abs(quad - want) <= 1e-12 * self.scale(mp, n, lam, t,
+                                                          want), t
+
+    @pytest.mark.xfail(strict=True, raises=ToleranceNotMetError,
+                       reason="ROADMAP.md item 2 (a stopping rule that "
+                              "knows its own rounding): the panels cancel, "
+                              "and each panel's target falls below its own "
+                              "rounding")
+    @pytest.mark.parametrize("t", [40.0, 60.0])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_phi_near_the_margin(self, n, t):
+        mp = pytest.importorskip("mpmath")
+        quad = md.quad_phi_K(n, self.MARGIN, t, self.SPEC)
+        want = mp_phi_and_limit(mp, r1.RankOneSpace(n - 1, 0),
+                                r1.TRIVIAL_KTYPE, self.MARGIN, t)[0]
+        assert abs(quad - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("lam", LAMS)
+    @pytest.mark.parametrize("char_n", [2, 4])
+    def test_entries(self, char_n, lam):
+        mp = pytest.importorskip("mpmath")
+        h2 = r1.RankOneSpace(1, 0)
+        kt = r1.sl2_ktype_for_char(char_n)
+        ts = [t for t in self.TS if t <= 40.0]
+        for t, quad in zip(ts, md.quad_eisenstein_sl2(char_n, lam, ts,
+                                                      self.SPEC)):
+            want = (mp_phi_and_limit(mp, h2, kt, lam, t)[0]
+                    / math.factorial(kt.s))
+            assert abs(quad - want) <= 1e-12 * self.scale(mp, 2, lam, t,
+                                                          want), t
 
 
 class TestGaussLegendreTables:
@@ -463,16 +545,13 @@ class TestBatchedRules:
     # the values agree bit for bit, and the nodes add up row by row
     LAM = 0.7 + 0.2j
 
-    @staticmethod
-    def circle_rows(u, mu, k):
-        return circle_level(u, 1.0 - u, mu, k)
-
     def test_trapezoid_rows_match_one_row_runs(self):
-        u = np.array([0.05, 0.3, 0.76, 0.9])
-        mu = 1j * self.LAM + 0.5
-        values, nodes = trapezoid_doubling(self.circle_rows(u, mu, 1), len(u))
-        singles = [trapezoid_doubling(self.circle_rows(u[i:i + 1], mu, 1), 1)
-                   for i in range(len(u))]
+        t = np.array([0.1, 2.0, 6.0, 20.0])
+        values, nodes = trapezoid_doubling(circle_level(t, self.LAM, 1),
+                                           len(t))
+        singles = [trapezoid_doubling(circle_level(t[i:i + 1], self.LAM, 1),
+                                      1)
+                   for i in range(len(t))]
         assert [complex(v) for v in values] == [complex(s[0][0])
                                                 for s in singles]
         assert type(nodes) is int
@@ -609,14 +688,14 @@ class TestBatchedRules:
         assert errors[2][2] == 60 * 13  # depth 3: 1 + 2 + 4 + 6 panels
 
     def test_circle_sum_takes_an_exponent_per_radius(self):
-        u = np.array([0.05, 0.3, 0.76, 0.9])
-        mu = 1j * np.array([0.7 + 0.2j, 1.1 - 0.4j, 0.3, 2.0 + 0.5j]) + 0.5
+        # a Lam per distance, so an exponent i Lam + rho per row
+        t = np.array([0.1, 0.6, 2.0, 6.0])
+        lams = np.array([0.7 + 0.2j, 1.1 - 0.4j, 0.3, 2.0 + 0.5j])
         for k, m, shift in ((0, 32, 0.0), (2, 64, 0.5)):
-            rows = self.circle_rows(u, mu, k)(m, np.arange(len(u)), shift)
+            rows = circle_level(t, lams, k)(m, np.arange(len(t)), shift)
             assert rows.tobytes() == np.concatenate(
-                [self.circle_rows(u[i:i + 1], complex(mu[i]), k)(
-                    m, np.arange(1), shift)
-                 for i in range(len(u))]).tobytes()
+                [circle_level(t[i:i + 1], lams[i], k)(m, np.arange(1), shift)
+                 for i in range(len(t))]).tobytes()
 
     # the oracles on a Lam x point grid: one batch, whose rows have the
     # bits of the calls at one Lam
@@ -673,65 +752,68 @@ class TestBatchedRules:
             [self.report_bits(r) for r in singles]
 
 
-def circle_level(u, v, mu, harmonic):
-    """The level sum md._circle_means hands the trapezoid rule, for the
-    radii u, their complements v and the exponents mu (one, or one per
-    radius): mean_of(m, idx, shift), the mean over the m-point grid of
-    the rows idx."""
+def circle_level(t, lam, harmonic):
+    """The level sum md._plane_means hands the trapezoid rule, for the
+    distances t > 0 and Lam (one, or one per distance): mean_of(m, idx,
+    shift), the mean over the m-point grid of the rows idx."""
     levels = []
 
     def capture(mean_of, rows, spec):
         levels.append(mean_of)
         return np.zeros(rows, dtype=complex), 0
 
+    t = np.asarray(t, dtype=float)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(md, "trapezoid_doubling", capture)
-        md._circle_means(u, v, np.broadcast_to(np.asarray(mu, complex),
-                                               np.shape(u)),
-                         harmonic, md.DEFAULT_SPEC)
+        md._plane_means(np.broadcast_to(np.asarray(lam, complex), t.shape),
+                        t, harmonic, md.DEFAULT_SPEC)
     return levels[0]
 
 
-def charted_integrand(u, mu, harmonic, s):
-    """The integrand md._circle_means sums, in plain form at the angles s:
-    P(r, s)^mu P(-r, s)^{1 - mu} e^{i harmonic psi(s)}, with
-    r = u/(1 + sqrt(1 - u^2)) the radius of the half-distance point and
-    e^{i psi} = (e^{i s} + r)/(1 + r e^{i s}), the boundary point the
-    chart moves e^{i s} to."""
-    r = u / (1.0 + math.sqrt(1.0 - u * u))
-    cos = np.cos(s)
-    p_plus = (1.0 - r * r) / (1.0 - 2.0 * r * cos + r * r)
-    p_minus = (1.0 - r * r) / (1.0 + 2.0 * r * cos + r * r)
-    z = np.exp(1j * s)
-    return (np.exp(mu * np.log(p_plus) + (1.0 - mu) * np.log(p_minus))
-            * ((z + r) / (1.0 + r * z)) ** harmonic)
+def theta_integrand(t, lam, harmonic, theta):
+    """The integrand md._plane_means sums, in plain form at the angles
+    theta: e^{-i Lam t cos theta} t (F(s2) F(c2))^{-1/2} T_k(cos psi),
+    with F(x) = sinh(t x)/x (F(0) = t), s2 = sin^2(theta/2),
+    c2 = cos^2(theta/2), k = |harmonic| and
+    cos psi = (cosh t - e^{t cos theta})/sinh t."""
+    def sinh_over(x):
+        return np.where(x > 0.0, np.sinh(t * x) / np.where(x > 0.0, x, 1.0),
+                        t)
+
+    y = t * np.cos(theta)
+    weight = t / np.sqrt(sinh_over(np.sin(0.5 * theta) ** 2)
+                         * sinh_over(np.cos(0.5 * theta) ** 2))
+    cos_psi = (math.cosh(t) - np.exp(y)) / math.sinh(t)
+    return (np.exp(-1j * lam * y) * weight
+            * np.cos(abs(harmonic) * np.arccos(np.clip(cos_psi, -1.0, 1.0))))
 
 
-def chart_growth(u, mu, harmonic):
-    """The factor by which the plain form of the charted integrand
-    magnifies an error of eps in cos s: each kernel's log by
-    2r/(1 - r)^2 at its peak, times its exponent, and psi by the chart's
-    largest stretch (1 + r)/(1 - r), times the harmonic."""
-    r = u / (1.0 + math.sqrt(1.0 - u * u))
-    return (1.0 + (abs(mu) + abs(1.0 - mu)) * 2.0 * r / (1.0 - r) ** 2
-            + abs(harmonic) * (1.0 + r) / (1.0 - r))
+def theta_growth(t, lam, harmonic):
+    """The factor by which the plain form magnifies an error of eps in
+    theta and in its own arithmetic: the phase and the modulus of
+    e^{-i Lam t cos theta} by |Lam| t, sinh(t x) by 1 + t, and, through
+    cos psi, whose two terms are each as large as coth t, T_k by k^2
+    coth t (|T_k'| <= k^2 on [-1, 1])."""
+    k = abs(harmonic)
+    return 1.0 + abs(lam) * t + t + k * k * (1.0 + t) / math.tanh(t)
 
 
-def reference_circle_mean(u, mu, harmonic, spec, n0=32):
-    """One radius by the plain trapezoid sequence: the full-grid complex
-    mean of the charted integrand at n0, 2 n0, ... until two levels
-    agree.  Returns the value, the rule points used and the mean of
-    |integrand| at the last level."""
+def reference_circle_mean(t, lam, harmonic, spec, n0=32):
+    """One distance by the plain trapezoid sequence: the full-grid mean of
+    the plain integrand at n0, 2 n0, ... until two levels agree.  Returns
+    the value, the rule points used and the mean of |integrand| at the
+    last level."""
     prev, nodes, n = None, 0, n0
     while True:
-        vals = charted_integrand(u, mu, harmonic,
-                                 np.arange(n) * (2.0 * math.pi / n))
+        vals = theta_integrand(t, lam, harmonic,
+                               np.arange(n) * (2.0 * math.pi / n))
         cur = complex(vals.mean())
         nodes += n
         if prev is not None and abs(cur - prev) <= max(
                 spec.abs_tol, spec.rel_tol * abs(cur)):
             return cur, nodes, float(np.abs(vals).mean())
         prev, n = cur, 2 * n
+        assert n <= quadrature.TRAPEZOID_MAX_NODES, (t, lam, harmonic)
 
 
 def reference_exp_sinh(log_f, spec):
@@ -787,31 +869,36 @@ def fe_distances(t1, t2, n=3):
     first two circle levels, of 8 and 16 points; above it, the 20 + 40
     nodes of the first Gauss-Legendre panel."""
     if n == 2:
-        gamma = np.arange(9) * (math.pi / 8)
+        # cos^2(gamma/2) at gamma = j pi/8, j = 0, ..., 8, as the
+        # half-circle table holds it: exactly 0 at gamma = pi
+        c2 = md._half_circle(16, 0.0)[0][1]
     else:
         x = np.concatenate([gl_rule(m)[0] for m in (20, 40)])
-        gamma = 0.5 * math.pi * (1.0 + x)
-    arg = (math.cosh(t1) * math.cosh(t2)
-           + math.sinh(t1) * math.sinh(t2) * np.cos(gamma))
-    return np.arccosh(np.maximum(arg, 1.0))
+        c2 = np.cos(0.25 * math.pi * (1.0 + x)) ** 2
+    # cosh d = cosh t1 cosh t2 + sinh t1 sinh t2 cos gamma, as
+    # sinh^2(d/2) = sinh^2((t1 - t2)/2) + sinh t1 sinh t2 cos^2(gamma/2)
+    return 2.0 * np.arcsinh(np.sqrt(math.sinh(0.5 * (t1 - t2)) ** 2
+                                    + math.sinh(t1) * math.sinh(t2) * c2))
 
 
 def circle_samples():
-    """(u, mu, harmonic) of the verify suites and acceptance criteria
-    that integrate over the circle."""
+    """(t, Lam, harmonic) of the verify suites and acceptance criteria
+    that integrate over the circle, t > 0."""
     rng = np.random.default_rng(104)
     crit4 = [complex(rng.uniform(0.2, 2.0), rng.uniform(-0.8, 0.8))
              for _ in range(10)]
     phi_lams = vf._lambda_samples(5, seed=5, im_range=(-0.6, 0.6)) + crit4
     fe_lams = vf._lambda_samples(3, seed=23, im_range=(-0.4, 0.4))
-    out = [(md.geodesic_radius(t), 1j * lam + 0.5, 0)
-           for lam in phi_lams for t in (0.5, 1.0, 2.0, 3.0)]
-    out += [(md.geodesic_radius(t), 1j * lam + 0.5, k)
+    entry_lams = vf._lambda_samples(2, seed=29, im_range=(-0.4, 0.4))
+    out = [(t, lam, 0) for lam in phi_lams for t in (0.5, 1.0, 2.0, 3.0)]
+    out += [(t, lam, k)
             for lam in vf._lambda_samples(3, seed=31, im_range=(-0.5, 0.5))
             for k in (1, 2) for t in (0.5, 1.0, 2.0)]
-    out += [(md.geodesic_radius(d), 1j * lam + 0.5, 0) for lam in fe_lams
+    out += [(d, lam, 0) for lam in fe_lams
             for d in np.concatenate([fe_distances(1.0, 1.0, 2),
-                                     fe_distances(0.5, 2.0, 2)])]
+                                     fe_distances(0.5, 2.0, 2)]) if d > 0]
+    out += [(d, lam, 1) for lam in entry_lams
+            for d in fe_distances(1.0, 1.0, 2) if d > 0]
     return out
 
 
@@ -834,18 +921,13 @@ class TestNestedRulesMatchReference:
     SPEC = md.DEFAULT_SPEC
 
     def test_circle_means(self):
-        samples = circle_samples()
-        for harmonic in {k for _, _, k in samples}:
-            rows = [(u, mu) for u, mu, k in samples if k == harmonic]
-            u = np.array([r[0] for r in rows])
-            mu = np.array([r[1] for r in rows])
-            for i in range(len(rows)):
-                value, nodes = trapezoid_doubling(circle_level(
-                    u[i:i + 1], 1.0 - u[i:i + 1], mu[i], harmonic), 1)
-                want, want_nodes, scale = reference_circle_mean(
-                    u[i], mu[i], harmonic, self.SPEC)
-                assert nodes == want_nodes
-                assert abs(value[0] - want) <= 1e-14 * scale
+        for t, lam, harmonic in circle_samples():
+            value, nodes = trapezoid_doubling(
+                circle_level([t], lam, harmonic), 1)
+            want, want_nodes, scale = reference_circle_mean(
+                t, lam, harmonic, self.SPEC)
+            assert nodes == want_nodes, (t, lam, harmonic)
+            assert abs(value[0] - want) <= 1e-14 * scale, (t, lam, harmonic)
 
     def test_exp_sinh(self):
         for n, s, char in nbar_samples():
@@ -861,7 +943,7 @@ class TestNestedRulesMatchReference:
         # the batched rule accepts the panels of the recursive one and
         # adds them in the same order
         lams = vf._lambda_samples(5, seed=5, im_range=(-0.6, 0.6))
-        u = np.array([md.geodesic_radius(t) for t in
+        u = np.array([cv.geodesic_radius(t) for t in
                       np.concatenate([[0.5, 1.0, 2.0, 3.0],
                                       fe_distances(1.0, 0.7)[::7]])])
         for lam in lams:
@@ -887,20 +969,21 @@ class TestPoissonCircleSum:
 
         @hyp.settings(derandomize=True, deadline=None, database=None,
                       max_examples=200)
-        @hyp.given(st.floats(0.0, 0.95), st.floats(0.5, 2.0),
-                   st.floats(-3.0, 3.0), st.integers(0, 4),
+        @hyp.given(st.floats(0.01, 10.0), st.floats(-3.0, 3.0),
+                   st.floats(-1.5, 1.5), st.integers(0, 4),
                    st.integers(32, 1024), st.sampled_from([0.0, 0.5]))
-        def check(u, mu_re, mu_im, harmonic, nphi, shift):
-            mu = complex(mu_re, mu_im)
-            got = circle_level(np.array([u]), np.array([1.0 - u]), mu,
-                               harmonic)(nphi, np.arange(1), shift)[0]
-            vals = charted_integrand(
-                u, mu, harmonic,
+        def check(t, lam_re, lam_im, harmonic, nphi, shift):
+            lam = complex(lam_re, lam_im)
+            got = circle_level([t], lam, harmonic)(
+                nphi, np.arange(1), shift)[0]
+            vals = theta_integrand(
+                t, lam, harmonic,
                 2.0 * math.pi * (np.arange(nphi) + shift) / nphi)
             want = complex(np.mean(vals))
-            # the full grid forms cos s at each node and its mirror, each
-            # rounded, an error the plain kernels and the chart magnify
-            bound = 8.0 * EPS * chart_growth(u, mu, harmonic)
+            # the full grid forms theta at each node and at its mirror,
+            # each rounded, and the plain form magnifies that and its own
+            # rounding by at most theta_growth
+            bound = 8.0 * EPS * theta_growth(t, lam, harmonic)
             assert abs(got - want) <= bound * np.mean(np.abs(vals))
 
         check()
@@ -938,17 +1021,28 @@ class TestRadialTermTables:
 
 class TestRotatedBallPoints:
     def test_matches_matrix_products(self):
+        # the vectorized matrix model against Matrix2 products, then the
+        # distance and angle the entry's functional equation takes for
+        # a_{t1} k_theta a_{t2} (gamma = 2 theta) against its disk point
         rng = np.random.default_rng(8)
         theta = np.linspace(0.0, 2.0 * math.pi, 97)
-        pairs = [(md.a_t_matrix(1.0), md.a_t_matrix(1.0)),
-                 (md.a_t_matrix(0.5), md.a_t_matrix(2.0))]
-        pairs += [(random_group_element(rng), random_group_element(rng))
-                  for _ in range(4)]
+        pairs = [(random_group_element(rng), random_group_element(rng))
+                 for _ in range(4)]
         for g1, g2 in pairs:
-            got = md._rotated_ball_points(g1, theta, g2)
-            want = [md.sl2_to_ball(g1 @ md.k_theta_matrix(th) @ g2)
+            got = cv.rotated_ball_points(g1, theta, g2)
+            want = [cv.sl2_to_ball(g1 @ cv.k_theta_matrix(th) @ g2)
                     for th in theta]
             assert np.max(np.abs(got - np.array(want))) <= 1e-15
+        theta = np.linspace(0.0, 0.5 * math.pi, 49)
+        s2, c2 = np.sin(theta) ** 2, np.cos(theta) ** 2
+        for t1, t2 in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (0.0, 1.3),
+                       (1.3, 0.0), (2.5, 2.5)):
+            z = cv.rotated_ball_points(cv.a_t_matrix(t1), theta,
+                                       cv.a_t_matrix(t2))
+            d = md._composed_distances(t1, t2, c2)
+            angle = md._composed_angles(t1, t2, s2, c2)
+            assert np.max(np.abs(np.tanh(0.5 * d) * np.exp(1j * angle) - z)
+                          ) <= 1e-15, (t1, t2)
 
 
 class TestBatchedOracles:

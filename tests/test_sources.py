@@ -58,10 +58,9 @@ KEEP = {
                               "reads",
     "complexmath.gauss_2f1": "the one-call 2F1: bench_kernels times it "
                              "cold and perfbench's tracer hooks it",
-    **{f"models.{name}": "a matrix/ball convention helper, a reference "
-                         "the tests compare the oracles' conventions against"
-       for name in ("nbar_matrix", "n_matrix", "iwasawa_decompose",
-                    "boundary_circle_point", "horocycle_bracket")},
+    "models.entry_function_sl2": "the entry at a disk point: perfbench's "
+                                 "tracer hooks it, and the tests check its "
+                                 "rotation equivariance",
 }
 
 
