@@ -53,8 +53,8 @@ is
 term that cancels or overflows (out to t = 1000 and beyond).  The
 integrand has no peak: on the plane it is analytic, even and
 2 pi-periodic in theta, so the trapezoid rule converges geometrically on
-the half-circle table; for n >= 3 adaptive Gauss-Legendre runs it on
-[0, pi/2].
+the half-circle table; for n >= 3 Gauss-Legendre on 2^k equal panels
+runs it on [0, pi/2].
 """
 
 import cmath
@@ -217,10 +217,10 @@ def _sphere_band_norm(n: int) -> float:
 def _ball_means(n: int, lams: np.ndarray, t: np.ndarray,
                 spec: QuadratureSpec) -> np.ndarray:
     """Per row, phi_Lam(t) on the n-ball, n >= 3, at Lam lams[i] and
-    distance t[i] > 0, by adaptive Gauss-Legendre on [0, pi/2]: the weight
-    is even about theta = pi/2, where y changes sign, so the integral
-    over [0, pi] is that of 2 cos(Lam y) = e^{i Lam y} + e^{-i Lam y} over
-    [0, pi/2]."""
+    distance t[i] > 0, by Gauss-Legendre on equal panels of [0, pi/2]:
+    the weight is even about theta = pi/2, where y changes sign, so the
+    integral over [0, pi] is that of 2 cos(Lam y) = e^{i Lam y} +
+    e^{-i Lam y} over [0, pi/2]."""
     t = t[:, None, None]
     ilt = (1j * lams)[:, None] * t[:, 0]
 
@@ -257,8 +257,8 @@ def quad_phi_K(n: int, Lam, t, spec: QuadratureSpec = DEFAULT_SPEC):
     power P(x, b)^{i Lam + rho}, in the boundary variable theta (see
     above).  Lam and t are numbers or arrays that broadcast against each
     other (see Grids above).  The whole grid of (Lam, t) points is one
-    batch: of the trapezoid rule on the plane, of adaptive Gauss-Legendre
-    above it."""
+    batch: of the trapezoid rule on the plane, of Gauss-Legendre above
+    it."""
     if n < 2:
         raise ValueError("need n >= 2")
     lams, t, shape = _grid(Lam, t)
@@ -534,13 +534,13 @@ def functional_equation_check(n: int, Lam, t1, t2,
     other, one case per point: an OracleReport for numbers, else a list
     of them, one per case in C order, each with its own case's outer
     nodes (the integrand's evaluations).  The cases are the rows of one
-    outer batch, and at each of its levels (bisection depths) the
-    (Lam, distance) pairs not met before are one quad_phi_K batch, so
-    equal pairs (every node of a case with t1 = 0, say) share one
-    evaluation.  On the plane (n = 2) the average is over the circle,
-    by the trapezoid rule on the half-circle table from 8 points, as in
-    quad_phi_K; above it, by adaptive Gauss-Legendre in gamma with the
-    weight sin^{n-2} gamma.  The outer rule asks for no less than
+    outer batch, and at each of its levels the (Lam, distance) pairs not
+    met before are one quad_phi_K batch, so equal pairs (every node of a
+    case with t1 = 0, say) share one evaluation.  On the plane (n = 2)
+    the average is over the circle, by the trapezoid rule on the
+    half-circle table from 8 points, as in quad_phi_K; above it, by
+    Gauss-Legendre on equal panels in gamma with the weight
+    sin^{n-2} gamma.  The outer rule asks for no less than
     abs_tol 1e-10 and rel_tol 1e-9, the accuracy of its inner rows.
     """
     return _functional_equation(n, 0, Lam, t1, t2, spec)

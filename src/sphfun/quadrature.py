@@ -1,30 +1,34 @@
 """Deterministic quadrature engines for the integral oracles.
 
-Three rules cover every defining integral of the package:
+Three rules cover every defining integral of the package, each a
+sequence of refinement levels:
 
-* adaptive composite Gauss-Legendre on finite intervals (bisection driven
-  by the 20- vs 40-point discrepancy, accepted panels added left to right
-  with compensated summation, so results are reproducible bit for bit);
+* composite Gauss-Legendre on finite intervals, for integrands analytic
+  there: level k is the 20- and 40-point sum over 2^k equal panels, and
+  their difference is the level's error estimate;
 * trapezoid doubling for smooth periodic integrands;
 * a double-exponential (exp-sinh) rule, the one rule for half-line
   integrals, built for integrands that decay algebraically, so the
   callers apply it to their variable directly; the integrand is supplied
   in log form so the algebraic tails can never overflow.
 
-Each rule integrates a batch of rows (one integrand each) with one NumPy
-pass per refinement level, or per bisection depth for Gauss-Legendre.
-The rows of a batch may be integrands of different parameters (the
-oracles of `models` put one row per (Lam, point) pair in one batch).
-Each row stops where it would stop alone, so a batch returns, bit for
-bit, the values of one-row runs.  The trapezoid and double-exponential
-levels are nested: each evaluates only the nodes that are new at that
-level and adds them to the row's running sum.  All routines return
+All three run through one level loop, which integrates a batch of rows
+(one integrand each) with one NumPy pass per level.  The rows of a
+batch may be integrands of different parameters (the oracles of
+`models` put one row per (Lam, point) pair in one batch).  A row leaves
+the batch at the first level whose error estimate is within
+max(abs_tol, rel_tol |value|), where it would stop alone, so a batch
+returns, bit for bit, the values of one-row runs.  The trapezoid and
+double-exponential levels are nested: each evaluates only the nodes that
+are new at that level and adds them to the row's running sum, and the
+error estimate is the change from the level before.  All routines return
 (values, nodes_used as an int).  nodes_used counts rule points, summed
 over the levels and rows, not integrand evaluations: a nested level of
-2n points evaluates its n new nodes.  When the node budget of a row runs
-out, a batch raises the ToleranceNotMetError that the first such row, in
-input order, raises in its one-row run, even where a later row runs out
-at an earlier level or depth.
+2n points evaluates its n new nodes.  Each rule caps the rule points of
+a level; a batch with rows open past the cap raises the
+ToleranceNotMetError of the first of them, in input order, which is the
+error its one-row run raises, since the open rows reach each level
+together.
 """
 
 import math
@@ -34,13 +38,16 @@ from typing import Callable
 
 import numpy as np
 
-GL_MAX_BISECTIONS = 2 ** 14
+# a Gauss-Legendre row still open at 2^14 panels, the first level past
+# this cap, raises after 60 (2^15 - 1), about 2M, rule points
+GL_MAX_LEVEL_NODES = 60 * 2 ** 13
 # panels per call of a Gauss-Legendre integrand: bounds the node arrays
-# of a large batch whose rows bisect far (the panels are independent, so
-# the values do not depend on it)
+# of a large batch at a deep level (the panels are independent, so the
+# values do not depend on it)
 GL_CHUNK_PANELS = 2 ** 12
 TRAPEZOID_MAX_NODES = 2 ** 18
 EXP_SINH_MAX_LEVEL_NODES = 2 ** 14
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -110,118 +117,23 @@ def gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-class _Kahan:
-    """Compensated complex accumulator."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0j
-        self.c = 0j
-
-    def add(self, x: complex):
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-
-def gauss_legendre_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                            rows: int, a: float, b: float,
-                            spec: QuadratureSpec = DEFAULT_SPEC
-                            ) -> tuple[np.ndarray, int]:
-    """Integrals over [a, b] of rows vectorized complex integrands.
-
-    f(x, idx) returns, for each panel i, the integrand of row idx[i] at
-    the nodes x[i] (one row of x per panel).  Each row keeps its own
-    panel tree: a panel whose 20- and 40-point values differ by more than
-    its share of the tolerance is bisected, and each bisection depth is
-    one call of f over the open panels of every row (one call per
-    GL_CHUNK_PANELS of them, where there are more).  A row's accepted
-    panels are added left to right with compensated summation, so its
-    value is the one a one-row run gives.  A row that runs out of
-    bisections stops the rows after it, and the rows before it run on,
-    since one of them may run out at a later depth.  Returns the values
-    and the nodes summed over rows."""
-    x20, w20 = gl_rule(20)
-    x40, w40 = gl_rule(40)
-    x = np.concatenate((x20, x40))
-    a, b = float(a), float(b)
-    row = np.arange(rows)  # the row of each open panel, rows in order,
-    lo = np.full(rows, a)  # and a row's panels left to right
-    hi = np.full(rows, b)
-    budget = np.full(rows, GL_MAX_BISECTIONS)
-    evaluated, accepted = [], []
-    failure = None  # the error of the first row, in input order, out of budget
-    depth = 0
-    while row.size:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        coarse = np.empty(row.size, dtype=complex)
-        fine = np.empty(row.size, dtype=complex)
-        for start in range(0, row.size, GL_CHUNK_PANELS):
-            part = slice(start, start + GL_CHUNK_PANELS)
-            vals = f(mid[part, None] + half[part, None] * x, row[part])
-            coarse[part] = half[part] * np.add.reduce(w20 * vals[:, :20],
-                                                      axis=1)
-            fine[part] = half[part] * np.add.reduce(w40 * vals[:, 20:],
-                                                    axis=1)
-        evaluated.append(row)
-        err = np.abs(fine - coarse)
-        tol = (np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))
-               * ((hi - lo) / (b - a)))
-        split = ~(err <= tol) & (depth < 48)
-        accepted.append((row[~split], lo[~split], fine[~split]))
-        # the budget-th bisection of a row raises, as in its one-row run;
-        # every row still open comes before the failure found so far
-        used = np.bincount(row[split], minlength=rows)
-        out = np.flatnonzero((used > 0) & (used >= budget))
-        if out.size:
-            r = out[0]
-            i = np.flatnonzero(split & (row == r))[budget[r] - 1]
-            nodes = sum(np.count_nonzero(e == r) for e in evaluated)
-            failure = ToleranceNotMetError(float(err[i]), float(tol[i]),
-                                           60 * int(nodes))
-            split &= row < r
-        budget -= used
-        mid = mid[split]
-        row, lo, hi = (np.repeat(v[split], 2) for v in (row, lo, hi))
-        lo[1::2] = mid
-        hi[::2] = mid
-        depth += 1
-    if failure is not None:
-        raise failure
-    totals = [_Kahan() for _ in range(rows)]
-    if accepted:
-        row, lo, fine = (np.concatenate(c) for c in zip(*accepted))
-        order = np.lexsort((lo, row))
-        for r, v in zip(row[order].tolist(), fine[order].tolist()):
-            totals[r].add(v)
-    return (np.array([t.s for t in totals], dtype=complex),
-            60 * sum(e.size for e in evaluated))
-
-
 def _halving_batch(level, rows: int, spec: QuadratureSpec, cap: int
                    ) -> tuple[np.ndarray, int]:
     # level(k, idx, state) -> (values of the rows idx at refinement level
-    # k, their running state, rule points per row); state is None at
-    # level 0, then the tuple of per-row arrays the level before returned,
-    # for the rows idx.  A row leaves the batch at the first level whose
-    # value is within tolerance of the previous one, as it would run alone
+    # k, their error estimates, their running state, rule points per
+    # row); state is None at level 0, then the tuple of per-row arrays
+    # the level before returned, for the rows idx.  A row leaves the
+    # batch at the first level whose error estimate is within tolerance,
+    # as it would run alone
     values = np.empty(rows, dtype=complex)
     idx = np.arange(rows)
-    if not rows:
-        return values, 0
-    prev, state, n = level(0, idx, None)
-    nodes, row_nodes = n * rows, n
-    k = 0
+    state = None
+    nodes = row_nodes = k = 0
     while idx.size:
-        k += 1
-        cur, state, n = level(k, idx, state)
+        cur, err, state, n = level(k, idx, state)
         nodes += n * idx.size
         row_nodes += n
         target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur))
-        err = np.abs(cur - prev)
         done = err <= target
         values[idx[done]] = cur[done]
         if n > cap and not done.all():
@@ -229,9 +141,55 @@ def _halving_batch(level, rows: int, spec: QuadratureSpec, cap: int
             raise ToleranceNotMetError(float(err[first]),
                                        float(target[first]), row_nodes)
         keep = ~done
-        idx, prev = idx[keep], cur[keep]
-        state = tuple(s[keep] for s in state)
+        idx, state = idx[keep], tuple(s[keep] for s in state)
+        k += 1
     return values, nodes
+
+
+def _change(cur: np.ndarray, state) -> np.ndarray:
+    # a nested rule's error estimate: per row, the change from the value
+    # of the level before, the last entry of its state (none at level 0)
+    return np.abs(cur - state[-1]) if state else np.full(cur.shape, np.inf)
+
+
+def gauss_legendre_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                            rows: int, a: float, b: float,
+                            spec: QuadratureSpec = DEFAULT_SPEC
+                            ) -> tuple[np.ndarray, int]:
+    """Integrals over [a, b] of rows vectorized complex integrands, by
+    composite Gauss-Legendre on 2^k equal panels, k = 0, 1, ...
+
+    f(x, idx) returns, for each panel i, the integrand of row idx[i] at
+    the nodes x[i] (one row of x per panel).  Level k is one call of f
+    over the 2^k panels of every open row (one call per GL_CHUNK_PANELS
+    of them, where there are more).  A row's value there is its 40-point
+    sum over its panels, and it stops at the first level where that sum
+    agrees with the 20-point one to tolerance: the whole row's difference
+    is tested, not each panel's, so panels that cancel cannot push a
+    target below their own rounding.  The rule refines uniformly, not
+    where the error is, so it serves integrands analytic on [a, b]; the
+    name stays adaptive, since each row picks its own level.  Returns
+    the values and the nodes summed over rows."""
+    x20, w20 = gl_rule(20)
+    x40, w40 = gl_rule(40)
+    x = np.concatenate((x20, x40))
+
+    def level(k, idx, state):
+        half = (b - a) / (2 << k)  # half a panel's width
+        # the panels of every row, rows in order and a row's left to right
+        coarse, fine = np.empty((2, idx.size << k), dtype=complex)
+        for start in range(0, coarse.size, GL_CHUNK_PANELS):
+            p = np.arange(start, min(start + GL_CHUNK_PANELS, coarse.size))
+            row, j = np.divmod(p, 1 << k)
+            mid = a + (2 * j + 1) * half
+            vals = f(mid[:, None] + half * x, idx[row])
+            coarse[p] = half * np.add.reduce(w20 * vals[:, :20], axis=1)
+            fine[p] = half * np.add.reduce(w40 * vals[:, 20:], axis=1)
+        coarse = np.add.reduce(coarse.reshape(idx.size, -1), axis=1)
+        fine = np.add.reduce(fine.reshape(idx.size, -1), axis=1)
+        return fine, np.abs(fine - coarse), (), 60 << k
+
+    return _halving_batch(level, rows, spec, GL_MAX_LEVEL_NODES)
 
 
 def trapezoid_doubling(
@@ -254,7 +212,7 @@ def trapezoid_doubling(
             cur = 0.5 * (state[0] + mean_of(n0 << (k - 1), idx, 0.5))
         else:
             cur = mean_of(n0, idx, 0.0)
-        return cur, (cur,), n0 << k
+        return cur, _change(cur, state), (cur,), n0 << k
 
     return _halving_batch(level, rows, spec, TRAPEZOID_MAX_NODES)
 
@@ -319,12 +277,14 @@ def exp_sinh_halfline(log_f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         m, s = _log_sum(log_f(u, idx) + logw)
         if k:
             # the old nodes keep their weights at half the step
-            m0, s0 = state
+            m0, s0, _ = state
             top = np.maximum(m0, m)
             with np.errstate(invalid="ignore"):
                 s = np.where(np.isfinite(top), 0.5 * s0 * np.exp(m0 - top)
                              + s * np.exp(m - top), 0j)
             m = top
-        return np.exp(m) * s, (m, s), 2 * int(_ES_UMAX / 0.5 ** (k + 1)) + 1
+        cur = np.exp(m) * s
+        return (cur, _change(cur, state), (m, s, cur),
+                2 * int(_ES_UMAX / 0.5 ** (k + 1)) + 1)
 
     return _halving_batch(level, rows, spec, EXP_SINH_MAX_LEVEL_NODES)

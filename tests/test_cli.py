@@ -388,6 +388,18 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "--ktype" in err
 
+    @pytest.mark.parametrize("space", ["hn:4", "hn:5"])
+    def test_functional_equation_at_a_tolerance_near_rounding(self, space):
+        # rel_tol 1e-15 is near the rounding of the inner phi rows: a
+        # rule that bisected against a target per panel ran out of
+        # bisections here; the level rule tests the whole row's sum
+        code, out, err = run_cli(
+            "verify", "--suite", "functional-equation", "--space", space,
+            "--rel-tol", "1e-15", "--abs-tol", "1e-300")
+        assert code == 0, err
+        rows = rows_of(out)
+        assert rows and all(r["passed"] == "true" for r in rows)
+
     def test_unknown_suite_exits_2(self):
         code, _, err = run_cli("verify", "--suite", "nope")
         assert code == 2

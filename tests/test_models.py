@@ -390,13 +390,14 @@ class TestPoissonOraclesMatchMpmath:
     # is real, but c has its pole there and the functions keep their sign,
     # so its bound is relative.  The rows n = 3 at t = 24 and 40 and n = 4
     # at t = 24, at Lam = 1.4 - 0.5i, are where the rule in the polar angle
-    # psi missed the kernel's peak and printed a wrong value
+    # psi missed the kernel's peak and printed a wrong value; those at
+    # n = 3-5, Lam = 7.5 - 0.06i, t = 40 and 60 are where a per-panel
+    # target of the bisection rule fell below the rounding of panels that
+    # cancel, and it ran out of bisections
     SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
     LAMS = [1.4 - 0.5j, 0.3 - 0.05j, 0j, 3.0, 2 + 0.6j, -1 + 0.3j,
             7.5 - 0.06j]
     TS = [0.05, 0.5, 2.0, 6.0, 12.0, 24.0, 40.0, 60.0]
-    # the rows the stopping rule cannot finish: see below
-    MARGIN = 7.5 - 0.06j
 
     @staticmethod
     def scale(mp, n, lam, t, want):
@@ -423,28 +424,12 @@ class TestPoissonOraclesMatchMpmath:
     def test_phi(self, n, lam):
         mp = pytest.importorskip("mpmath")
         ts = self.TS + ([100.0, 1000.0] if n == 2 else [])
-        if n > 2 and lam == self.MARGIN:
-            ts = [t for t in ts if t < 40.0]
         space = r1.RankOneSpace(n - 1, 0)
         for t, quad in zip(ts, md.quad_phi_K(n, lam, ts, self.SPEC)):
             want = (self.plane_phi(mp, lam, t) if t > 60.0 else
                     mp_phi_and_limit(mp, space, r1.TRIVIAL_KTYPE, lam, t)[0])
             assert abs(quad - want) <= 1e-12 * self.scale(mp, n, lam, t,
                                                           want), t
-
-    @pytest.mark.xfail(strict=True, raises=ToleranceNotMetError,
-                       reason="ROADMAP.md item 2 (a stopping rule that "
-                              "knows its own rounding): the panels cancel, "
-                              "and each panel's target falls below its own "
-                              "rounding")
-    @pytest.mark.parametrize("t", [40.0, 60.0])
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_phi_near_the_margin(self, n, t):
-        mp = pytest.importorskip("mpmath")
-        quad = md.quad_phi_K(n, self.MARGIN, t, self.SPEC)
-        want = mp_phi_and_limit(mp, r1.RankOneSpace(n - 1, 0),
-                                r1.TRIVIAL_KTYPE, self.MARGIN, t)[0]
-        assert abs(quad - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("lam", LAMS)
     @pytest.mark.parametrize("char_n", [2, 4])
@@ -580,7 +565,8 @@ class TestBatchedRules:
 
     def test_empty_batch(self):
         for values, nodes in (trapezoid_doubling(None, 0),
-                              exp_sinh_halfline(None, 0)):
+                              exp_sinh_halfline(None, 0),
+                              gauss_legendre_adaptive(None, 0, 0.0, 1.0)):
             assert values.shape == (0,) and nodes == 0
         for values in (md.quad_phi_K(2, self.LAM, []),
                        md.quad_phi_K(3, self.LAM, []),
@@ -589,10 +575,12 @@ class TestBatchedRules:
                        md.quad_eisenstein_sl2(2, self.LAM, [])):
             assert values.shape == (0,) and values.dtype == complex
 
-    @pytest.mark.parametrize("rule", ["trapezoid", "exp-sinh"])
+    @pytest.mark.parametrize("rule", ["trapezoid", "exp-sinh",
+                                      "gauss-legendre"])
     def test_budget_error_names_first_failing_row(self, rule):
-        # rows 1 and 2 flip sign at every level and never converge; the
-        # error is row 1's, as its one-row run reports it
+        # rows 1 and 2 never converge (for the nested rules they flip sign
+        # at every level); the error is row 1's, as its one-row run
+        # reports it
         sign = {"flip": 1.0}
 
         def rows_of(idx, scale, new_nodes):
@@ -610,6 +598,18 @@ class TestBatchedRules:
                 return trapezoid_doubling(
                     lambda m, idx, shift: rows_of(idx_map[idx], scale,
                                                   shift != 0.0), rows)
+        elif rule == "gauss-legendre":
+            def run(idx_map, rows):
+                # rows 1 and 2 are their scale at the 20-point nodes and
+                # its negative at the 40-point ones, so on [0, 1] the two
+                # sums differ by twice the scale at every level
+                def f(x, idx):
+                    out = np.ones(x.shape, dtype=complex)
+                    fails = idx_map[idx] >= 1
+                    out[fails] = scale[idx_map[idx][fails], None]
+                    out[fails, 20:] *= -1.0
+                    return out
+                return gauss_legendre_adaptive(f, rows, 0.0, 1.0)
         else:
             def run(idx_map, rows):
                 levels = []
@@ -635,57 +635,41 @@ class TestBatchedRules:
                                        single.value.target,
                                        single.value.nodes)
         assert batch.value.achieved == pytest.approx(6.0, rel=1e-12)
+        if rule == "gauss-legendre":
+            # levels 0-14, the last of 2^14 panels: within the 2^14
+            # bisections, about 2M rule points, of the old tree rule
+            assert batch.value.nodes == 60 * (2 ** 15 - 1)
 
-    def test_gauss_legendre_budget_error_names_first_failing_row(
-            self, monkeypatch):
-        # rows 1 and 2 jump at 1/pi, so the panel holding the jump never
-        # meets its tolerance and bisects until the budget runs out at
-        # the same depth in both; the error is row 1's, as its one-row
-        # run reports it
-        monkeypatch.setattr(quadrature, "GL_MAX_BISECTIONS", 8)
-        jump = np.array([0.0, 3.0, 5.0])
+    # e^{i w x} on [0, pi]: the faster a row oscillates, the more levels
+    # the Gauss-Legendre rule takes
+    OMEGA = np.array([1.0, 30.0, 3.0, 90.0])
 
-        def run(rows):
-            return gauss_legendre_adaptive(
-                lambda x, idx: np.where(x < 1.0 / math.pi, 1j,
-                                        jump[rows[idx], None] + 1j),
-                len(rows), 0.0, 1.0)
+    def oscillating(self, rows):
+        return gauss_legendre_adaptive(
+            lambda x, idx: np.exp(1j * self.OMEGA[rows[idx], None] * x),
+            len(rows), 0.0, math.pi)
 
-        errors = []
-        for rows in (np.arange(3), np.array([1]), np.array([2])):
-            with pytest.raises(ToleranceNotMetError) as exc:
-                run(rows)
-            errors.append((exc.value.achieved, exc.value.target,
-                           exc.value.nodes))
-        assert errors[0] == errors[1] != errors[2]
-        assert errors[0][2] == 60 * 15  # the root, then two panels a depth
+    def test_gauss_legendre_rows_match_one_row_runs(self):
+        values, nodes = self.oscillating(np.arange(len(self.OMEGA)))
+        singles = [self.oscillating(np.array([i]))
+                   for i in range(len(self.OMEGA))]
+        assert [complex(v) for v in values] == [complex(s[0][0])
+                                                for s in singles]
+        assert type(nodes) is int
+        assert nodes == sum(s[1] for s in singles)
+        # the rows stop at different levels
+        assert len({s[1] for s in singles}) > 1
 
-
-    def test_gauss_legendre_budget_error_of_a_row_that_runs_out_later(
-            self, monkeypatch):
-        # row 0 jumps once and bisects one panel a depth; row 1 jumps
-        # three times, so it bisects three panels a depth and runs out at
-        # an earlier depth; the batch raises row 0's error all the same,
-        # as its one-row run reports it
-        monkeypatch.setattr(quadrature, "GL_MAX_BISECTIONS", 8)
-
-        def run(rows):
-            def f(x, idx):
-                more = rows[idx, None] == 1
-                return (np.where(x < 1.0 / math.pi, 1j, 3.0 + 1j)
-                        + np.where(more & (x >= 0.7), 5.0, 0.0)
-                        + np.where(more & (x >= 0.9), 2.0, 0.0))
-            return gauss_legendre_adaptive(f, len(rows), 0.0, 1.0)
-
-        errors = []
-        for rows in (np.arange(2), np.array([0]), np.array([1])):
-            with pytest.raises(ToleranceNotMetError) as exc:
-                run(rows)
-            errors.append((exc.value.achieved, exc.value.target,
-                           exc.value.nodes))
-        assert errors[0] == errors[1] != errors[2]
-        assert errors[1][2] == 60 * 15  # depth 7: two panels a depth
-        assert errors[2][2] == 60 * 13  # depth 3: 1 + 2 + 4 + 6 panels
+    def test_gauss_legendre_chunks_leave_values_unchanged(self,
+                                                          monkeypatch):
+        # three panels a call split each deeper level, and each row's
+        # panels, over several calls
+        rows = np.arange(len(self.OMEGA))
+        values, nodes = self.oscillating(rows)
+        monkeypatch.setattr(quadrature, "GL_CHUNK_PANELS", 3)
+        chunked, chunked_nodes = self.oscillating(rows)
+        assert chunked.tobytes() == values.tobytes()
+        assert chunked_nodes == nodes
 
     def test_circle_sum_takes_an_exponent_per_radius(self):
         # a Lam per distance, so an exponent i Lam + rho per row
@@ -837,37 +821,29 @@ def reference_exp_sinh(log_f, spec):
 
 
 def reference_gauss_legendre(f, a, b, spec):
-    """One integrand f(x) by recursive bisection, left child first, with
-    the accepted panels added in that order."""
-    total, nodes = [0j, 0j], [0]
-
-    def panel(lo, hi, n):
-        x, w = gl_rule(n)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        return half * complex(np.sum(w * f(mid + half * x)))
-
-    def visit(lo, hi, depth):
-        coarse, fine = panel(lo, hi, 20), panel(lo, hi, 40)
-        nodes[0] += 60
-        tol = max(spec.abs_tol, spec.rel_tol * abs(fine)) * (hi - lo) / (b - a)
-        if abs(fine - coarse) <= tol or depth >= 48:
-            s, c = total
-            y = fine - c
-            t = s + y
-            total[:] = [t, (t - s) - y]
-            return
-        visit(lo, 0.5 * (lo + hi), depth + 1)
-        visit(0.5 * (lo + hi), hi, depth + 1)
-
-    visit(a, b, 0)
-    return total[0], nodes[0]
+    """One integrand f(x) by the plain sequence: the 20- and 40-point
+    sums over 2^k equal panels of [a, b], k = 0, 1, ..., every panel of
+    each level summed anew, until the two sums agree.  Returns the
+    40-point sum, the rule points used and the stop level."""
+    nodes, k = 0, 0
+    while True:
+        half = (b - a) / 2 ** (k + 1)
+        mid = a + (2 * np.arange(2 ** k) + 1) * half
+        coarse, fine = (
+            complex(np.sum(half * np.sum(w * f(mid[:, None] + half * x),
+                                         axis=1)))
+            for x, w in (gl_rule(20), gl_rule(40)))
+        nodes += 60 * 2 ** k
+        if abs(fine - coarse) <= max(spec.abs_tol, spec.rel_tol * abs(fine)):
+            return fine, nodes, k
+        k += 1
 
 
 def fe_distances(t1, t2, n=3):
     """The distances of the first outer nodes of functional_equation_check
     on the n-ball: on the plane (n = 2), the nodes 0 <= gamma <= pi of the
     first two circle levels, of 8 and 16 points; above it, the 20 + 40
-    nodes of the first Gauss-Legendre panel."""
+    nodes of Gauss-Legendre level 0."""
     if n == 2:
         # cos^2(gamma/2) at gamma = j pi/8, j = 0, ..., 8, as the
         # half-circle table holds it: exactly 0 at gamma = pi
@@ -940,12 +916,13 @@ class TestNestedRulesMatchReference:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_gauss_legendre_bit_for_bit(self, n):
-        # the batched rule accepts the panels of the recursive one and
-        # adds them in the same order
+        # the rule sums the panels of the plain sequence in the same
+        # order, so it stops each row at the same level, bit for bit
         lams = vf._lambda_samples(5, seed=5, im_range=(-0.6, 0.6))
         u = np.array([cv.geodesic_radius(t) for t in
                       np.concatenate([[0.5, 1.0, 2.0, 3.0],
                                       fe_distances(1.0, 0.7)[::7]])])
+        levels = set()
         for lam in lams:
             mu = 1j * lam + 0.5 * (n - 1)
 
@@ -954,12 +931,16 @@ class TestNestedRulesMatchReference:
                 pk = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(theta) + r * r)
                 return np.exp(mu * np.log(pk)) * np.sin(theta) ** (n - 2)
 
-            values, nodes = gauss_legendre_adaptive(f, len(u), 0.0, math.pi)
-            want = [reference_gauss_legendre(
-                lambda x, i=i: f(x[None, :], np.array([i]))[0],
-                0.0, math.pi, self.SPEC) for i in range(len(u))]
-            assert [complex(v) for v in values] == [w[0] for w in want]
-            assert nodes == sum(w[1] for w in want)
+            for i in range(len(u)):
+                value, nodes = gauss_legendre_adaptive(
+                    lambda x, idx: f(x, idx + i), 1, 0.0, math.pi)
+                want, want_nodes, level = reference_gauss_legendre(
+                    lambda x: f(x, np.full(len(x), i)), 0.0, math.pi,
+                    self.SPEC)
+                assert nodes == want_nodes == 60 * (2 ** (level + 1) - 1)
+                assert complex(value[0]) == want
+                levels.add(level)
+        assert len(levels) > 1
 
 
 class TestPoissonCircleSum:
