@@ -353,10 +353,10 @@ def cmd_phi_eval(args) -> int:
                     values[name] = _value(per_t[i])
                     if name == "series":
                         # the cached coefficients hc_series_eval used
-                        sc = r1.hc_series_gammas(space.rankone, lam,
-                                                 args.series_n)
+                        gammas = r1.hc_series_gammas(space.rankone, lam,
+                                                     args.series_n)
                         row["series_tail_estimate"] = \
-                            r1.series_tail_estimate(sc, t)
+                            r1.series_tail_estimate(gammas, t)
                 except EVAL_ERRORS as exc:
                     values.pop(name, None)
                     errors.append(f"{name}: {exc}")

@@ -57,7 +57,6 @@ the half-circle table; for n >= 3 Gauss-Legendre on 2^k equal panels
 runs it on [0, pi/2].
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,8 +64,8 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _exp_sinh_nodes,
-                         exp_sinh_halfline, exp_sinh_level,
-                         gauss_legendre_adaptive, trapezoid_doubling)
+                         exp_sinh_halfline, gauss_legendre_adaptive,
+                         trapezoid_doubling)
 
 __all__ = [
     "QuadratureSpec", "OracleReport", "DEFAULT_SPEC", "quad_phi_K",
@@ -286,7 +285,8 @@ def _radial_terms(r: np.ndarray, extra_char: int) -> tuple:
 
 @lru_cache(maxsize=64)
 def _level_radial_terms(k: int, extra_char: int) -> tuple:
-    """_radial_terms at the nodes of exp-sinh level k.  Read-only, since
+    """_radial_terms at the nodes of exp-sinh level k, formed once per
+    level for every exponent the rule meets there.  Read-only, since
     every later call shares them."""
     terms = _radial_terms(_exp_sinh_nodes(k)[0], extra_char)
     for arr in terms:
@@ -298,19 +298,16 @@ def _level_radial_terms(k: int, extra_char: int) -> tuple:
 def _log_nbar_radial(n: int, s: np.ndarray, extra_char: int):
     r"""log of the integrands of \int_0^infty (1+r^2/4)^{-s} r^{n-2}
     [cos(extra_char * atan(r/2))] dr, one row per exponent s, as a
-    function of the nodes r and the rows.  The rule's nodes are r itself:
-    the integrand decays like r^{n - 2 - 2 Re s}, algebraically, which is
-    the decay the exp-sinh rule is built for (in u, r = sinh u, it decays
-    exponentially, and the rule spends most of its nodes on terms that
-    vanish).  At the rule's own node tables the terms free of s are read
-    from the table of that level."""
+    function of the exp-sinh level k and the rows.  The rule's nodes are
+    r itself: the integrand decays like r^{n - 2 - 2 Re s}, algebraically,
+    which is the decay the exp-sinh rule is built for (in u, r = sinh u,
+    it decays exponentially, and the rule spends most of its nodes on
+    terms that vanish).  The terms free of s are read from the table of
+    level k."""
     p = n - 2
 
-    def log_f(r: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        k = exp_sinh_level(r)
-        logr, log1pr, logcos = (
-            _radial_terms(r, extra_char) if k is None
-            else _level_radial_terms(k, extra_char))
+    def log_f(k: int, idx: np.ndarray) -> np.ndarray:
+        logr, log1pr, logcos = _level_radial_terms(k, extra_char)
         out = -s[idx, None] * log1pr + p * logr
         if extra_char:
             out = out + logcos
@@ -387,7 +384,7 @@ def quad_Csigma_sl2(char_n: int, Lam, spec: QuadratureSpec = DEFAULT_SPEC):
         raise ValueError("character weight must be even (fixed-vector "
                          "condition for the centralizer)")
     s, shape = _convergent_exponents(Lam, 0.5)
-    phase = cmath.exp(0.5j * math.pi * char_n)
+    phase = (-1) ** (char_n // 2)  # e^{i pi char_n/2}, exactly
     norm = nbar_normalization(2, spec)
     return _shaped([phase * complex(x) / norm for x in
                     _nbar_radial(2, s, spec, extra_char=char_n)], shape)
@@ -508,7 +505,7 @@ def _functional_equation(n: int, k: int, Lam, t1, t2,
             s2, c2 = np.broadcast_to(sc[:, None], (2, len(idx), len(weight)))
             return np.sum(at(idx, s2, c2) * weight, axis=1)
 
-        lhs, _ = trapezoid_doubling(mean_of, len(lams), outer_spec, n0=8)
+        lhs, _ = trapezoid_doubling(mean_of, len(lams), outer_spec)
     if k:
         rhs = (quad_eisenstein_sl2(2 * k, lam_of, t1s, spec)
                * quad_phi_K(2, lam_of, t2s, spec))
@@ -538,7 +535,7 @@ def functional_equation_check(n: int, Lam, t1, t2,
     met before are one quad_phi_K batch, so equal pairs (every node of a
     case with t1 = 0, say) share one evaluation.  On the plane (n = 2)
     the average is over the circle, by the trapezoid rule on the
-    half-circle table from 8 points, as in quad_phi_K; above it, by
+    half-circle table from 32 points, as in quad_phi_K; above it, by
     Gauss-Legendre on equal panels in gamma with the weight
     sin^{n-2} gamma.  The outer rule asks for no less than
     abs_tol 1e-10 and rel_tol 1e-9, the accuracy of its inner rows.

@@ -6,11 +6,12 @@ sequence of refinement levels:
 * composite Gauss-Legendre on finite intervals, for integrands analytic
   there: level k is the 20- and 40-point sum over 2^k equal panels, and
   their difference is the level's error estimate;
-* trapezoid doubling for smooth periodic integrands;
+* trapezoid doubling for smooth periodic integrands, from 32 points;
 * a double-exponential (exp-sinh) rule, the one rule for half-line
   integrals, built for integrands that decay algebraically, so the
   callers apply it to their variable directly; the integrand is supplied
-  in log form so the algebraic tails can never overflow.
+  in log form so the algebraic tails can never overflow, and is told
+  the level, whose nodes are fixed, so that it can keep per-level tables.
 
 All three run through one level loop, which integrates a batch of rows
 (one integrand each) with one NumPy pass per level.  The rows of a
@@ -194,25 +195,25 @@ def gauss_legendre_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def trapezoid_doubling(
         mean_of: Callable[[int, np.ndarray, float], np.ndarray],
-        rows: int, spec: QuadratureSpec = DEFAULT_SPEC,
-        n0: int = 32) -> tuple[np.ndarray, int]:
+        rows: int, spec: QuadratureSpec = DEFAULT_SPEC
+        ) -> tuple[np.ndarray, int]:
     """Limits under doubling of n of rows smooth periodic integrals.
 
     mean_of(n, idx, shift) returns, for each row index in idx, the mean
     of that row's integrand over the n uniform nodes (j + shift)/n of its
-    period, j = 0, ..., n - 1.  The rule starts from the n0-point mean
+    period, j = 0, ..., n - 1.  The rule starts from the 32-point mean
     (shift 0); each doubling averages the mean so far with the mean over
     the nodes midway between the old ones (shift 1/2), so every node is
     evaluated once.  A row leaves the batch at the first doubling that
     meets the tolerance, so its value is the one a one-row run gives.
-    Returns the values and the rule points (n0, 2 n0, ... per level)
+    Returns the values and the rule points (32, 64, ... per level)
     summed over rows."""
     def level(k, idx, state):
         if k:
-            cur = 0.5 * (state[0] + mean_of(n0 << (k - 1), idx, 0.5))
+            cur = 0.5 * (state[0] + mean_of(32 << (k - 1), idx, 0.5))
         else:
-            cur = mean_of(n0, idx, 0.0)
-        return cur, _change(cur, state), (cur,), n0 << k
+            cur = mean_of(32, idx, 0.0)
+        return cur, _change(cur, state), (cur,), 32 << k
 
     return _halving_batch(level, rows, spec, TRAPEZOID_MAX_NODES)
 
@@ -236,18 +237,6 @@ def _exp_sinh_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
     return u, logw
 
 
-def exp_sinh_level(u: np.ndarray) -> int | None:
-    """The level k whose node table _exp_sinh_nodes(k) holds the array u
-    itself, else None (an array built elsewhere)."""
-    n0 = int(_ES_UMAX / 0.5)
-    k = (len(u) // n0).bit_length() - 1
-    if len(u) == 2 * n0 + 1:
-        k = 0
-    elif k < 1 or len(u) != n0 << k:
-        return None
-    return k if _exp_sinh_nodes(k)[0] is u else None
-
-
 def _log_sum(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, (m, s) with e^m s the sum of exp over the entries whose
     real part is finite, overflow-free; m = -inf and s = 0 for a row with
@@ -259,22 +248,22 @@ def _log_sum(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, s
 
 
-def exp_sinh_halfline(log_f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def exp_sinh_halfline(log_f: Callable[[int, np.ndarray], np.ndarray],
                       rows: int, spec: QuadratureSpec = DEFAULT_SPEC
                       ) -> tuple[np.ndarray, int]:
-    """Integrals over (0, inf) of exp(log_f(u, idx)), one per row, by the
-    double-exponential rule with step halving.
+    """Integrals over (0, inf) of the exp of log integrands, one per row,
+    by the double-exponential rule with step halving.
 
-    log_f(u, idx) returns the log integrand at the nodes u, one row per
-    row index in idx, and may return -inf real parts where an integrand
-    underflows; only the entries with a finite real part are summed.
-    Each halving evaluates only the new nodes and keeps the running sum
-    in log space.  A row leaves the batch at the first halving that meets
-    the tolerance, so its value is the one a one-row run gives.  Returns
-    the values and the rule points summed over rows."""
+    log_f(k, idx) returns the log integrand at the nodes of level k,
+    _exp_sinh_nodes(k)[0], one row per row index in idx, and may return
+    -inf real parts where an integrand underflows; only the entries with
+    a finite real part are summed.  Each halving evaluates only the new
+    nodes and keeps the running sum in log space.  A row leaves the batch
+    at the first halving that meets the tolerance, so its value is the
+    one a one-row run gives.  Returns the values and the rule points
+    summed over rows."""
     def level(k, idx, state):
-        u, logw = _exp_sinh_nodes(k)
-        m, s = _log_sum(log_f(u, idx) + logw)
+        m, s = _log_sum(log_f(k, idx) + _exp_sinh_nodes(k)[1])
         if k:
             # the old nodes keep their weights at half the step
             m0, s0, _ = state

@@ -107,11 +107,10 @@ def _quadratic_residuals(space: RankOneSpace, kt: KTypeRankOne) -> tuple:
     return res_r, res_s
 
 
-def validate_ktype(space: RankOneSpace, kt: KTypeRankOne,
-                   tol: float = 1e-12) -> None:
+def validate_ktype(space: RankOneSpace, kt: KTypeRankOne) -> None:
     res_r, res_s = _quadratic_residuals(space, kt)
-    scale = 1.0 + abs(kt.d_alpha) + abs(kt.d_2alpha)
-    if abs(res_r) > tol * scale or abs(res_s) > tol * scale:
+    tol = 1e-12 * (1.0 + abs(kt.d_alpha) + abs(kt.d_2alpha))
+    if abs(res_r) > tol or abs(res_s) > tol:
         raise ValueError(
             f"(r, s) = ({kt.r}, {kt.s}) violates the K-type quadratics "
             f"for multiplicities ({space.m_alpha}, {space.m_2alpha}): "
@@ -305,63 +304,40 @@ def phi_tau(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
     return _closed_form(space, kt, Lam, t, limit=False)
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Coefficients of the exponential-series representation at a fixed
-    spectral parameter; gammas[0] = 1 and odd entries vanish."""
-
-    gammas: tuple[complex, ...]
-    truncation: int
-
-    def __post_init__(self):
-        if self.truncation != len(self.gammas) - 1:
-            raise ValueError("truncation must equal len(gammas) - 1")
-        if abs(self.gammas[0] - 1.0) > 1e-14:
-            raise ValueError("leading coefficient must be 1")
-
-    def growth_exponent(self, n_min: int = 20) -> float:
-        """max over n >= n_min of log|gamma_n| / n (nonzero entries)."""
-        best = -math.inf
-        for n in range(n_min, self.truncation + 1):
-            g = abs(self.gammas[n])
-            if g > 0.0:
-                best = max(best, math.log(g) / n)
-        return best
-
-
-def check_resonance(Lam: complex, N: int,
-                    tol: float = RESONANCE_TOL) -> None:
+def check_resonance(Lam: complex, N: int) -> None:
     two_il = 2j * complex(Lam)
     for n in range(2, N + 1, 2):
-        if abs(n - two_il) < tol:
+        if abs(n - two_il) < RESONANCE_TOL:
             raise ResonanceError(n, complex(Lam))
 
 
 @lru_cache(maxsize=cm.CACHE_SIZE)
 def hc_series_gammas(space: RankOneSpace, Lam: complex,
-                     N: int = DEFAULT_SERIES_N) -> SeriesCoefficients:
-    """Recursion coefficients of the exponential expansion, generated by
-    substituting the series into the radial eigen-equation
+                     N: int = DEFAULT_SERIES_N) -> tuple[complex, ...]:
+    """The coefficients g_0 = 1, g_1, ..., g_N of the exponential
+    expansion (the odd ones vanish), generated by substituting the series
+    into the radial eigen-equation
 
         u'' + (m coth t + 2 m2 coth 2t) u' = -(Lam^2 + rho^2) u.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     check_resonance(Lam, N)
-    g = kernels.hc_gamma_coeffs(space.m_alpha, space.m_2alpha,
-                                complex(Lam), N)
-    return SeriesCoefficients(tuple(g), N)
+    return tuple(kernels.hc_gamma_coeffs(space.m_alpha, space.m_2alpha,
+                                         complex(Lam), N))
 
 
-def series_tail_estimate(sc: SeriesCoefficients, t: float) -> float:
-    """A posteriori bound |gamma_N' e^{-N' t}| / (1 - e^{-(t - 1/2)}) on
-    the dropped tail, with N' = N - N mod 2 the last even index (the odd
-    coefficients vanish), valid under the sub-(1/2) exponential growth of
-    the coefficients for t > 1/2."""
+def series_tail_estimate(gammas: tuple[complex, ...], t: float) -> float:
+    """A posteriori bound |g_N' e^{-N' t}| / (1 - e^{-(t - 1/2)}) on the
+    tail that the coefficients g_0, ..., g_N of hc_series_gammas drop,
+    with N' = N - N mod 2 the last even index (the odd coefficients
+    vanish), valid under the sub-(1/2) exponential growth of the
+    coefficients for t > 1/2."""
     if t <= 0.5:
         return math.inf
-    n = sc.truncation - sc.truncation % 2
-    return (abs(sc.gammas[n]) * math.exp(-n * t)
+    n = len(gammas) - 1
+    n -= n % 2
+    return (abs(gammas[n]) * math.exp(-n * t)
             / (1.0 - math.exp(-(t - 0.5))))
 
 
@@ -369,7 +345,7 @@ def series_tail_estimate(sc: SeriesCoefficients, t: float) -> float:
 def _series_terms(space: RankOneSpace, Lam: complex, N: int) -> tuple:
     """The two terms of the Weyl sum of hc_series_eval: for L = Lam, then
     L = -Lam, (g_0, g_2, g_4, ... at L, c(L)); the odd g_n vanish."""
-    return tuple((hc_series_gammas(space, L, N).gammas[::2],
+    return tuple((hc_series_gammas(space, L, N)[::2],
                   c_alpha(L, space.m_alpha, space.m_2alpha).value)
                  for L in (complex(Lam), -complex(Lam)))
 
@@ -421,9 +397,9 @@ def limit_large_t(space: RankOneSpace, kt: KTypeRankOne, Lam: complex,
 
 def limit_large_t_target(space: RankOneSpace, kt: KTypeRankOne,
                          Lam: complex) -> complex:
-    """Gamma(s + n/2)/Gamma(n/2) * c(Lam), n = dim X."""
-    half_n = 0.5 * space.dim
-    return (cm.gamma_ratio((kt.s + half_n,), (half_n,))
+    """Gamma(s + n/2)/Gamma(n/2) * c(Lam), n = dim X: the Pochhammer
+    symbol (n/2)_s, a product of s exact factors, times c(Lam)."""
+    return (cm.pochhammer(0.5 * space.dim, kt.s)
             * c_alpha(Lam, space.m_alpha, space.m_2alpha).value)
 
 

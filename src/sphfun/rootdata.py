@@ -226,16 +226,6 @@ def _weyl_tables(datum: RootDatum, coeffs, cartan) -> tuple[tuple, tuple]:
     return tuple(simple_index), tuple(reflections)
 
 
-def rho(datum: RootDatum) -> SpectralParam:
-    """Half the multiplicity-weighted sum of the positive roots:
-    rho = 1/2 sum (m_alpha + 2 m_2alpha) alpha over indivisible alpha."""
-    acc = [0.0] * datum.rank
-    for alpha, (m, m2) in zip(datum.positive_roots, datum.mult):
-        c = 0.5 * (m + 2.0 * m2)
-        acc = [s + c * x for s, x in zip(acc, alpha)]
-    return SpectralParam.of(acc)
-
-
 def _letter_index(datum: RootDatum, letter: int) -> int:
     """The 0-based simple-root index of a 1-based word letter."""
     if letter > datum.rank:
@@ -374,9 +364,9 @@ _CATALOG = {
 }
 
 
-def datum_by_name(name: str, *args) -> RootDatum:
+def datum_by_name(name: str) -> RootDatum:
     try:
-        return _CATALOG[name.lower()](*args)
+        return _CATALOG[name.lower()]()
     except KeyError:
         raise RootDatumError(f"unknown catalog datum {name!r}") from None
 

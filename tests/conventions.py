@@ -1,6 +1,7 @@
 """The unimodular 2x2 matrix model of the hyperbolic plane and the
 ball-model conventions the oracles of `sphfun.models` are checked
-against.
+against, and the half sum rho of the positive roots of a root datum,
+which the root-data and c-function tests evaluate at.
 
 K is the rotations k_theta, A the positive diagonals
 a_t = diag(e^{t/2}, e^{-t/2}) (so that alpha(H) = 1 and rho(H) = 1/2), N
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from sphfun.rootdata import RootDatum, SpectralParam
 
 _DET_TOL = 1e-12
 
@@ -127,3 +130,13 @@ def geodesic_radius(t: float) -> float:
     """Euclidean radius of the point at hyperbolic distance t from the
     origin: tanh(t/2)."""
     return math.tanh(0.5 * t)
+
+
+def rho(datum: RootDatum) -> SpectralParam:
+    """Half the multiplicity-weighted sum of the positive roots:
+    rho = 1/2 sum (m_alpha + 2 m_2alpha) alpha over indivisible alpha."""
+    acc = [0.0] * datum.rank
+    for alpha, (m, m2) in zip(datum.positive_roots, datum.mult):
+        c = 0.5 * (m + 2.0 * m2)
+        acc = [s + c * x for s, x in zip(acc, alpha)]
+    return SpectralParam.of(acc)

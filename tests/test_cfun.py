@@ -17,6 +17,7 @@ from sphfun import complexmath as cm
 from sphfun import rankone as r1
 from sphfun import rootdata as rd
 from sphfun import verify
+import conventions as cv
 
 SPACES = [(1, 0), (2, 0), (3, 0), (4, 0), (2, 1), (4, 3), (8, 7)]
 KTYPES = r1.load_ktype_catalog()
@@ -187,13 +188,13 @@ class TestCFullAndSigma:
         # lam = -i rho (the shift identity <rho, alpha_0> = m/2 + m2
         # holds for simple roots); products of rank-one data give 1
         for d in (rd.datum_a1(3, 0), rd.datum_a1(2, 1), rd.datum_a1xa1()):
-            lam = rd.SpectralParam.of(-1j * np.asarray(rd.rho(d).coords))
+            lam = rd.SpectralParam.of(-1j * np.asarray(cv.rho(d).coords))
             assert cfun.c_full(d, lam).value == pytest.approx(1.0,
                                                               abs=1e-12)
         # in A2 the highest root restricts rho to 1 (not 1/2), so the
         # full product at -i rho reduces to that single factor
         d = rd.datum_a2()
-        lam = rd.SpectralParam.of(-1j * np.asarray(rd.rho(d).coords))
+        lam = rd.SpectralParam.of(-1j * np.asarray(cv.rho(d).coords))
         expected = cfun.c_alpha(-1j, 1, 0).value
         assert cfun.c_full(d, lam).value == pytest.approx(expected,
                                                           rel=1e-13)

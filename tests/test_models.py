@@ -20,8 +20,8 @@ from sphfun import quadrature
 from sphfun import verify as vf
 from sphfun.quadrature import (QuadratureSpec, ToleranceNotMetError,
                                _exp_sinh_nodes, exp_sinh_halfline,
-                               exp_sinh_level, gauss_legendre_adaptive,
-                               gl_rule, trapezoid_doubling)
+                               gauss_legendre_adaptive, gl_rule,
+                               trapezoid_doubling)
 import conventions as cv
 from test_acceptance import margin_samples
 from test_rankone import mp_phi_and_limit
@@ -547,15 +547,15 @@ class TestBatchedRules:
     def test_exp_sinh_rows_match_one_row_runs(self):
         s = np.array([1.5 - 0.6j, 0.9 - 0.2j, 2.0 + 0.1j])
 
-        def log_f(u, idx):
+        def log_f(k, idx):
             # one row underflows everywhere: its integral is 0
-            out = md._log_nbar_radial(3, s, 2)(u, idx)
+            out = md._log_nbar_radial(3, s, 2)(k, idx)
             out[idx == 1] = -np.inf
             return out
 
         values, nodes = exp_sinh_halfline(log_f, len(s))
         singles = [exp_sinh_halfline(
-            lambda u, idx, i=i: log_f(u, np.full(len(idx), i)), 1)
+            lambda k, idx, i=i: log_f(k, np.full(len(idx), i)), 1)
             for i in range(len(s))]
         assert [complex(v) for v in values] == [complex(x[0][0])
                                                 for x in singles]
@@ -612,18 +612,15 @@ class TestBatchedRules:
                 return gauss_legendre_adaptive(f, rows, 0.0, 1.0)
         else:
             def run(idx_map, rows):
-                levels = []
-
-                def log_f(u, idx):
+                def log_f(k, idx):
                     # the row's value over the rule's weights, spread so
                     # that level 0 sums to it and each later level's new
                     # nodes to half of it
-                    k = len(levels)
-                    levels.append(k)
+                    u, logw = _exp_sinh_nodes(k)
                     share = len(u) * (2.0 if k else 1.0)
                     vals = np.log(rows_of(idx_map[idx], scale, k > 0)
                                   / share + 0j)
-                    return vals[:, None] - _exp_sinh_nodes(k)[1]
+                    return vals[:, None] - logw
                 return exp_sinh_halfline(log_f, rows)
         with pytest.raises(ToleranceNotMetError) as batch:
             run(np.arange(3), 3)
@@ -782,12 +779,12 @@ def theta_growth(t, lam, harmonic):
     return 1.0 + abs(lam) * t + t + k * k * (1.0 + t) / math.tanh(t)
 
 
-def reference_circle_mean(t, lam, harmonic, spec, n0=32):
+def reference_circle_mean(t, lam, harmonic, spec):
     """One distance by the plain trapezoid sequence: the full-grid mean of
-    the plain integrand at n0, 2 n0, ... until two levels agree.  Returns
-    the value, the rule points used and the mean of |integrand| at the
-    last level."""
-    prev, nodes, n = None, 0, n0
+    the plain integrand at 32, 64, ... points until two levels agree.
+    Returns the value, the rule points used and the mean of |integrand|
+    at the last level."""
+    prev, nodes, n = None, 0, 32
     while True:
         vals = theta_integrand(t, lam, harmonic,
                                np.arange(n) * (2.0 * math.pi / n))
@@ -842,12 +839,12 @@ def reference_gauss_legendre(f, a, b, spec):
 def fe_distances(t1, t2, n=3):
     """The distances of the first outer nodes of functional_equation_check
     on the n-ball: on the plane (n = 2), the nodes 0 <= gamma <= pi of the
-    first two circle levels, of 8 and 16 points; above it, the 20 + 40
+    first two circle levels, of 32 and 64 points; above it, the 20 + 40
     nodes of Gauss-Legendre level 0."""
     if n == 2:
-        # cos^2(gamma/2) at gamma = j pi/8, j = 0, ..., 8, as the
+        # cos^2(gamma/2) at gamma = j pi/32, j = 0, ..., 32, as the
         # half-circle table holds it: exactly 0 at gamma = pi
-        c2 = md._half_circle(16, 0.0)[0][1]
+        c2 = md._half_circle(64, 0.0)[0][1]
     else:
         x = np.concatenate([gl_rule(m)[0] for m in (20, 40)])
         c2 = np.cos(0.25 * math.pi * (1.0 + x)) ** 2
@@ -907,10 +904,16 @@ class TestNestedRulesMatchReference:
 
     def test_exp_sinh(self):
         for n, s, char in nbar_samples():
-            log_f = md._log_nbar_radial(n, np.array([s]), char)
-            value, nodes = exp_sinh_halfline(log_f, 1)
-            want, want_nodes, scale = reference_exp_sinh(
-                lambda u: log_f(u, np.array([0]))[0], self.SPEC)
+            value, nodes = exp_sinh_halfline(
+                md._log_nbar_radial(n, np.array([s]), char), 1)
+
+            def log_f(u):
+                # the integrand from its terms at the reference's nodes
+                logr, log1pr, logcos = md._radial_terms(u, char)
+                out = -s * log1pr + (n - 2) * logr
+                return out + logcos if char else out
+
+            want, want_nodes, scale = reference_exp_sinh(log_f, self.SPEC)
             assert nodes == want_nodes
             assert abs(value[0] - want) <= 1e-14 * scale
 
@@ -978,26 +981,6 @@ class TestRuleTablesReadOnly:
             for arr in table:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
-
-
-class TestRadialTermTables:
-    def test_level_table_has_the_bits_of_fresh_terms(self):
-        # at the rule's node tables log_f reads the level's terms; at a
-        # copy of them it forms the terms afresh
-        s = np.array([1.5 - 0.6j, 0.9 - 0.2j, 0.6 + 0.1j])
-        idx = np.array([0, 2, 1, 2])
-        for k in (0, 1, 4):
-            u = _exp_sinh_nodes(k)[0]
-            assert exp_sinh_level(u) == k
-            assert exp_sinh_level(u.copy()) is None
-            for n, char in ((2, 0), (3, 0), (4, 0), (2, 2), (2, 4)):
-                log_f = md._log_nbar_radial(n, s, char)
-                assert log_f(u, idx).tobytes() == \
-                    log_f(u.copy(), idx).tobytes()
-
-    def test_other_arrays_are_no_level(self):
-        for u in (np.ones(27), np.ones(26), np.ones(53), np.ones(0)):
-            assert exp_sinh_level(u) is None
 
 
 class TestRotatedBallPoints:

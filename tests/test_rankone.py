@@ -201,20 +201,20 @@ class TestPhiTau:
 
 class TestSeries:
     def test_leading_coefficient(self):
-        sc = r1.hc_series_gammas(H2, 0.9 - 0.2j, 10)
-        assert sc.gammas[0] == 1.0
-        assert all(g == 0 for g in sc.gammas[1::2])
+        gammas = r1.hc_series_gammas(H2, 0.9 - 0.2j, 10)
+        assert len(gammas) == 11
+        assert gammas[0] == 1.0
+        assert all(g == 0 for g in gammas[1::2])
 
     def test_three_space_coefficients_all_one(self):
-        sc = r1.hc_series_gammas(H3, 1.3 - 0.5j, 20)
-        for g in sc.gammas[0::2]:
+        for g in r1.hc_series_gammas(H3, 1.3 - 0.5j, 20)[0::2]:
             assert g == pytest.approx(1.0, rel=1e-12)
 
     def test_plane_g2_frozen(self):
         lam = 0.9 - 0.2j
-        sc = r1.hc_series_gammas(H2, lam, 4)
+        gammas = r1.hc_series_gammas(H2, lam, 4)
         expected = (1 - 2j * lam) / (4 * (1 - 1j * lam))
-        assert sc.gammas[2] == pytest.approx(expected, rel=1e-13)
+        assert gammas[2] == pytest.approx(expected, rel=1e-13)
 
     def test_running_sums_match_the_direct_recursion(self):
         # the kernel keeps the recursion's two sums as running sums; the
@@ -262,8 +262,11 @@ class TestSeries:
             for _ in range(5):
                 lam = complex(rng.uniform(0.3, 2.5),
                               rng.uniform(-1.0, 1.0))
-                sc = r1.hc_series_gammas(space, lam, 60)
-                assert sc.growth_exponent(20) < 0.5
+                gammas = r1.hc_series_gammas(space, lam, 60)
+                # log|g_n|/n over n >= 20, the odd g_n (zero) left out
+                growth = max(math.log(abs(g)) / n
+                             for n, g in enumerate(gammas) if n >= 20 and g)
+                assert growth < 0.5
 
     def test_resonance_rejected(self):
         with pytest.raises(r1.ResonanceError) as exc:
@@ -277,7 +280,7 @@ class TestSeries:
     def test_tail_estimate_bounds_truncation(self):
         lam = 1.1 - 0.3j
         t = 1.5
-        sc = r1.hc_series_gammas(H2, lam, 40)
+        gammas = r1.hc_series_gammas(H2, lam, 40)
         long = r1.hc_series_eval(H2, lam, t, 80)
         short = r1.hc_series_eval(H2, lam, t, 40)
         # crude but honest: the a-posteriori estimate dominates the
@@ -285,7 +288,7 @@ class TestSeries:
         scale = abs(cfun.c_alpha(lam, 1, 0).value) + abs(
             cfun.c_alpha(-lam, 1, 0).value)
         assert abs(long - short) <= 10 * scale * r1.series_tail_estimate(
-            sc, t) + 1e-14
+            gammas, t) + 1e-14
 
     def test_tail_estimate_of_odd_n_is_that_of_n_minus_1(self):
         # the odd coefficients vanish, so gamma_5 = 0: the estimate reads
@@ -600,8 +603,6 @@ def outcome(fn, *args):
     def bits(v):
         if isinstance(v, (tuple, list, np.ndarray)):
             return tuple(bits(x) for x in v)
-        if isinstance(v, r1.SeriesCoefficients):
-            return bits(v.gammas), v.truncation
         return complex(v).real.hex(), complex(v).imag.hex()
     try:
         return bits(fn(*args))

@@ -9,6 +9,7 @@ import pytest
 from sphfun import cfun
 from sphfun import complexmath as cm
 from sphfun import rootdata as rd
+import conventions as cv
 
 RNG = np.random.default_rng(55)
 # every catalog datum, BC2 (m_short2 > 0) included
@@ -107,21 +108,21 @@ MALFORMED = {
 class TestRho:
     def test_rank_one_unit(self):
         d = rd.datum_a1(1, 0)
-        assert rd.rho(d).coords == ((0.5 + 0j),)
+        assert cv.rho(d).coords == ((0.5 + 0j),)
 
     def test_rank_one_hyperbolic_family(self):
         for n in (2, 3, 4, 7):
             d = rd.datum_a1(n - 1, 0)
-            assert rd.rho(d).coords[0] == pytest.approx((n - 1) / 2)
+            assert cv.rho(d).coords[0] == pytest.approx((n - 1) / 2)
 
     def test_rank_one_with_double_root(self):
         d = rd.datum_a1(2, 1)
-        assert rd.rho(d).coords[0] == pytest.approx(2.0)
+        assert cv.rho(d).coords[0] == pytest.approx(2.0)
 
     def test_a2_sum_of_simples(self):
         d = rd.datum_a2()
         expected = np.add(d.simple_roots[0], d.simple_roots[1])
-        assert np.allclose(vec(rd.rho(d)), expected)
+        assert np.allclose(vec(cv.rho(d)), expected)
 
 
 class TestWeylApply:
@@ -242,12 +243,12 @@ class TestRestrict:
     def test_rho_shift_rank_one(self):
         for (m, m2) in ((1, 0), (2, 0), (4, 0), (2, 1), (4, 3), (8, 7)):
             d = rd.datum_a1(m, m2)
-            value = rd.restrict(d, rd.rho(d), 0)
+            value = rd.restrict(d, cv.rho(d), 0)
             assert value == pytest.approx(0.5 * m + m2, abs=1e-14)
 
     def test_rho_shift_simple_roots_b2(self):
         d = rd.datum_b2(2, 3, 1)
-        lam = rd.rho(d)
+        lam = cv.rho(d)
         for letter in (1, 2):
             idx = d.simple_root_positive_index(letter)
             m, m2 = d.mult_of(idx)
